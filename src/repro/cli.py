@@ -240,7 +240,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from repro.metrics.report import predict_summary
+    from repro.core.predict import PredictMode, predict, predict_report
 
     trace, problem = _load_trace(args.trace)
     if problem:
@@ -255,51 +255,21 @@ def cmd_predict(args) -> int:
         return _input_error(
             f"--wall-budget must be > 0, got {args.wall_budget}"
         )
+    config = None
     if args.sample:
-        from repro.sampling import estimate_sampled, sampling_section
-
-        if args.timeline is not None:
-            return _input_error(
-                "--timeline records a full simulation; it cannot be "
-                "combined with --sample (drop one of the two)"
-            )
-        if args.profile:
-            return _input_error(
-                "--profile instruments a full simulation; it cannot be "
-                "combined with --sample (drop one of the two)"
-            )
         config, problem = _sampling_config(args)
         if problem:
             return _input_error(problem)
-        log.info(
-            "sampled extrapolation of %s to %s",
-            args.trace, params.name or args.preset,
-        )
-        try:
-            outcome = estimate_sampled(
-                trace, params, config, wall_clock_budget=args.wall_budget
-            )
-        except SimulationStalled as exc:
-            return _input_error(str(exc))
-        except ValueError as exc:
-            return _input_error(str(exc))
-        print(predict_summary(params, outcome))
-        print(sampling_section(outcome.result))
-        return 0
-    log.info(
-        "extrapolating %s to %s", args.trace, params.name or args.preset
-    )
+    what = "sampled extrapolation of" if args.sample else "extrapolating"
+    log.info("%s %s to %s", what, args.trace, params.name or args.preset)
     try:
-        outcome = extrapolate(
-            trace,
-            params,
-            profile=args.profile,
-            observe=args.timeline is not None,
-            wall_clock_budget=args.wall_budget,
+        mode = PredictMode(
+            sample=config, timeline=args.timeline is not None, profile=args.profile
         )
-    except SimulationStalled as exc:
+        outcome = predict(trace, params, mode, wall_clock_budget=args.wall_budget)
+    except (SimulationStalled, ValueError) as exc:
         return _input_error(str(exc))
-    print(predict_summary(params, outcome))
+    print(predict_report(params, outcome))
     if args.timeline is not None:
         from repro.obs.export import write_chrome_trace
 

@@ -1,25 +1,19 @@
 """The simulation environment: clock + event queue + run loop.
 
-The run loop has two tiers:
-
-* :meth:`Environment.step` — the readable one-event reference path;
-* :meth:`Environment.run_batched` — the fast path used by
-  :meth:`Environment.run` and the simulators.  It drains the heap in
-  same-time batches with the event-dispatch inlined (no per-event
-  method calls), processing events in exactly the order repeated
-  ``step()`` calls would.
-
-Profiling (:meth:`Environment.enable_profiling`) attaches an
-:class:`~repro.perf.counters.EngineCounters` block; while it is on,
-the loop routes through the instrumented path so events are histogrammed
-by type and the heap peak is tracked.  The fast path pays nothing for
-the feature when it is off (one ``is None`` test per drain).
+One loop, :meth:`Environment._drain`, dispatches events for
+:meth:`Environment.run` and :meth:`Environment.run_batched`, in exactly
+the order repeated :meth:`Environment.step` calls would; ``step()``
+stays the readable one-event reference path.  Profiling
+(:meth:`Environment.enable_profiling`) attaches an
+:class:`~repro.perf.counters.EngineCounters` block that the loop fills
+in; with profiling off it costs one ``is None`` test per event.
 """
 
 from __future__ import annotations
 
 import time
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.des.events import PROCESSED, AllOf, AnyOf, Event, Timeout
@@ -181,21 +175,20 @@ class Environment:
         """Attach (or return the already-attached) engine counters.
 
         While enabled, processed events are histogrammed by type and the
-        event-queue peak is tracked; the run loop uses its instrumented
-        path, which is measurably slower than the default fast path.
+        event-queue peak is tracked, which slows the run loop down.
         """
         if self._profile is None:
             self._profile = EngineCounters()
         return self._profile
 
     def disable_profiling(self) -> Optional[EngineCounters]:
-        """Detach and return the counter block (restores the fast path)."""
+        """Detach and return the counter block."""
         profile, self._profile = self._profile, None
         return profile
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else inf
 
     # -- factories ------------------------------------------------------------
 
@@ -239,7 +232,7 @@ class Environment:
         """Process exactly one event (advancing the clock to it).
 
         Returns the processed event.  This is the reference path; bulk
-        draining goes through :meth:`run_batched`, which behaves exactly
+        draining goes through :meth:`_drain`, which behaves exactly
         like repeated ``step()`` calls.
         """
         if not self._queue:
@@ -252,44 +245,25 @@ class Environment:
         event._process()
         return event
 
-    def run_batched(
-        self,
-        until: Event | None = None,
-        *,
-        max_events: int | None = None,
+    def _drain(
+        self, until: Event | None = None, budget: int = -1, horizon: float = inf
     ) -> bool:
-        """Drain the event queue on the engine's fast path.
+        """The event-dispatch loop: :meth:`step` order, dispatch inlined.
 
-        Events are processed in exactly the order repeated :meth:`step`
-        calls would produce (the documented FIFO/priority contract), but
-        the pop/dispatch sequence is inlined and same-time runs are
-        drained in batches so the clock is written once per timestamp.
-
-        Parameters
-        ----------
-        until:
-            Stop right after this event has been processed.  Raises
-            :class:`Deadlock` if the queue drains first.
-        max_events:
-            Process at most this many events, then return ``False``.
-
-        Returns ``True`` when finished (queue drained, or ``until``
-        processed), ``False`` when the ``max_events`` budget ran out.
+        Stops right after ``until`` is processed (``True``), after
+        ``budget`` events (``False``; ``-1`` is unlimited), or before the
+        first event later than ``horizon`` (``True``).  Raises
+        :class:`Deadlock` if the queue drains while ``until`` is pending.
         """
-        if until is not None and until._state == PROCESSED:
-            return True
-        if self._profile is not None:
-            return self._run_instrumented(until, max_events)
-
         queue = self._queue
         pop = heappop
-        budget = -1 if max_events is None else max_events
-        if budget == 0:
-            return until is None and not queue
+        profile = self._profile
         count = 0
         try:
             while queue:
                 t = queue[0][0]
+                if t > horizon:
+                    return True
                 self._now = t
                 # Drain everything scheduled for exactly t.  Callbacks may
                 # push new time-t entries; the peek re-checks pick those up
@@ -297,6 +271,8 @@ class Environment:
                 while queue and queue[0][0] == t:
                     event = pop(queue)[3]
                     count += 1
+                    if profile is not None:
+                        profile.count(event)
                     # Inlined Event._process (do not override _process in
                     # Event subclasses; the loop bypasses the method).
                     event._state = PROCESSED
@@ -321,27 +297,20 @@ class Environment:
             )
         return True
 
-    def _run_instrumented(
-        self, until: Event | None, max_events: int | None
+    def run_batched(
+        self, until: Event | None = None, *, max_events: int | None = None
     ) -> bool:
-        """Profiling twin of :meth:`run_batched`, built on :meth:`step`."""
-        budget = -1 if max_events is None else max_events
-        if budget == 0:
+        """Drain the queue (until ``until`` fires), at most ``max_events`` of it.
+
+        Returns ``True`` when finished (queue drained, or ``until``
+        processed), ``False`` when the ``max_events`` budget ran out;
+        raises :class:`Deadlock` if the queue drains before ``until``.
+        """
+        if until is not None and until._state == PROCESSED:
+            return True
+        if max_events == 0:
             return until is None and not self._queue
-        count = 0
-        while self._queue:
-            event = self.step()
-            count += 1
-            if event is until:
-                return True
-            if count == budget:
-                return False
-        if until is not None:
-            raise Deadlock(
-                "simulation ran out of events before the awaited "
-                f"event fired ({until!r}); deadlock?"
-            )
-        return True
+        return self._drain(until, -1 if max_events is None else max_events)
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.
@@ -354,53 +323,30 @@ class Environment:
           its value (raising if it failed).
         """
         if until is None:
-            self.run_batched()
+            self._drain()
             return None
 
         if isinstance(until, Event):
-            sentinel = until
-            if sentinel._state != PROCESSED:
+            if until._state != PROCESSED:
                 # Register as a waiter so a failing sentinel counts as
                 # handled (run() re-raises it below), and detach again on
                 # every exit path — a stale callback must not linger on
                 # the sentinel after the run returns or raises.
-                sentinel.callbacks.append(_noop_callback)
+                until.callbacks.append(_noop_callback)
                 try:
-                    self.run_batched(sentinel)
+                    self._drain(until)
                 finally:
-                    sentinel._remove_callback(_noop_callback)
-            if not sentinel.ok:
-                sentinel.defused = True
-                raise sentinel.value
-            return sentinel.value
+                    until._remove_callback(_noop_callback)
+            if not until.ok:
+                until.defused = True
+                raise until.value
+            return until.value
 
         horizon = float(until)
         if horizon < self._now:
             raise ValueError(
                 f"cannot run until {horizon}; clock is already at {self._now}"
             )
-        queue = self._queue
-        pop = heappop
-        count = 0
-        try:
-            while queue and queue[0][0] <= horizon:
-                if self._profile is not None:
-                    self.step()
-                    continue
-                t = queue[0][0]
-                self._now = t
-                while queue and queue[0][0] == t:
-                    event = pop(queue)[3]
-                    count += 1
-                    event._state = PROCESSED
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    elif not event._ok and not event.defused:
-                        raise event._value
-        finally:
-            self._event_count += count
+        self._drain(horizon=horizon)
         self._now = horizon
         return None

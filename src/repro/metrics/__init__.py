@@ -14,6 +14,7 @@ from repro.metrics.metrics import (
     PerformanceMetrics,
     derive_metrics,
     metrics_from_result,
+    result_record,
     speedups,
 )
 from repro.metrics.phases import PhaseStats, phase_stats, phase_table
@@ -31,5 +32,6 @@ __all__ = [
     "phase_stats",
     "phase_table",
     "profile_section",
+    "result_record",
     "speedups",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.sim.result import SimulationResult
 
@@ -103,3 +103,41 @@ def speedups(times: Mapping[int, float]) -> Dict[int, float]:
             raise ValueError(f"non-positive time {t} at P={p}")
         out[p] = base / t
     return out
+
+
+def result_record(outcome) -> Dict[str, Any]:
+    """The JSON-safe extrapolation metrics payload.
+
+    Shared vocabulary between the sweep cache, sweep artifacts and the
+    serve API's ``metrics`` object — one schema, one place.  Sampled
+    estimates additionally carry ``estimated: true`` plus a ``sampling``
+    summary (config, chosen k, events simulated, error bars), so an
+    estimate can never be mistaken for an exact result downstream.
+    """
+    r = outcome.result
+    record = {
+        "predicted_time_us": r.execution_time,
+        "ideal_time_us": outcome.ideal_time,
+        "utilization": r.utilization(),
+        "compute_time_us": r.total_compute_time(),
+        "comm_time_us": r.total_comm_time(),
+        "barrier_time_us": r.total_barrier_time(),
+        "message_count": r.network.messages,
+        "message_bytes": r.network.bytes,
+        "barrier_count": r.barrier_count,
+        "n_threads": r.meta.n_threads,
+    }
+    if getattr(r, "estimated", False):
+        info = r.sampling or {}
+        plan = info.get("plan", {})
+        record["estimated"] = True
+        record["sampling"] = {
+            "config": info.get("config"),
+            "mode": plan.get("mode"),
+            "k": plan.get("k"),
+            "n_intervals": plan.get("n_intervals"),
+            "events_total": info.get("events_total"),
+            "events_simulated": info.get("events_simulated"),
+            "error_bars": info.get("error_bars"),
+        }
+    return record

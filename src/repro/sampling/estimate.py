@@ -19,10 +19,12 @@ exact estimate; the bar grows with within-cluster heterogeneity.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.pipeline import ExtrapolationOutcome, extrapolate
+from repro.des.engine import SimulationStalled
 from repro.sampling.cluster import SamplingPlan, build_plan
 from repro.sampling.config import SamplingConfig
 from repro.sampling.intervals import Interval, IntervalSplit, split_trace
@@ -317,7 +319,12 @@ def estimate_sampled(
     Splits, clusters, simulates one representative per phase, and
     returns the weight-combined estimate.  Deterministic for a fixed
     ``config.seed``.  Raises :class:`ValueError` for an empty trace.
+
+    ``wall_clock_budget`` (real seconds) caps the whole call, planning
+    included: each representative runs on what is left, and running out
+    raises :class:`~repro.des.engine.SimulationStalled`.
     """
+    start = time.monotonic()
     config = config or SamplingConfig()
     if not trace.events:
         raise ValueError("cannot sample an empty trace (no events)")
@@ -329,10 +336,19 @@ def estimate_sampled(
     representatives: Dict[int, ExtrapolationOutcome] = {}
     events_simulated = 0
     ideal = 0.0
-    for cluster, scale in zip(plan.clusters, scales):
+    for done, (cluster, scale) in enumerate(zip(plan.clusters, scales)):
+        remaining = None
+        if wall_clock_budget is not None:
+            remaining = wall_clock_budget - (time.monotonic() - start)
+            if remaining <= 0:
+                raise SimulationStalled(
+                    f"wall-clock budget of {wall_clock_budget:g}s exceeded "
+                    f"({done} of {len(plan.clusters)} representatives "
+                    "simulated)"
+                )
         interval = split.intervals[cluster.representative]
         sub = representative_trace(trace.meta, interval)
-        outcome = extrapolate(sub, params, wall_clock_budget=wall_clock_budget)
+        outcome = extrapolate(sub, params, wall_clock_budget=remaining)
         outcomes.append(outcome)
         representatives[cluster.representative] = outcome
         events_simulated += len(sub.events)

@@ -179,11 +179,6 @@ def validate_predict_request(body: Any) -> PredictRequest:
             sample = SamplingConfig.from_dict(raw)
         except ValueError as exc:
             raise bad_request(f"bad 'sample' config: {exc}") from None
-        if diagnose:
-            raise bad_request(
-                "'diagnose' records a full simulation timeline; it cannot "
-                "be combined with 'sample' (drop one of the two)"
-            )
     return PredictRequest(
         preset=preset,
         overrides=overrides,

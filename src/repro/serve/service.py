@@ -51,9 +51,11 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro import __version__
 from repro.core import presets
-from repro.core.pipeline import extrapolate
+from repro.core.predict import PredictMode, predict, predict_report
 from repro.des import SimulationStalled
-from repro.metrics.report import predict_summary
+from repro.metrics import result_record
+# unused here: e2ebench/spans.py wraps this name when timing the report layer
+from repro.metrics.report import predict_summary  # noqa: F401
 from repro.serve.jobs import Job, JobQueue, QueueClosedError, QueueFullError
 from repro.serve.journal import JobJournal, request_digest
 from repro.serve.ratelimit import RateLimiter
@@ -66,7 +68,7 @@ from repro.serve.schema import (
     validate_sweep_request,
 )
 from repro.sweep.cache import ResultCache, result_key
-from repro.sweep.executor import result_record, run_sweep
+from repro.sweep.executor import run_sweep
 from repro.sweep.spec import SweepSpec, apply_param_overrides
 from repro.trace import TraceReadError, read_trace
 from repro.trace.events import TraceEvent
@@ -356,6 +358,10 @@ class ExtrapService:
 
     def predict(self, body: Any) -> Dict[str, Any]:
         req = validate_predict_request(body)
+        try:
+            mode = PredictMode(sample=req.sample, diagnose=req.diagnose)
+        except ValueError as exc:
+            raise bad_request(str(exc)) from None
         trace = self._load_trace(req)
         try:
             params = presets.by_name(req.preset)
@@ -363,55 +369,27 @@ class ExtrapService:
         except ValueError as exc:
             raise bad_request(str(exc)) from None
         digest = trace.digest()
-        # A diagnosed payload carries extra content, and a sampled one
-        # is an estimate, so each caches under its own namespace — a
-        # plain predict can never replay a diagnosis- or sample-shaped
-        # entry or vice versa (and two different sampling configs never
-        # answer each other either).
-        if req.sample is not None:
-            extra = {
-                **PREDICT_CACHE_EXTRA,
-                "sampling": req.sample.canonical_dict(),
-            }
-        elif req.diagnose:
-            extra = {**PREDICT_CACHE_EXTRA, "diagnose": 1}
-        else:
-            extra = PREDICT_CACHE_EXTRA
-        key = result_key(digest, params, extra=extra)
+        key = result_key(
+            digest, params, extra=mode.cache_extra(PREDICT_CACHE_EXTRA)
+        )
         payload = self.cache.get(key) if self.cache is not None else None
         cached = payload is not None
         if payload is None:
             try:
-                if req.sample is not None:
-                    from repro.sampling import (
-                        estimate_sampled,
-                        sampling_section,
-                    )
-
-                    outcome = estimate_sampled(
-                        trace,
-                        params,
-                        req.sample,
-                        wall_clock_budget=self._clamp_budget(req.wall_budget),
-                    )
-                else:
-                    outcome = extrapolate(
-                        trace,
-                        params,
-                        observe=req.diagnose,
-                        wall_clock_budget=self._clamp_budget(req.wall_budget),
-                    )
+                outcome = predict(
+                    trace,
+                    params,
+                    mode,
+                    wall_clock_budget=self._clamp_budget(req.wall_budget),
+                )
             except SimulationStalled as exc:
                 raise ApiError(504, str(exc)) from None
             except ValueError as exc:
                 # e.g. a zero-event trace cannot be sampled
                 raise bad_request(str(exc)) from None
-            report = predict_summary(params, outcome)
-            if req.sample is not None:
-                report += "\n" + sampling_section(outcome.result)
             body_out = {
                 "metrics": result_record(outcome),
-                "report": report,
+                "report": predict_report(params, outcome),
             }
             if req.diagnose:
                 from repro.diagnose import diagnose

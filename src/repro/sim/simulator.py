@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from typing import List, Optional
@@ -18,6 +19,11 @@ from repro.sim.network import Network
 from repro.sim.processor import SimProcessor
 from repro.sim.result import SimulationResult
 from repro.trace.trace import ThreadTrace
+
+
+def _untimed(_name: str) -> contextlib.nullcontext:
+    """Stand-in for ``PhaseTimer.phase`` when profiling is off."""
+    return contextlib.nullcontext()
 
 
 class Simulator:
@@ -51,8 +57,8 @@ class Simulator:
 
         ``profile=True`` turns on engine counters and per-phase timers;
         the result carries a :class:`~repro.perf.SimulationProfile`.
-        Profiled runs produce identical simulation results but run on
-        the engine's slower instrumented loop.
+        Profiled runs produce identical simulation results but run
+        slower, since the engine counts every event.
 
         ``observe=True`` records an event-level timeline of the simulated
         execution (spans, instants, counter series — see
@@ -135,23 +141,16 @@ class Simulator:
         self._ran = True
         wall0 = time.perf_counter()
         env = self.env
-        timers = self.profile.timers if self.profile is not None else None
-
-        if timers is not None:
-            with timers.phase("spawn"):
-                self._spawn()
-            with timers.phase("replay"):
-                self._replay()
-            with timers.phase("drain"):
-                env.run(None)
-            with timers.phase("collect"):
-                result = self._collect()
-        else:
+        phase = self.profile.timers.phase if self.profile is not None else _untimed
+        with phase("spawn"):
             self._spawn()
+        with phase("replay"):
             self._replay()
-            # Drain in-flight messages (late replies/releases already en
-            # route; finished processors keep serving).
+        # Drain in-flight messages (late replies/releases already en
+        # route; finished processors keep serving).
+        with phase("drain"):
             env.run(None)
+        with phase("collect"):
             result = self._collect()
 
         if self.profile is not None:

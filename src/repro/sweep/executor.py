@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import extrapolate, measure
+from repro.core.predict import PredictMode, predict
+from repro.metrics import result_record
 from repro.perf import SweepCounters
 from repro.sweep.cache import ResultCache, result_key
 from repro.sweep.spec import SweepPoint, SweepSpec
@@ -266,62 +268,17 @@ class _PointTask:
     base_preset: str
     wall_budget: Optional[float] = None
     #: when set, the point is answered by a SimPoint-style sampled
-    #: estimate (:func:`repro.sampling.estimate_sampled`) instead of a
-    #: full simulation
+    #: estimate instead of a full simulation
     sample: Optional[Any] = None
 
 
-def result_record(outcome) -> Dict[str, Any]:
-    """The JSON-safe extrapolation metrics payload.
-
-    Shared vocabulary between the sweep cache, sweep artifacts and the
-    serve API's ``metrics`` object — one schema, one place.  Sampled
-    estimates additionally carry ``estimated: true`` plus a ``sampling``
-    summary (config, chosen k, events simulated, error bars), so an
-    estimate can never be mistaken for an exact result downstream.
-    """
-    r = outcome.result
-    record = {
-        "predicted_time_us": r.execution_time,
-        "ideal_time_us": outcome.ideal_time,
-        "utilization": r.utilization(),
-        "compute_time_us": r.total_compute_time(),
-        "comm_time_us": r.total_comm_time(),
-        "barrier_time_us": r.total_barrier_time(),
-        "message_count": r.network.messages,
-        "message_bytes": r.network.bytes,
-        "barrier_count": r.barrier_count,
-        "n_threads": r.meta.n_threads,
-    }
-    if getattr(r, "estimated", False):
-        info = r.sampling or {}
-        plan = info.get("plan", {})
-        record["estimated"] = True
-        record["sampling"] = {
-            "config": info.get("config"),
-            "mode": plan.get("mode"),
-            "k": plan.get("k"),
-            "n_intervals": plan.get("n_intervals"),
-            "events_total": info.get("events_total"),
-            "events_simulated": info.get("events_simulated"),
-            "error_bars": info.get("error_bars"),
-        }
-    return record
-
-
 def _sweep_point_worker(task: _PointTask) -> Dict[str, Any]:
-    trace = _WORKER_TRACES[task.trace_ref]
-    params = task.point.params(task.base_preset)
-    if task.sample is not None:
-        from repro.sampling import estimate_sampled
-
-        outcome = estimate_sampled(
-            trace, params, task.sample, wall_clock_budget=task.wall_budget
-        )
-    else:
-        outcome = extrapolate(
-            trace, params, wall_clock_budget=task.wall_budget
-        )
+    outcome = predict(
+        _WORKER_TRACES[task.trace_ref],
+        task.point.params(task.base_preset),
+        PredictMode(sample=task.sample),
+        wall_clock_budget=task.wall_budget,
+    )
     return result_record(outcome)
 
 
@@ -474,13 +431,7 @@ def run_sweep(
     keys: List[Optional[str]] = [None] * len(points)
     tasks: List[_PointTask] = []
     task_indices: List[int] = []
-    # Sampled points cache under sampling-aware keys, so a sampled and
-    # a full run of the same point can never answer each other.
-    key_extra = (
-        {"sampling": spec.sample.canonical_dict()}
-        if spec.sample is not None
-        else None
-    )
+    key_extra = PredictMode(sample=spec.sample).cache_extra()
     for i, point in enumerate(points):
         ref = trace_for(point)
         if cache is not None:

@@ -292,21 +292,36 @@ def test_profiling_counters():
     assert env.profile is None
 
 
-def test_profiled_run_identical_to_fast_path():
+def _drain_chunks(env, _procs):
+    while not env.run_batched(max_events=4):
+        pass
+
+
+@pytest.mark.parametrize(
+    "drain",
+    [
+        lambda env, procs: env.run(None),
+        lambda env, procs: env.run(3.5),
+        lambda env, procs: env.run(procs[1]),
+        _drain_chunks,
+    ],
+    ids=["run-none", "run-time", "run-event", "run-batched-chunks"],
+)
+def test_profiled_run_identical_to_fast_path(drain):
     def run(profiled):
         env = Environment()
-        if profiled:
-            env.enable_profiling()
+        counters = env.enable_profiling() if profiled else None
         log = []
 
         def worker(env, tag):
             for _ in range(5):
-                yield env.timeout(1.0)
+                yield env.timeout(1.0 + tag / 4)
                 log.append((env.now, tag))
 
-        for t in range(3):
-            env.process(worker(env, t))
-        env.run(None)
-        return log, env.processed_event_count
+        procs = [env.process(worker(env, t)) for t in range(3)]
+        drain(env, procs)
+        if counters is not None:
+            assert counters.events_total == env.processed_event_count
+        return log, env.processed_event_count, env.now
 
     assert run(False) == run(True)

@@ -7,6 +7,7 @@ import pytest
 from repro import measure
 from repro.bench.suite import get_benchmark
 from repro.core.presets import by_name
+from repro.des import SimulationStalled
 from repro.experiments.paramsets import matmul_config
 from repro.sampling import (
     SamplingConfig,
@@ -206,6 +207,19 @@ def test_estimate_byte_deterministic():
         b.result.sampling, sort_keys=True
     )
     assert a.predicted_time == b.predicted_time
+
+
+def test_wall_budget_caps_the_whole_estimate():
+    """The budget covers planning plus every representative, not each one."""
+    tr = matmul_trace(8)
+    with pytest.raises(SimulationStalled, match="wall-clock budget"):
+        estimate_sampled(tr, by_name("cm5"), SamplingConfig(), wall_clock_budget=1e-6)
+    budgeted = estimate_sampled(
+        tr, by_name("cm5"), SamplingConfig(), wall_clock_budget=600.0
+    )
+    assert budgeted.predicted_time == estimate_sampled(
+        tr, by_name("cm5"), SamplingConfig()
+    ).predicted_time
 
 
 def test_sample_report_mentions_plan():

@@ -13,6 +13,7 @@ from repro.serve import (
     QueueClosedError,
     QueueFullError,
 )
+from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cache import ResultCache
 from repro.trace import read_trace
 
@@ -60,10 +61,27 @@ def test_predict_miss_then_hit_identical(service):
     assert stats["cache"]["hit_rate"] == 0.5
 
 
-def test_predict_report_matches_cli(service, trace_root, capsys):
-    response = service.predict({"trace_path": "t.jsonl", "preset": "cm5"})
-    assert main(["predict", str(trace_root / "t.jsonl"), "--preset", "cm5"]) == 0
+@pytest.mark.parametrize(
+    "extra_body, extra_argv, sample",
+    [
+        ({}, [], None),
+        ({"sample": {"seed": 3}}, ["--sample", "--sample-seed", "3"], {"seed": 3}),
+    ],
+    ids=["full", "sampled"],
+)
+def test_predict_report_matches_cli(
+    service, trace_root, capsys, extra_body, extra_argv, sample
+):
+    """CLI, serve and sweep answer one point with the same bytes."""
+    response = service.predict(
+        {"trace_path": "t.jsonl", "preset": "cm5", **extra_body}
+    )
+    argv = ["predict", str(trace_root / "t.jsonl"), "--preset", "cm5"]
+    assert main(argv + extra_argv) == 0
     assert capsys.readouterr().out == response["report"] + "\n"
+    spec = SweepSpec(name="one", preset="cm5", points=[{}], sample=sample)
+    run = run_sweep(spec, trace=read_trace(trace_root / "t.jsonl"))
+    assert response["metrics"] == run.records[0].result
 
 
 def test_predict_inline_trace_same_key_as_path(service, trace_root):
