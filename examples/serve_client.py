@@ -4,8 +4,9 @@
 Stdlib-only client: waits for the server to come up, runs a predict
 twice (asserting the second is answered from the cache with an
 identical payload), runs a diagnosed predict, submits a sweep job and
-polls it to completion, and scrapes `/v1/metrics`, validating the
-Prometheus text exposition.  Exits nonzero on any contract violation,
+polls it to completion, scrapes `/v1/metrics`, validating the
+Prometheus text exposition, and checks that a keep-alive connection
+survives an error response.  Exits nonzero on any contract violation,
 which is what lets CI use it as the serve smoke test.
 
 Run:  extrap serve --port 8787 --trace-root traces/ &
@@ -231,6 +232,33 @@ def main(argv=None):
     )
     check("extrap_cache_hits_total 1" in text, "cache counters exposed")
     print(f"metrics: {len(helped)} families, exposition valid")
+
+    # Keep-alive: an error sent before the request body was read must
+    # not leave that body to be parsed as the connection's next request.
+    conn = http.client.HTTPConnection(args.host, args.port, timeout=120)
+    try:
+        conn.request("POST", "/v1/nope", body=json.dumps(body))
+        resp = conn.getresponse()
+        resp.read()
+        check(resp.status == 404, "unknown endpoint is a 404")
+        sock = conn.sock
+        tweaked = {**body, "overrides": {"processor.mips_ratio": 0.5}}
+        answers = []
+        for _ in range(2):
+            conn.request("POST", "/v1/predict", body=json.dumps(tweaked))
+            resp = conn.getresponse()
+            raw = resp.read()
+            json_reply = resp.getheader("Content-Type") == "application/json"
+            answers.append((resp.status, json.loads(raw) if json_reply else raw))
+        got = [(status, type(doc).__name__) for status, doc in answers]
+        check(
+            got == [(200, "dict"), (200, "dict")],
+            f"both predicts after the error are JSON 200s (got {got})",
+        )
+        check(answers[1][1]["cached"], "the second is served from the cache")
+        check(conn.sock is sock, "all three went over one connection")
+    finally:
+        conn.close()
     print("all serve checks passed")
     return 0
 

@@ -87,22 +87,6 @@ def _load_trace(path: str):
         return None, f"cannot read trace {path}: {exc}"
 
 
-def _load_faults(args, params: SimulationParameters):
-    """``(params with the --faults plan applied, None)`` or ``(None, error)``."""
-    path = getattr(args, "faults", None)
-    if not path:
-        return params, None
-    problem = _require_file(path, "fault plan")
-    if problem:
-        return None, problem
-    try:
-        plan = load_fault_plan(path)
-    except ValueError as exc:
-        return None, str(exc)
-    log.info("fault plan: %s", plan.describe())
-    return params.with_faults(plan), None
-
-
 def _parse_counts(spec: str) -> List[int]:
     try:
         return [int(x) for x in spec.split(",") if x.strip()]
@@ -143,17 +127,28 @@ def _apply_overrides(params: SimulationParameters, sets: List[str]) -> Simulatio
 
 
 def _resolve_params(args):
-    """``(preset + --set overrides, None)`` or ``(None, error message)``.
+    """``(preset + --set overrides + --faults plan, None)`` or ``(None, error)``.
 
     Unknown presets and unknown/misspelled override fields both land
     here as :class:`ValueError` (with did-you-mean hints) instead of
-    escaping as tracebacks.
+    escaping as tracebacks; so do missing or malformed fault plans.
     """
     try:
-        params = presets.by_name(args.preset)
-        return _apply_overrides(params, args.set or []), None
+        params = _apply_overrides(presets.by_name(args.preset), args.set or [])
     except ValueError as exc:
         return None, str(exc)
+    path = getattr(args, "faults", None)
+    if not path:
+        return params, None
+    problem = _require_file(path, "fault plan")
+    if problem:
+        return None, problem
+    try:
+        plan = load_fault_plan(path)
+    except ValueError as exc:
+        return None, str(exc)
+    log.info("fault plan: %s", plan.describe())
+    return params.with_faults(plan), None
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
@@ -246,9 +241,6 @@ def cmd_predict(args) -> int:
     if problem:
         return _input_error(problem)
     params, problem = _resolve_params(args)
-    if problem:
-        return _input_error(problem)
-    params, problem = _load_faults(args, params)
     if problem:
         return _input_error(problem)
     if args.wall_budget is not None and args.wall_budget <= 0:
@@ -358,9 +350,6 @@ def cmd_report(args) -> int:
     params, problem = _resolve_params(args)
     if problem:
         return _input_error(problem)
-    params, problem = _load_faults(args, params)
-    if problem:
-        return _input_error(problem)
     try:
         outcome = extrapolate(trace, params, profile=args.profile)
     except SimulationStalled as exc:
@@ -405,9 +394,6 @@ def cmd_validate(args) -> int:
     from repro.diagnose import diagnose
 
     params, problem = _resolve_params(args)
-    if problem:
-        return _input_error(problem)
-    params, problem = _load_faults(args, params)
     if problem:
         return _input_error(problem)
     try:
@@ -458,7 +444,7 @@ def cmd_bench(args) -> int:
     if args.output:
         print(f"wrote {write_baseline(results, args.output)}")
     if args.update_baseline:
-        print(f"wrote {write_baseline(results, args.baseline)}")
+        print(f"wrote {write_baseline(results, args.baseline, merge=True)}")
     return 0
 
 
@@ -915,7 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--update-baseline",
         action="store_true",
-        help="rewrite the baseline file in place with this run's results",
+        help="rewrite the baseline file in place with this run's results "
+        "(rows of workloads not run are kept)",
     )
     b.add_argument(
         "--only",

@@ -327,9 +327,24 @@ def run_benchmarks(
     }
 
 
-def write_baseline(results: dict, path: str | Path = DEFAULT_BASELINE) -> Path:
-    """Persist a benchmark result as the committed baseline."""
+def write_baseline(
+    results: dict, path: str | Path = DEFAULT_BASELINE, *, merge: bool = False
+) -> Path:
+    """Persist a benchmark result as the committed baseline.
+
+    With ``merge``, the workloads that were run replace their rows in
+    the baseline already at ``path`` and every other row is kept, so
+    refreshing one workload (``extrap bench --only W --update-baseline``)
+    leaves the rest of the trajectory alone.  A missing or unreadable
+    baseline is simply replaced.
+    """
     path = Path(path)
+    if merge:
+        try:
+            kept = load_baseline(path)["workloads"]
+        except (OSError, ValueError, KeyError):
+            kept = {}
+        results = {**results, "workloads": {**kept, **results["workloads"]}}
     atomic_write_text(path, json.dumps(results, indent=2, sort_keys=True) + "\n")
     return path
 

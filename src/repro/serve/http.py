@@ -23,6 +23,11 @@ traceback never crosses the wire (unexpected exceptions become a 500
 with the exception's one-line summary; the full traceback goes to the
 server log).
 
+Keep-alive: each response leaves in one write (a buffered ``wfile``
+plus ``TCP_NODELAY``), so no response waits on the client's delayed
+ACK; and a response sent before the request body was read drains that
+body or closes the connection, so the next request always parses.
+
 Admission control: with ``--rate-limit``, every request (except
 liveness probes and metric scrapes, :data:`RATE_LIMIT_EXEMPT`) first
 spends a token from the caller's per-address bucket; an empty bucket is
@@ -46,7 +51,6 @@ from __future__ import annotations
 
 import json
 import signal
-import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -83,12 +87,46 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ExtrapServer"
     protocol_version = "HTTP/1.1"
+    # A buffered wfile sends the headers and a small body in one write;
+    # unbuffered, the body would wait ~40 ms for the client's delayed
+    # ACK of the headers (Nagle) on every keep-alive response.  No
+    # Nagle at all, so a body larger than the buffer cannot stall either.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
     @property
     def service(self) -> ExtrapService:
         return self.server.service
+
+    def handle_expect_100(self) -> bool:
+        # The interim response must leave now: the client holds the
+        # body back until it sees it.
+        ok = super().handle_expect_100()
+        self.wfile.flush()
+        return ok
+
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        *,
+        retry_after: Optional[int] = None,
+    ) -> None:
+        """Headers and body, flushed as one write."""
+        self._settle_body()
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        if retry_after is not None:
+            self.send_header("Retry-After", str(retry_after))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+        self.wfile.flush()
 
     def _send_json(
         self,
@@ -98,21 +136,7 @@ class _Handler(BaseHTTPRequestHandler):
         retry_after: Optional[int] = None,
     ) -> None:
         body = (json.dumps(payload) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, body, "application/json", retry_after=retry_after)
 
     def _send_error_json(
         self, status: int, message: str, *, retry_after: Optional[int] = None
@@ -123,6 +147,36 @@ class _Handler(BaseHTTPRequestHandler):
             # (and tests asserting exact bytes) get the same number.
             error["retry_after"] = retry_after
         self._send_json(status, {"error": error}, retry_after=retry_after)
+
+    def _settle_body(self) -> None:
+        """Leave the connection ready for its next request.
+
+        A response sent before :meth:`_read_body` ran (404, 405, 429,
+        413, a bad ``Content-Length``) would leave the request body in
+        ``rfile``, and the next request on the keep-alive connection
+        would be parsed from it.  A body within :data:`MAX_BODY_BYTES`
+        is read and dropped; one that is too large, or whose length is
+        unknown, closes the connection after this response instead.
+        """
+        if self._body_read:
+            return
+        self._body_read = True
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            return
+        try:
+            remaining = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            remaining = -1
+        if not 0 <= remaining <= MAX_BODY_BYTES:
+            self.close_connection = True
+            return
+        while remaining > 0:
+            chunk = self.rfile.read(min(remaining, 1 << 16))
+            if not chunk:
+                self.close_connection = True
+                return
+            remaining -= len(chunk)
 
     def _read_body(self) -> Any:
         length_header = self.headers.get("Content-Length")
@@ -137,6 +191,7 @@ class _Handler(BaseHTTPRequestHandler):
                 413, f"request body too large ({length} bytes, limit {MAX_BODY_BYTES})"
             )
         raw = self.rfile.read(length)
+        self._body_read = True
         try:
             return json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -202,12 +257,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle(self, method: str) -> None:
         t0 = time.monotonic()
         status = 500
+        self._body_read = False
         try:
             endpoint, payload = self._route(method)
             self.service.count_request(endpoint)
             status = 202 if endpoint == "sweeps" else 200
             if isinstance(payload, str):
-                self._send_text(status, payload, METRICS_CONTENT_TYPE)
+                self._send(status, payload.encode("utf-8"), METRICS_CONTENT_TYPE)
             else:
                 self._send_json(status, payload)
         except ApiError as exc:

@@ -12,7 +12,10 @@ by ``Trace.digest()`` + canonical resolved parameters — so a repeated
 predict (or one whose point a sweep already computed under the same
 key schema) is answered without simulating.  Cached and fresh responses
 are byte-identical: fresh payloads round-trip through JSON before they
-leave, exactly like the sweep executor.
+leave, exactly like the sweep executor.  The digest of a ``trace_path``
+file is remembered under the file's stat identity (path, device, inode,
+size, mtime, ctime), so a cache hit never reads the trace; a miss
+reads and re-digests it, and keys its result by the fresh digest.
 
 Hardening notes (the service is a long-running process fed by
 untrusted clients):
@@ -44,8 +47,10 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -92,6 +97,20 @@ DRAIN_RETRY_AFTER_S = 5
 #: doing real work, widening the SIGKILL-mid-job window for the
 #: crash-recovery tests; unset/0 in production means zero overhead
 CHAOS_SLOW_JOB_ENV = "EXTRAP_SERVE_CHAOS_SLOW_JOB_S"
+
+#: trace files whose identity the service remembers (the least recently
+#: used is dropped first); an entry is a stat tuple and a digest
+TRACE_IDENTITY_ENTRIES = 1024
+
+#: what a predict response says about its trace: (digest, program, n_threads)
+TraceIdentity = Tuple[str, str, int]
+
+#: a trace file's (real path, st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)
+StatId = Tuple[str, int, int, int, int, int]
+
+
+def _identity(trace: Trace) -> TraceIdentity:
+    return trace.digest(), trace.meta.program, trace.meta.n_threads
 
 
 class ExtrapService:
@@ -142,6 +161,8 @@ class ExtrapService:
         self._requests: Dict[str, int] = {}
         self._rate_limited_total = 0
         self._shed_total = 0
+        # stat identity of a trace file -> its TraceIdentity (under _lock)
+        self._identities: "OrderedDict[StatId, TraceIdentity]" = OrderedDict()
         if self.journal is not None:
             self._recover()
 
@@ -252,7 +273,13 @@ class ExtrapService:
 
     # -- trace loading -------------------------------------------------------
 
-    def _trace_from_path(self, rel: str) -> Trace:
+    def _resolve_trace_path(self, rel: str) -> Tuple[Path, StatId]:
+        """``trace_path`` → (real path inside the trace root, stat identity).
+
+        Absolute paths, ``..`` escapes and symlinks leading out of the
+        root are 400s; a path that is not a regular file is a 404.  The
+        stat identity changes whenever the file is replaced or written.
+        """
         candidate = Path(rel)
         if candidate.is_absolute():
             raise bad_request(
@@ -264,14 +291,46 @@ class ExtrapService:
             raise bad_request(
                 f"'trace_path' {rel!r} escapes the server trace root"
             )
-        if not resolved.is_file():
-            raise ApiError(404, f"trace file not found: {rel}")
         try:
-            return read_trace(resolved)
+            st = os.stat(resolved)
+        except OSError:
+            st = None
+        if st is None or not stat.S_ISREG(st.st_mode):
+            raise ApiError(404, f"trace file not found: {rel}")
+        stat_id = (
+            str(resolved), st.st_dev, st.st_ino, st.st_size,
+            st.st_mtime_ns, st.st_ctime_ns,
+        )
+        return resolved, stat_id
+
+    @staticmethod
+    def _read_trace_file(path: Path, rel: str) -> Trace:
+        try:
+            return read_trace(path)
         except (TraceReadError, ValueError) as exc:
             raise bad_request(str(exc)) from None
         except OSError as exc:
             raise bad_request(f"cannot read trace {rel}: {exc}") from None
+
+    def _recall_identity(self, stat_id: StatId) -> Optional[TraceIdentity]:
+        with self._lock:
+            identity = self._identities.get(stat_id)
+            if identity is not None:
+                self._identities.move_to_end(stat_id)
+            return identity
+
+    def _read_identified(
+        self, path: Path, rel: str, stat_id: StatId
+    ) -> Tuple[Trace, TraceIdentity]:
+        """Read a trace file and memoize its identity under ``stat_id``."""
+        trace = self._read_trace_file(path, rel)
+        identity = _identity(trace)
+        with self._lock:
+            self._identities[stat_id] = identity
+            self._identities.move_to_end(stat_id)
+            if len(self._identities) > TRACE_IDENTITY_ENTRIES:
+                self._identities.popitem(last=False)
+        return trace, identity
 
     @staticmethod
     def _trace_from_inline(inline: Mapping[str, Any]) -> Trace:
@@ -296,7 +355,8 @@ class ExtrapService:
         if req.trace_inline is not None:
             return self._trace_from_inline(req.trace_inline)
         assert req.trace_path is not None
-        return self._trace_from_path(req.trace_path)
+        path, _ = self._resolve_trace_path(req.trace_path)
+        return self._read_trace_file(path, req.trace_path)
 
     def _clamp_budget(self, requested: Optional[float]) -> Optional[float]:
         if self.max_wall_budget is None:
@@ -362,19 +422,37 @@ class ExtrapService:
             mode = PredictMode(sample=req.sample, diagnose=req.diagnose)
         except ValueError as exc:
             raise bad_request(str(exc)) from None
-        trace = self._load_trace(req)
+        # A trace file's identity comes from the memo while its stat is
+        # unchanged, so a cache hit never opens the file.
+        trace: Optional[Trace] = None
+        if req.trace_inline is not None:
+            trace = self._trace_from_inline(req.trace_inline)
+            identity = _identity(trace)
+        else:
+            assert req.trace_path is not None
+            path, stat_id = self._resolve_trace_path(req.trace_path)
+            identity = self._recall_identity(stat_id)
+            if identity is None:
+                trace, identity = self._read_identified(
+                    path, req.trace_path, stat_id
+                )
         try:
             params = presets.by_name(req.preset)
             params = apply_param_overrides(params, req.overrides)
         except ValueError as exc:
             raise bad_request(str(exc)) from None
-        digest = trace.digest()
-        key = result_key(
-            digest, params, extra=mode.cache_extra(PREDICT_CACHE_EXTRA)
-        )
+        extra = mode.cache_extra(PREDICT_CACHE_EXTRA)
+        key = result_key(identity[0], params, extra=extra)
         payload = self.cache.get(key) if self.cache is not None else None
         cached = payload is not None
         if payload is None:
+            if trace is None:
+                # The simulation needs the events; a fresh digest keys
+                # the result, so a stale memo entry cannot misfile it.
+                trace, identity = self._read_identified(
+                    path, req.trace_path, stat_id
+                )
+                key = result_key(identity[0], params, extra=extra)
             try:
                 outcome = predict(
                     trace,
@@ -402,14 +480,15 @@ class ExtrapService:
             payload = json.loads(json.dumps(body_out))
             if self.cache is not None:
                 self.cache.put(key, payload)
+        digest, program, n_threads = identity
         return {
             "cached": cached,
             "key": key,
             "preset": req.preset,
             "trace": {
                 "digest": digest,
-                "program": trace.meta.program,
-                "n_threads": trace.meta.n_threads,
+                "program": program,
+                "n_threads": n_threads,
             },
             **payload,
         }

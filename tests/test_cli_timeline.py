@@ -173,6 +173,34 @@ def test_bench_update_baseline(tmp_path, capsys, monkeypatch):
     assert json.loads(baseline.read_text())["schema"] == 1
 
 
+def test_bench_update_baseline_only_keeps_other_rows(tmp_path, capsys):
+    baseline = tmp_path / "BENCH_small.json"
+    other = {"best_s": 1.0, "events": 7, "events_per_s": 7.0, "size": 1}
+    stale = {"best_s": 9.0, "events": 1, "events_per_s": 0.1, "size": 1}
+    baseline.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "repeats": 3,
+                "scale": 1.0,
+                "workloads": {"pingpong": other, "timeout_chain": stale},
+            }
+        )
+    )
+    args = [
+        "bench", "--only", "timeout_chain", "--scale", "0.01", "--repeats", "1",
+        "--baseline", str(baseline), "--update-baseline",
+    ]
+    assert main(args) == 0
+    capsys.readouterr()
+    data = json.loads(baseline.read_text())
+    assert data["schema"] == 1
+    assert set(data["workloads"]) == {"pingpong", "timeout_chain"}
+    assert data["workloads"]["pingpong"] == other
+    assert data["workloads"]["timeout_chain"] != stale
+    assert data["workloads"]["timeout_chain"]["events"] > 1
+
+
 # -- PR-1 profile export through the CLI ------------------------------------
 
 

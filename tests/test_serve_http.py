@@ -5,6 +5,8 @@ import json
 import os
 import re
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -130,6 +132,84 @@ def test_error_responses_are_json_one_liners(server):
         message = data["error"]["message"]
         assert "\n" not in message
         assert "Traceback" not in message
+
+
+# -- keep-alive --------------------------------------------------------------
+
+
+def exchange(conn, method, path, body=None):
+    conn.request(method, path, body=None if body is None else json.dumps(body))
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read())
+
+
+def test_early_errors_keep_the_connection_usable(trace_root):
+    """A 404 or 429 sent before the body was read must not poison the
+    next request on the same connection."""
+    service = ExtrapService(
+        trace_root=trace_root, cache=None, rate_limit=0.001, rate_burst=1
+    )
+    srv, thread = start_server(service, port=0)
+    conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=60)
+    body = {"trace_path": "t.jsonl", "preset": "cm5"}
+    try:
+        assert exchange(conn, "POST", "/v1/nope", body)[0] == 404
+        sock = conn.sock
+        assert exchange(conn, "GET", "/v1/healthz")[1]["status"] == "ok"
+        status, data = exchange(conn, "POST", "/v1/predict", body)
+        assert status == 429 and data["error"]["status"] == 429
+        assert exchange(conn, "GET", "/v1/healthz")[1]["status"] == "ok"
+        assert conn.sock is sock  # one connection throughout
+    finally:
+        conn.close()
+        srv.shutdown()
+        thread.join(10)
+        srv.close(drain=False)
+
+
+def test_oversized_body_closes_the_connection(server):
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(
+            b"POST /v1/predict HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 999999999999\r\n\r\n"
+        )
+        reply = b""
+        while chunk := sock.recv(65536):  # the server hangs up after replying
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 ")
+    assert b"\r\nConnection: close" in head
+    assert json.loads(payload)["error"]["status"] == 413
+
+
+def test_expect_100_continue_is_sent_before_the_body(server):
+    body = json.dumps({"trace_path": "t.jsonl", "preset": "cm5"}).encode()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(
+            b"POST /v1/predict HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        )
+        assert sock.recv(65536).startswith(b"HTTP/1.1 100 ")
+        sock.sendall(body)
+        reply = sock.recv(65536)
+    assert reply.startswith(b"HTTP/1.1 200 ")
+
+
+def test_keep_alive_hits_take_about_a_millisecond(server):
+    """Warm hits over one connection; a delayed-ACK stall costs ~40 ms each."""
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+    body = {"trace_path": "t.jsonl", "preset": "cm5"}
+    try:
+        assert exchange(conn, "POST", "/v1/predict", body)[0] == 200
+        latencies = []
+        for _ in range(9):
+            t0 = time.perf_counter()
+            status, data = exchange(conn, "POST", "/v1/predict", body)
+            latencies.append(time.perf_counter() - t0)
+            assert status == 200 and data["cached"] is True
+    finally:
+        conn.close()
+    assert statistics.median(latencies) < 0.020, latencies
 
 
 def test_queue_overflow_sheds_503_over_http(server, trace_root):

@@ -1,11 +1,17 @@
 """Serve service layer: validation contract, memoization, job queue."""
 
+import json
+import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.serve.service as service_module
 from repro.cli import main
+from repro.core import presets
+from repro.core.predict import PredictMode
 from repro.serve import (
     ApiError,
     ExtrapService,
@@ -14,7 +20,8 @@ from repro.serve import (
     QueueFullError,
 )
 from repro.sweep import SweepSpec, run_sweep
-from repro.sweep.cache import ResultCache
+from repro.serve.schema import validate_predict_request
+from repro.sweep.cache import ResultCache, result_key
 from repro.trace import read_trace
 
 
@@ -212,6 +219,119 @@ def test_trace_path_symlink_escape_rejected(tmp_path, trace_root):
         assert "escapes" in e.message
     finally:
         svc.close(drain=False)
+
+
+# -- trace-identity memo -----------------------------------------------------
+
+
+@pytest.fixture
+def own_trace(trace_root, tmp_path):
+    """A service over a private copy of the trace (tests rewrite it)."""
+    root = tmp_path / "own"
+    root.mkdir()
+    path = root / "t.jsonl"
+    path.write_bytes((trace_root / "t.jsonl").read_bytes())
+    svc = ExtrapService(trace_root=root, cache=ResultCache(tmp_path / "own-cache"))
+    yield svc, path
+    svc.close(drain=False)
+
+
+@pytest.fixture
+def count_reads(monkeypatch):
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return read_trace(path)
+
+    monkeypatch.setattr(service_module, "read_trace", counting)
+    return calls
+
+
+def test_cache_hit_does_not_read_the_trace(own_trace, count_reads):
+    svc, _ = own_trace
+    body = {"trace_path": "t.jsonl", "preset": "cm5"}
+    assert svc.predict(body)["cached"] is False
+    assert len(count_reads) == 1
+    for _ in range(3):
+        assert svc.predict(body)["cached"] is True
+    assert len(count_reads) == 1
+    # A miss on a remembered file still reads it: the simulation needs it.
+    tweaked = {**body, "overrides": {"processor.mips_ratio": 0.5}}
+    assert svc.predict(tweaked)["cached"] is False
+    assert len(count_reads) == 2
+
+
+def test_same_size_rewrite_with_restored_mtime_is_a_miss(own_trace):
+    svc, path = own_trace
+    body = {"trace_path": "t.jsonl", "preset": "cm5"}
+    first = svc.predict(body)
+    assert svc.predict(body)["cached"] is True
+    before = path.stat()
+    text = path.read_text()
+    assert '"trace_mflops": 1.136' in text
+    path.write_text(text.replace('"trace_mflops": 1.136', '"trace_mflops": 1.137'))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    assert path.stat().st_mtime_ns == before.st_mtime_ns
+    after = svc.predict(body)
+    assert after["cached"] is False
+    assert after["trace"]["digest"] == read_trace(path).digest()
+    assert after["trace"]["digest"] != first["trace"]["digest"]
+    assert after["key"] != first["key"]
+
+
+def test_deleted_trace_is_404_after_a_hit(own_trace):
+    svc, path = own_trace
+    body = {"trace_path": "t.jsonl", "preset": "cm5"}
+    svc.predict(body)
+    assert svc.predict(body)["cached"] is True
+    path.unlink()
+    assert err(svc.predict, body).status == 404
+
+
+def test_identity_memo_is_bounded(own_trace, count_reads, monkeypatch):
+    svc, path = own_trace
+    (path.parent / "u.jsonl").write_bytes(path.read_bytes())
+    monkeypatch.setattr(service_module, "TRACE_IDENTITY_ENTRIES", 1)
+    for name in ("t.jsonl", "u.jsonl", "t.jsonl"):
+        svc.predict({"trace_path": name, "preset": "cm5"})
+    # u.jsonl evicted t.jsonl, so the last request (a cache hit: same
+    # content) had to read t.jsonl again to learn its digest.
+    assert [Path(p).name for p in count_reads] == ["t.jsonl", "u.jsonl", "t.jsonl"]
+    assert len(svc._identities) == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{}, {"sample": {"seed": 1}}, {"diagnose": True}],
+    ids=["full", "sampled", "diagnosed"],
+)
+def test_remembered_identity_gives_the_same_bytes(own_trace, extra):
+    """Miss and hit answer with the key and trace fields read off the file."""
+    svc, path = own_trace
+    body = {"trace_path": "t.jsonl", "preset": "cm5", **extra}
+    miss = svc.predict(body)
+    hit = svc.predict(body)
+    assert (miss["cached"], hit["cached"]) == (False, True)
+    assert json.dumps({**miss, "cached": True}, sort_keys=True) == json.dumps(
+        hit, sort_keys=True
+    )
+    trace = read_trace(path)
+    mode = PredictMode(
+        sample=validate_predict_request(body).sample,
+        diagnose=bool(extra.get("diagnose")),
+    )
+    assert hit["key"] == result_key(
+        trace.digest(),
+        presets.by_name("cm5"),
+        extra=mode.cache_extra(service_module.PREDICT_CACHE_EXTRA),
+    )
+    assert hit["trace"] == {
+        "digest": trace.digest(),
+        "program": trace.meta.program,
+        "n_threads": trace.meta.n_threads,
+    }
 
 
 # -- sweeps and jobs ---------------------------------------------------------
