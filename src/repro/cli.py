@@ -36,21 +36,37 @@ from typing import Any, Dict, List
 from repro.bench.suite import BENCHMARKS, get_benchmark
 from repro.core import presets
 from repro.core.parameters import SimulationParameters
-from repro.core.pipeline import extrapolate, measure
+from repro.core.pipeline import measure
+from repro.core.predict import PredictMode, predict, predict_report
 from repro.des import SimulationStalled
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.faults import load_fault_plan
 from repro.metrics.scaling import run_scaling_study
 from repro.sweep.cache import DEFAULT_CACHE_DIR
-from repro.trace import TraceReadError, read_trace, write_trace
+from repro.trace import read_trace, write_trace
 from repro.util.atomic import atomic_write_text
 from repro.util.log import get_logger, level_from_verbosity, setup_logging
 
 log = get_logger("cli")
 
-#: exit code for missing/unreadable input files (argparse uses 2 for
-#: usage errors; we match it — the shell convention for "bad invocation")
+#: exit code for input errors (argparse uses 2 for usage errors; we
+#: match it — the shell convention for "bad invocation")
 EXIT_INPUT_ERROR = 2
+
+#: numeric flag bounds, checked in :func:`main` before dispatch:
+#: ``dest -> (bound, strict)``; a strict bound must be exceeded
+FLAG_BOUNDS = {
+    "queue_depth": (1, False),
+    "workers": (1, False),
+    "jobs": (1, False),
+    "retries": (0, False),
+    "wall_budget": (0, True),
+    "max_wall_budget": (0, True),
+    "rate_limit": (0, True),
+    "rate_burst": (1, False),
+    "job_budget": (0, True),
+    "drain_timeout": (0, True),
+}
 
 
 def _input_error(msg: str) -> int:
@@ -59,32 +75,38 @@ def _input_error(msg: str) -> int:
     return EXIT_INPUT_ERROR
 
 
-def _require_file(path: str, what: str = "input file") -> str | None:
-    """Error message if ``path`` is not an existing file, else None."""
+def _check_bounds(args) -> None:
+    """ValueError naming the first flag in :data:`FLAG_BOUNDS` out of range."""
+    for dest, (bound, strict) in FLAG_BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is not None and (value <= bound if strict else value < bound):
+            flag = "--" + dest.replace("_", "-")
+            op = ">" if strict else ">="
+            raise ValueError(f"{flag} must be {op} {bound}, got {value}")
+
+
+def _require_file(path: str, what: str = "input file") -> str:
+    """``path``, or ValueError if it is not an existing file."""
     p = Path(path)
     if not p.exists():
-        return f"{what} not found: {path}"
+        raise ValueError(f"{what} not found: {path}")
     if p.is_dir():
-        return f"{what} is a directory: {path}"
-    return None
+        raise ValueError(f"{what} is a directory: {path}")
+    return path
 
 
 def _load_trace(path: str):
-    """``(trace, None)`` or ``(None, error message)`` for a trace path.
+    """The trace at ``path``, or ValueError with a one-line diagnosis.
 
     Folds the existence check and the malformed-file diagnosis into one
     place so every trace-consuming subcommand exits 2 with a one-line
     ``file:line: what`` message instead of a traceback.
     """
-    problem = _require_file(path, "trace file")
-    if problem:
-        return None, problem
+    _require_file(path, "trace file")
     try:
-        return read_trace(path), None
-    except (TraceReadError, ValueError) as exc:
-        return None, str(exc)
+        return read_trace(path)
     except OSError as exc:
-        return None, f"cannot read trace {path}: {exc}"
+        raise ValueError(f"cannot read trace {path}: {exc}") from exc
 
 
 def _parse_counts(spec: str) -> List[int]:
@@ -126,29 +148,39 @@ def _apply_overrides(params: SimulationParameters, sets: List[str]) -> Simulatio
     return apply_param_overrides(params, overrides)
 
 
-def _resolve_params(args):
-    """``(preset + --set overrides + --faults plan, None)`` or ``(None, error)``.
+def _resolve_params(args) -> SimulationParameters:
+    """The ``--preset``, plus ``--set`` overrides, plus any ``--faults`` plan.
 
-    Unknown presets and unknown/misspelled override fields both land
-    here as :class:`ValueError` (with did-you-mean hints) instead of
-    escaping as tracebacks; so do missing or malformed fault plans.
+    Unknown presets, unknown/misspelled override fields (both with
+    did-you-mean hints) and missing or malformed fault plans raise
+    :class:`ValueError`.
     """
-    try:
-        params = _apply_overrides(presets.by_name(args.preset), args.set or [])
-    except ValueError as exc:
-        return None, str(exc)
+    params = _apply_overrides(presets.by_name(args.preset), args.set or [])
     path = getattr(args, "faults", None)
     if not path:
-        return params, None
-    problem = _require_file(path, "fault plan")
-    if problem:
-        return None, problem
-    try:
-        plan = load_fault_plan(path)
-    except ValueError as exc:
-        return None, str(exc)
+        return params
+    plan = load_fault_plan(_require_file(path, "fault plan"))
     log.info("fault plan: %s", plan.describe())
-    return params.with_faults(plan), None
+    return params.with_faults(plan)
+
+
+def _add_param_flags(parser: argparse.ArgumentParser, faults: bool = True) -> None:
+    """The target-environment flags: ``--preset``, ``--set``, ``--faults``."""
+    parser.add_argument("--preset", default="distributed_memory")
+    parser.add_argument(
+        "--set",
+        action="append",
+        metavar="group.field=value",
+        help="override a parameter, e.g. processor.mips_ratio=0.5",
+    )
+    if faults:
+        parser.add_argument(
+            "--faults",
+            default=None,
+            metavar="PLAN.json",
+            help="inject faults from a FaultPlan JSON file "
+            "(see docs/ROBUSTNESS.md)",
+        )
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
@@ -183,21 +215,26 @@ def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _sampling_config(args):
-    """``(SamplingConfig from the knob flags, None)`` or ``(None, error)``."""
+    """The SamplingConfig the knob flags describe (ValueError if invalid)."""
     from repro.sampling import SamplingConfig
 
-    try:
-        return (
-            SamplingConfig(
-                max_phases=args.max_phases,
-                interval_events=args.interval_events,
-                seed=args.sample_seed,
-                mode=args.sample_mode,
-            ),
-            None,
-        )
-    except ValueError as exc:
-        return None, str(exc)
+    return SamplingConfig(
+        max_phases=args.max_phases,
+        interval_events=args.interval_events,
+        seed=args.sample_seed,
+        mode=args.sample_mode,
+    )
+
+
+def _print_diagnosis(timeline, as_json: bool) -> None:
+    """The ``--diagnose`` anomaly report, as text or (``--json``) JSON."""
+    from repro.diagnose import diagnose
+
+    report = diagnose(timeline)
+    if as_json:
+        sys.stdout.write(report.to_json())
+    else:
+        print(report.format())
 
 
 def cmd_list(_args) -> int:
@@ -235,32 +272,15 @@ def cmd_trace(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from repro.core.predict import PredictMode, predict, predict_report
-
-    trace, problem = _load_trace(args.trace)
-    if problem:
-        return _input_error(problem)
-    params, problem = _resolve_params(args)
-    if problem:
-        return _input_error(problem)
-    if args.wall_budget is not None and args.wall_budget <= 0:
-        return _input_error(
-            f"--wall-budget must be > 0, got {args.wall_budget}"
-        )
-    config = None
-    if args.sample:
-        config, problem = _sampling_config(args)
-        if problem:
-            return _input_error(problem)
+    trace = _load_trace(args.trace)
+    params = _resolve_params(args)
+    config = _sampling_config(args) if args.sample else None
     what = "sampled extrapolation of" if args.sample else "extrapolating"
     log.info("%s %s to %s", what, args.trace, params.name or args.preset)
-    try:
-        mode = PredictMode(
-            sample=config, timeline=args.timeline is not None, profile=args.profile
-        )
-        outcome = predict(trace, params, mode, wall_clock_budget=args.wall_budget)
-    except (SimulationStalled, ValueError) as exc:
-        return _input_error(str(exc))
+    mode = PredictMode(
+        sample=config, timeline=args.timeline is not None, profile=args.profile
+    )
+    outcome = predict(trace, params, mode, wall_clock_budget=args.wall_budget)
     print(predict_report(params, outcome))
     if args.timeline is not None:
         from repro.obs.export import write_chrome_trace
@@ -281,24 +301,13 @@ def cmd_timeline(args) -> int:
 
     if args.json and not args.diagnose:
         return _input_error("--json requires --diagnose")
-    problem = _require_file(args.timeline, "timeline file")
-    if problem:
-        return _input_error(problem)
     try:
-        timeline = load_chrome_trace(args.timeline)
-    except ValueError as exc:
-        return _input_error(str(exc))
+        timeline = load_chrome_trace(_require_file(args.timeline, "timeline file"))
     except OSError as exc:
         return _input_error(f"cannot read timeline {args.timeline}: {exc}")
     did_something = False
     if args.diagnose:
-        from repro.diagnose import diagnose
-
-        report = diagnose(timeline)
-        if args.json:
-            sys.stdout.write(report.to_json())
-        else:
-            print(report.format())
+        _print_diagnosis(timeline, args.json)
         did_something = True
     if args.ascii:
         print(ascii_gantt(timeline, width=args.width))
@@ -344,16 +353,9 @@ def cmd_timeline(args) -> int:
 def cmd_report(args) -> int:
     from repro.metrics.report import full_report
 
-    trace, problem = _load_trace(args.trace)
-    if problem:
-        return _input_error(problem)
-    params, problem = _resolve_params(args)
-    if problem:
-        return _input_error(problem)
-    try:
-        outcome = extrapolate(trace, params, profile=args.profile)
-    except SimulationStalled as exc:
-        return _input_error(str(exc))
+    trace = _load_trace(args.trace)
+    params = _resolve_params(args)
+    outcome = predict(trace, params, PredictMode(profile=args.profile))
     print(full_report(outcome))
     return 0
 
@@ -363,9 +365,7 @@ def cmd_validate(args) -> int:
 
     if args.json and not args.diagnose:
         return _input_error("--json requires --diagnose")
-    trace, problem = _load_trace(args.trace)
-    if problem:
-        return _input_error(problem)
+    trace = _load_trace(args.trace)
     try:
         validate_trace(
             trace, require_global_barriers=not args.no_global_barriers
@@ -382,29 +382,11 @@ def cmd_validate(args) -> int:
     if args.sample_report:
         from repro.sampling import sample_report
 
-        config, problem = _sampling_config(args)
-        if problem:
-            return _input_error(problem)
-        try:
-            print(sample_report(trace, config))
-        except ValueError as exc:
-            return _input_error(str(exc))
-    if not args.diagnose:
-        return 0
-    from repro.diagnose import diagnose
-
-    params, problem = _resolve_params(args)
-    if problem:
-        return _input_error(problem)
-    try:
-        outcome = extrapolate(trace, params, observe=True)
-    except SimulationStalled as exc:
-        return _input_error(str(exc))
-    report = diagnose(outcome.result.timeline)
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        print(report.format())
+        print(sample_report(trace, _sampling_config(args)))
+    if args.diagnose:
+        params = _resolve_params(args)
+        outcome = predict(trace, params, PredictMode(diagnose=True))
+        _print_diagnosis(outcome.result.timeline, args.json)
     return 0
 
 
@@ -469,14 +451,11 @@ def cmd_compare(args) -> int:
     from repro.metrics import derive_metrics
     from repro.util.tables import format_table
 
-    trace, problem = _load_trace(args.trace)
-    if problem:
-        return _input_error(problem)
+    trace = _load_trace(args.trace)
     rows = []
     base_time = None
     for preset_name in args.presets:
-        params = presets.by_name(preset_name)
-        outcome = extrapolate(trace, params)
+        outcome = predict(trace, presets.by_name(preset_name))
         m = derive_metrics(outcome.result)
         if base_time is None:
             base_time = m.execution_time
@@ -521,13 +500,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_study(args) -> int:
     info = get_benchmark(args.benchmark)
-    params, problem = _resolve_params(args)
-    if problem:
-        return _input_error(problem)
-    try:
-        counts = _parse_counts(args.processors)
-    except ValueError as exc:
-        return _input_error(str(exc))
+    params = _resolve_params(args)
+    counts = _parse_counts(args.processors)
     if not counts:
         return _input_error(
             f"empty processor-count list {args.processors!r}; expected e.g. 1,2,4"
@@ -546,8 +520,6 @@ def cmd_study(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.jobs < 1:
-        return _input_error(f"--jobs must be >= 1, got {args.jobs}")
     result = run_experiment(args.name, quick=not args.paper, jobs=args.jobs)
     print(result.format())
     return 0
@@ -556,8 +528,6 @@ def cmd_experiment(args) -> int:
 def cmd_reproduce(args) -> int:
     from repro.experiments.reproduce import reproduce
 
-    if args.jobs < 1:
-        return _input_error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         index = reproduce(
             args.out,
@@ -565,8 +535,6 @@ def cmd_reproduce(args) -> int:
             experiments=args.only or None,
             jobs=args.jobs,
         )
-    except ValueError as exc:
-        return _input_error(str(exc))
     except OSError as exc:
         return _input_error(f"cannot write reports to {args.out}: {exc}")
     print(f"wrote {index}")
@@ -602,31 +570,13 @@ def cmd_sweep(args) -> int:
         print(f"pruned {removed} cache entries from {args.cache_dir}")
         return 0
 
-    if args.jobs < 1:
-        return _input_error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.retries < 0:
-        return _input_error(f"--retries must be >= 0, got {args.retries}")
-    if args.wall_budget is not None and args.wall_budget <= 0:
-        return _input_error(
-            f"--wall-budget must be > 0, got {args.wall_budget}"
-        )
-    problem = _require_file(args.spec, "sweep spec")
-    if problem:
-        return _input_error(problem)
-    try:
-        spec = SweepSpec.from_file(args.spec)
-    except ValueError as exc:
-        return _input_error(str(exc))
-    trace = None
-    if args.trace:
-        trace, problem = _load_trace(args.trace)
-        if problem:
-            return _input_error(problem)
-    elif spec.benchmark is None:
+    spec = SweepSpec.from_file(_require_file(args.spec, "sweep spec"))
+    if not args.trace and spec.benchmark is None:
         return _input_error(
             "sweep needs a trace (--trace FILE) or a 'benchmark' field "
             "in the spec"
         )
+    trace = _load_trace(args.trace) if args.trace else None
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     log.info(
         "sweep %s: %d points, jobs=%d, cache=%s",
@@ -642,8 +592,6 @@ def cmd_sweep(args) -> int:
             wall_budget=args.wall_budget,
             retries=args.retries,
         )
-    except (KeyError, ValueError) as exc:
-        return _input_error(str(exc))
     except KeyboardInterrupt:
         # Workers are already cancelled and reaped by the executor's
         # abort path; report the conventional SIGINT exit.
@@ -664,28 +612,8 @@ def cmd_serve(args) -> int:
     from repro.serve import run_server
     from repro.sweep import ResultCache
 
-    if args.queue_depth < 1:
-        return _input_error(f"--queue-depth must be >= 1, got {args.queue_depth}")
-    if args.workers < 1:
-        return _input_error(f"--workers must be >= 1, got {args.workers}")
-    if args.jobs < 1:
-        return _input_error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.max_wall_budget is not None and args.max_wall_budget <= 0:
-        return _input_error(
-            f"--max-wall-budget must be > 0, got {args.max_wall_budget}"
-        )
-    if args.rate_limit is not None and args.rate_limit <= 0:
-        return _input_error(f"--rate-limit must be > 0, got {args.rate_limit}")
-    if args.rate_burst is not None and args.rate_burst < 1:
-        return _input_error(f"--rate-burst must be >= 1, got {args.rate_burst}")
     if args.rate_burst is not None and args.rate_limit is None:
         return _input_error("--rate-burst requires --rate-limit")
-    if args.job_budget is not None and args.job_budget <= 0:
-        return _input_error(f"--job-budget must be > 0, got {args.job_budget}")
-    if args.drain_timeout is not None and args.drain_timeout <= 0:
-        return _input_error(
-            f"--drain-timeout must be > 0, got {args.drain_timeout}"
-        )
     root = Path(args.trace_root)
     if not root.is_dir():
         return _input_error(f"trace root is not a directory: {args.trace_root}")
@@ -739,13 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="extrapolate a trace to a target environment")
     p.add_argument("trace", help="trace file from 'extrap trace'")
-    p.add_argument("--preset", default="distributed_memory")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="group.field=value",
-        help="override a parameter, e.g. processor.mips_ratio=0.5",
-    )
+    _add_param_flags(p)
     p.add_argument(
         "--profile",
         action="store_true",
@@ -757,13 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="record the simulated execution and write a Perfetto-loadable "
         "Chrome trace-event JSON here (explore with 'extrap timeline')",
-    )
-    p.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file "
-        "(see docs/ROBUSTNESS.md)",
     )
     p.add_argument(
         "--wall-budget",
@@ -829,18 +744,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="full debugging report for a trace")
     r.add_argument("trace", help="trace file from 'extrap trace'")
-    r.add_argument("--preset", default="distributed_memory")
-    r.add_argument("--set", action="append", metavar="group.field=value")
+    _add_param_flags(r)
     r.add_argument(
         "--profile",
         action="store_true",
         help="include the engine profile section in the report",
-    )
-    r.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file",
     )
 
     va = sub.add_parser(
@@ -859,21 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also extrapolate the trace and report performance "
         "anomalies (see docs/DIAGNOSE.md)",
     )
-    va.add_argument("--preset", default="distributed_memory")
-    va.add_argument(
-        "--set",
-        action="append",
-        metavar="group.field=value",
-        help="override a parameter for the --diagnose extrapolation",
-    )
-    va.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN.json",
-        help="inject faults from a FaultPlan JSON file before "
-        "diagnosing (a detector self-check: the plan's anomalies "
-        "must be flagged)",
-    )
+    _add_param_flags(va)
     va.add_argument(
         "--json",
         action="store_true",
@@ -933,12 +827,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("study", help="processor-scaling study for a benchmark")
     s.add_argument("benchmark", choices=sorted(BENCHMARKS))
-    s.add_argument("--preset", default="distributed_memory")
+    _add_param_flags(s, faults=False)
     s.add_argument("-p", "--processors", default="1,2,4,8,16,32")
     s.add_argument(
         "--size-mode", choices=("compiler", "actual"), default="compiler"
     )
-    s.add_argument("--set", action="append", metavar="group.field=value")
 
     e = sub.add_parser("experiment", help="regenerate a paper figure/table")
     e.add_argument("name", choices=sorted(EXPERIMENTS))
@@ -1158,7 +1051,14 @@ def main(argv: List[str] | None = None) -> int:
         "sweep": cmd_sweep,
         "serve": cmd_serve,
     }
-    return handlers[args.command](args)
+    try:
+        _check_bounds(args)
+        return handlers[args.command](args)
+    except (ValueError, SimulationStalled) as exc:
+        # Any input a library call rejects is a one-line diagnosis; -vv
+        # keeps the traceback for telling a library bug from bad input.
+        log.debug("%s failed", args.command, exc_info=True)
+        return _input_error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

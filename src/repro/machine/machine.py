@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.des import Environment, Event, Store
+from repro.des import Deadlock, Environment, Event, Store
 from repro.machine.network import PortNetwork, WireMessage
 from repro.machine.spec import CM5_SPEC, MachineSpec
 from repro.pcxx.collection import Collection, Index
@@ -130,11 +130,13 @@ class Machine:
             self.env.process(node.main(body), name=f"node{node.pid}")
             self.env.process(node.handler(), name=f"handler{node.pid}")
         done = self.env.all_of([node.done for node in self.nodes])
-        while not done.triggered:
-            if self.env.peek() == float("inf"):
-                stuck = [nd.pid for nd in self.nodes if not nd.done.triggered]
-                raise RuntimeError(f"machine deadlocked; nodes {stuck} never finished")
-            self.env.step()
+        try:
+            self.env.run_batched(done)
+        except Deadlock:
+            stuck = [nd.pid for nd in self.nodes if not nd.done.triggered]
+            raise RuntimeError(
+                f"machine deadlocked; nodes {stuck} never finished"
+            ) from None
         self.env.run(None)
         return MachineResult(
             meta=TraceMeta(program=name, n_threads=self.n, size_mode="actual"),

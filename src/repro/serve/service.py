@@ -9,8 +9,10 @@ whole API is unit-testable without opening a socket; the HTTP layer
 Prediction results are memoized through the same content-addressed
 :class:`~repro.sweep.cache.ResultCache` the sweep engine uses — keyed
 by ``Trace.digest()`` + canonical resolved parameters — so a repeated
-predict (or one whose point a sweep already computed under the same
-key schema) is answered without simulating.  Cached and fresh responses
+predict is answered without simulating.  Predict keys carry
+:data:`PREDICT_CACHE_EXTRA`, so they never collide with (or get
+answered by) a sweep's entry for the same point: the two store
+differently shaped payloads.  Cached and fresh responses
 are byte-identical: fresh payloads round-trip through JSON before they
 leave, exactly like the sweep executor.  The digest of a ``trace_path``
 file is remembered under the file's stat identity (path, device, inode,

@@ -34,7 +34,7 @@ from typing import Dict, Generator, List, Optional
 
 from repro.core.parameters import SimulationParameters
 from repro.core.translation import TranslatedProgram
-from repro.des import Environment, Event, Resource, Store
+from repro.des import Deadlock, Environment, Event, Resource, Store
 from repro.sim.actions import Action, ActionKind, actions_from_thread_trace
 from repro.sim.messages import Message, MsgKind
 from repro.sim.network import Network
@@ -284,13 +284,13 @@ class MultithreadSimulator:
         for proc in self.processors:
             env.process(proc.server(), name=f"server{proc.pid}")
         done = env.all_of(self.thread_done)
-        while not done.triggered:
-            if env.peek() == float("inf"):
-                stuck = [
-                    t for t, ev in enumerate(self.thread_done) if not ev.triggered
-                ]
-                raise RuntimeError(f"multithread deadlock; threads {stuck} stuck")
-            env.step()
+        try:
+            env.run_batched(done)
+        except Deadlock:
+            stuck = [t for t, ev in enumerate(self.thread_done) if not ev.triggered]
+            raise RuntimeError(
+                f"multithread deadlock; threads {stuck} stuck"
+            ) from None
         env.run(None)
         return MultithreadResult(
             meta=self.translated.meta,

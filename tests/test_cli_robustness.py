@@ -213,3 +213,64 @@ def test_study_unknown_preset_exit_2(capsys):
     assert main(["study", "embar", "--preset", "sharedmemory"]) == 2
     line = one_error_line(capsys)
     assert "unknown preset" in line and "shared_memory" in line
+
+
+@pytest.fixture(scope="module")
+def partial_barrier_path(tmp_path_factory):
+    """A 2-thread trace where only thread 0 enters barrier 0."""
+    tr = Trace(
+        TraceMeta(program="partial", n_threads=2),
+        [
+            TraceEvent(0.0, 0, EventKind.THREAD_BEGIN),
+            TraceEvent(1.0, 0, EventKind.BARRIER_ENTER, barrier_id=0),
+            TraceEvent(2.0, 0, EventKind.BARRIER_EXIT, barrier_id=0),
+            TraceEvent(3.0, 0, EventKind.THREAD_END),
+            TraceEvent(0.0, 1, EventKind.THREAD_BEGIN),
+            TraceEvent(3.0, 1, EventKind.THREAD_END),
+        ],
+    )
+    return write_trace(tr, tmp_path_factory.mktemp("partial") / "p.jsonl")
+
+
+@pytest.fixture(scope="module")
+def timeline_path(trace_path, tmp_path_factory):
+    path = tmp_path_factory.mktemp("timeline") / "run.json"
+    assert main(["predict", str(trace_path), "--timeline", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["trace", "embar", "-n", "0", "-o", "{tmp}/t.jsonl"], "at least 1 thread"),
+        (["machine", "embar", "-n", "0"], "at least 1 node"),
+        (["study", "embar", "-p", "0"], "at least 1 thread"),
+        (["timeline", "{timeline}", "--ascii", "--width", "3"], "width"),
+        (["bench", "--repeats", "0"], "repeats"),
+        (["report", "{partial}"], "barrier 0"),
+        (["compare", "{partial}", "cm5", "ideal"], "barrier 0"),
+        (
+            ["validate", "{partial}", "--no-global-barriers", "--diagnose"],
+            "barrier 0",
+        ),
+    ],
+    ids=[
+        "trace-n0",
+        "machine-n0",
+        "study-p0",
+        "timeline-width3",
+        "bench-repeats0",
+        "report-partial-barrier",
+        "compare-partial-barrier",
+        "validate-diagnose-partial-barrier",
+    ],
+)
+def test_library_rejected_value_is_one_error_line(
+    argv, expected, timeline_path, partial_barrier_path, tmp_path, capsys
+):
+    """A value the library rejects with ValueError exits 2 with one
+    line, never a traceback."""
+    capsys.readouterr()
+    fill = {"tmp": tmp_path, "timeline": timeline_path, "partial": partial_barrier_path}
+    assert main([a.format(**fill) for a in argv]) == 2
+    assert expected in one_error_line(capsys)

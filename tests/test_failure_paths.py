@@ -8,11 +8,14 @@ import pytest
 
 from repro.core import presets
 from repro.core.pipeline import measure
-from repro.core.translation import translate
+from repro.core.translation import TranslatedProgram, translate
 from repro.des import Deadlock, Environment, SimulationStalled
 from repro.machine import Machine
 from repro.pcxx import Collection, make_distribution
+from repro.sim.multithread import MultithreadSimulator
 from repro.sim.simulator import Simulator
+from repro.trace.events import EventKind, TraceEvent
+from repro.trace.trace import ThreadTrace, TraceMeta
 
 
 def simple_program(n, work_us=1000.0, iters=2):
@@ -99,6 +102,29 @@ def test_machine_deadlock_names_stuck_nodes():
     m = Machine(2)
     with pytest.raises(RuntimeError, match="machine deadlocked"):
         m.run(factory)
+
+
+def test_multithread_deadlock_names_stuck_threads():
+    """Only thread 0 enters barrier 0: the multithreaded simulator names
+    the threads that never finished.  ``translate()`` refuses such a
+    trace, so the translated program is built directly."""
+
+    def thread(tid, *kinds):
+        events = [TraceEvent(0.0, tid, EventKind.THREAD_BEGIN)]
+        events += [TraceEvent(1.0, tid, k, barrier_id=0) for k in kinds]
+        events.append(TraceEvent(2.0, tid, EventKind.THREAD_END))
+        return ThreadTrace(tid, events)
+
+    prog = TranslatedProgram(
+        TraceMeta(program="partial", n_threads=2),
+        [
+            thread(0, EventKind.BARRIER_ENTER, EventKind.BARRIER_EXIT),
+            thread(1),
+        ],
+    )
+    sim = MultithreadSimulator(prog, presets.by_name("cm5"), 1)
+    with pytest.raises(RuntimeError, match=r"multithread deadlock; threads \[0\]"):
+        sim.run()
 
 
 def test_simulation_stalled_carries_structured_diagnosis():

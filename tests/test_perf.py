@@ -71,7 +71,7 @@ def test_simulation_profile_export():
 def test_bench_workloads_are_deterministic():
     """Every reference workload must produce a stable event count."""
     for name, (fn, size) in WORKLOADS.items():
-        small = 8 if name in ("simulator", "serve") else 50
+        small = min(size, 8)
         first, second = fn(small), fn(small)
         if isinstance(first, dict):
             # Wall-clock extras (latencies) legitimately vary; the event
