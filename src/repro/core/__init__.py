@@ -10,7 +10,10 @@ The pipeline (paper Figure 2):
    under a target-environment :class:`SimulationParameters`;
 4. analyse — :mod:`repro.metrics` derives predicted performance metrics.
 
-:mod:`repro.core.pipeline` wires the four stages into one call.
+:mod:`repro.core.pipeline` wires the four stages into one call, and its
+:class:`~repro.core.pipeline.PreparedTrace` keeps the trace-only work
+(translation, sampling plans) for reuse across environments;
+:mod:`repro.core.memo` shares prepared traces within a process.
 """
 
 from repro.core.parameters import (
@@ -23,13 +26,19 @@ from repro.core.parameters import (
 )
 from repro.core import presets
 from repro.core.translation import TranslatedProgram, translate
-from repro.core.pipeline import ExtrapolationOutcome, extrapolate, measure
+from repro.core.pipeline import (
+    ExtrapolationOutcome,
+    PreparedTrace,
+    extrapolate,
+    measure,
+)
 
 __all__ = [
     "BarrierAlgorithm",
     "BarrierParams",
     "ExtrapolationOutcome",
     "NetworkParams",
+    "PreparedTrace",
     "ProcessorParams",
     "RemoteServicePolicy",
     "SimulationParameters",

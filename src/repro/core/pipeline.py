@@ -1,15 +1,17 @@
 """End-to-end extrapolation pipeline (paper Figure 2).
 
 :func:`measure` runs a program under the 1-processor tracing runtime;
-:func:`extrapolate` takes the resulting trace through translation and
-simulation and returns an :class:`ExtrapolationOutcome` bundling
-everything a performance-debugging session needs.
+a :class:`PreparedTrace` holds everything about the resulting trace that
+no target environment changes (digest, stats, translation, sampling
+plans); :func:`extrapolate` simulates a trace in one environment and
+returns an :class:`ExtrapolationOutcome` bundling everything a
+performance-debugging session needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
 from repro.core.parameters import SimulationParameters
 from repro.core.translation import TranslatedProgram, translate
@@ -18,6 +20,10 @@ from repro.sim.result import SimulationResult
 from repro.sim.simulator import simulate
 from repro.trace.stats import TraceStats, compute_stats
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sampling import SamplingConfig
+    from repro.sampling.estimate import SamplingPrep
 
 #: A program is a factory: given a tracing runtime, it builds collections
 #: and returns the per-thread bodies to run.  The factory shape lets the
@@ -47,6 +53,108 @@ class ExtrapolationOutcome:
     def ideal_time(self) -> float:
         """Execution time under zero-cost communication/synchronisation."""
         return self.translated.ideal_execution_time()
+
+
+class PreparedTrace:
+    """One measured trace plus the work on it that no environment changes.
+
+    The paper measures a program once and extrapolates that trace to
+    many target environments.  Everything before the simulation depends
+    only on the trace (and, for a sampled estimate, the sampling
+    config), so it is built lazily here, once, and reused by every
+    :func:`extrapolate` or :func:`repro.sampling.estimate_sampled` call
+    that is handed this object:
+
+    * ``digest`` and ``stats``;
+    * ``translated``: the ideal-parallel program;
+    * ``sampling(config)``: per config, the interval split, the
+      clustering plan, the cluster scales and one prepared
+      representative sub-trace per cluster.
+
+    Results are identical to the unprepared path: the same functions
+    run on the same inputs, only fewer times.  Lazy fields are filled
+    without a lock; two threads racing on one build the same value.
+    """
+
+    def __init__(
+        self,
+        trace: Trace,
+        *,
+        digest: Optional[str] = None,
+        event_overhead: float = 0.0,
+    ):
+        self.trace = trace
+        #: per-event instrumentation overhead the translation subtracts
+        self.event_overhead = event_overhead
+        self._digest = digest
+        self._stats: Optional[TraceStats] = None
+        self._translated: Optional[TranslatedProgram] = None
+        self._sampling: Dict["SamplingConfig", "SamplingPrep"] = {}
+        #: called after a sampling plan is added (a memo re-checks its bound)
+        self.on_grow: Optional[Callable[[], None]] = None
+
+    @classmethod
+    def of(
+        cls, trace: "Trace | PreparedTrace", *, event_overhead: float = 0.0
+    ) -> "PreparedTrace":
+        """``trace`` itself if already prepared, else a fresh, cold one.
+
+        A nonzero ``event_overhead`` must match a prepared trace's own.
+        """
+        if isinstance(trace, PreparedTrace):
+            if event_overhead and event_overhead != trace.event_overhead:
+                raise ValueError(
+                    "a prepared trace is already translated; pass the raw "
+                    "trace to translate it with another event overhead"
+                )
+            return trace
+        return cls(trace, event_overhead=event_overhead)
+
+    @property
+    def digest(self) -> str:
+        if self._digest is None:
+            self._digest = self.trace.digest()
+        return self._digest
+
+    @property
+    def stats(self) -> TraceStats:
+        if self._stats is None:
+            self._stats = compute_stats(self.trace)
+        return self._stats
+
+    @property
+    def translated(self) -> TranslatedProgram:
+        if self._translated is None:
+            self._translated = translate(
+                self.trace, event_overhead=self.event_overhead
+            )
+        return self._translated
+
+    def sampling(self, config: "SamplingConfig") -> "SamplingPrep":
+        """The sampling plan under ``config``, built on first use.
+
+        Keyed by the config itself: it is frozen, and two configs are
+        equal exactly when their canonical dicts are.  Raises
+        :class:`ValueError` for an empty trace.
+        """
+        prep = self._sampling.get(config)
+        if prep is None:
+            from repro.sampling.estimate import prepare_sampling
+
+            prep = self._sampling.setdefault(
+                config, prepare_sampling(self, config)
+            )
+            if self.on_grow is not None:
+                self.on_grow()
+        return prep
+
+    @property
+    def events_held(self) -> int:
+        """Trace events this object keeps alive: the trace's plus every
+        built plan's representative sub-traces."""
+        return len(self.trace.events) + sum(
+            prep.events_simulated for prep in list(self._sampling.values())
+        )
 
 
 def measure(
@@ -86,7 +194,7 @@ def measure(
 
 
 def extrapolate(
-    trace: Trace,
+    trace: "Trace | PreparedTrace",
     params: SimulationParameters,
     *,
     compensate_overhead: float = 0.0,
@@ -99,14 +207,16 @@ def extrapolate(
     Parameters
     ----------
     trace:
-        Merged 1-processor trace from :func:`measure`.
+        Merged 1-processor trace from :func:`measure`, or a
+        :class:`PreparedTrace` whose translation and stats are reused.
     params:
         Target-environment description (see :mod:`repro.core.presets`).
         When ``params.faults`` is a non-null fault plan, the simulation
         runs on the modelled *unreliable* machine (see
         :mod:`repro.faults`).
     compensate_overhead:
-        Per-event instrumentation overhead to subtract during translation.
+        Per-event instrumentation overhead to subtract during translation
+        (a raw ``trace`` only: a prepared one is already translated).
     profile:
         Collect engine counters and phase timers on the simulation; the
         outcome's ``result.profile`` carries them (slower run, identical
@@ -120,18 +230,18 @@ def extrapolate(
         unlimited); exceeded budgets raise
         :class:`~repro.des.engine.SimulationStalled`.
     """
-    translated = translate(trace, event_overhead=compensate_overhead)
+    prepared = PreparedTrace.of(trace, event_overhead=compensate_overhead)
     result = simulate(
-        translated,
+        prepared.translated,
         params,
         profile=profile,
         observe=observe,
         wall_clock_budget=wall_clock_budget,
     )
     return ExtrapolationOutcome(
-        trace=trace,
-        trace_stats=compute_stats(trace),
-        translated=translated,
+        trace=prepared.trace,
+        trace_stats=prepared.stats,
+        translated=prepared.translated,
         result=result,
     )
 

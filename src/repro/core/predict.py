@@ -61,6 +61,10 @@ def predict(
 ):
     """The outcome of predicting ``trace`` under ``params`` in ``mode``.
 
+    ``trace`` is a plain :class:`~repro.trace.trace.Trace`, prepared
+    afresh for this one call, or a
+    :class:`~repro.core.pipeline.PreparedTrace` whose translation and
+    sampling plans are reused; the outcome is the same either way.
     ``wall_clock_budget`` (real seconds) caps the whole prediction and
     raises :class:`~repro.des.engine.SimulationStalled` when spent; a
     trace the model cannot run raises :class:`ValueError`.

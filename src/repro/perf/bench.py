@@ -16,7 +16,8 @@ Six seeded reference workloads exercise the layers of the hot path:
   per-processor span index);
 * ``sampling`` — SimPoint-style sampled extrapolation vs the full
   simulation of one matmul trace (speedup × relative error through
-  :func:`repro.sampling.estimate_sampled`).
+  :func:`repro.sampling.estimate_sampled`), plus the estimate with its
+  plan reused and the per-point time of a sampled sweep.
 
 :func:`run_benchmarks` times each (best of N repeats) and
 :func:`write_baseline` persists the result as ``BENCH_engine.json`` so
@@ -219,20 +220,27 @@ def diagnose_passes(n_passes: int = 32) -> dict:
     }
 
 
-def sampling_estimate(n_threads: int = 8) -> dict:
+def sampling_estimate(n_threads: int = 8, sweep_points: int = 16) -> dict:
     """Sampled vs full extrapolation of one matmul trace.
 
-    Times one full simulation and one sampled estimate of the same
-    trace inside the workload body, so ``best_s`` covers both and the
-    record carries the interesting ratios: ``speedup`` (full simulation
-    seconds / sampled estimate seconds, clustering included) and
-    ``rel_error`` (sampled vs full predicted time).  Events/s counts
-    the trace events covered by the pair of runs.
+    Times, inside the workload body, one full simulation, one sampled
+    estimate on a cold :class:`~repro.core.pipeline.PreparedTrace`
+    (split and clustering included), a second estimate reusing that
+    plan, and a ``sweep_points``-point sampled :func:`run_sweep` that
+    starts from an empty prepared-trace memo.  The record carries:
+    ``speedup`` (full seconds / cold sampled seconds; a fresh prepared
+    trace every repeat, so a warm memo cannot inflate it), ``warm_s``
+    (the estimate with its plan reused), ``sweep_point_ms`` (wall time
+    per point of the sweep, one plan build amortised over its points)
+    and ``rel_error`` (sampled vs full predicted time).  Events/s counts
+    the trace events covered by all of these runs.
     """
     from repro.bench.suite import get_benchmark
     from repro.core import presets
-    from repro.core.pipeline import extrapolate, measure
+    from repro.core.memo import PREPARED
+    from repro.core.pipeline import PreparedTrace, extrapolate, measure
     from repro.sampling import SamplingConfig, estimate_sampled
+    from repro.sweep import SweepSpec, run_sweep
 
     trace = measure(
         get_benchmark("matmul").make_program()(n_threads),
@@ -240,20 +248,43 @@ def sampling_estimate(n_threads: int = 8) -> dict:
         name="matmul",
     )
     params = presets.distributed_memory()
+    config = SamplingConfig(seed=0)
     t0 = time.perf_counter()
     full = extrapolate(trace, params)
     full_s = time.perf_counter() - t0
+    prepared = PreparedTrace(trace)
     t0 = time.perf_counter()
-    sampled = estimate_sampled(trace, params, SamplingConfig(seed=0))
+    sampled = estimate_sampled(prepared, params, config)
     sampled_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    estimate_sampled(prepared, params, config)
+    warm_s = time.perf_counter() - t0
+    spec = SweepSpec.from_dict(
+        {
+            "name": "bench-sampled",
+            "preset": "distributed_memory",
+            "grid": {
+                "network.hop_time": [
+                    0.25 * (i + 1) for i in range(sweep_points)
+                ]
+            },
+            "sample": config.canonical_dict(),
+        }
+    )
+    PREPARED.clear()
+    t0 = time.perf_counter()
+    run_sweep(spec, trace=trace)
+    sweep_point_ms = (time.perf_counter() - t0) / sweep_points * 1e3
     rel_error = (
         abs(sampled.predicted_time - full.predicted_time) / full.predicted_time
         if full.predicted_time
         else 0.0
     )
     return {
-        "events": 2 * len(trace.events),
+        "events": (3 + sweep_points) * len(trace.events),
         "speedup": full_s / sampled_s if sampled_s > 0 else None,
+        "warm_s": warm_s,
+        "sweep_point_ms": sweep_point_ms,
         "rel_error": rel_error,
         "events_simulated": sampled.events_simulated,
         "events_total": len(trace.events),
@@ -380,6 +411,11 @@ def format_results(results: dict, baseline: dict | None = None) -> str:
             line += (
                 f"  [sampled {r['speedup']:.1f}x faster, "
                 f"rel err {r['rel_error']:.2%}]"
+            )
+        if "sweep_point_ms" in r:
+            line += (
+                f"  [plan reused {r['warm_s'] * 1e3:.1f} ms, "
+                f"sampled sweep {r['sweep_point_ms']:.1f} ms/point]"
             )
         lines.append(line)
     return "\n".join(lines)

@@ -20,7 +20,8 @@ Submodules:
 * :mod:`repro.sampling.intervals` — interval splitting + signatures
 * :mod:`repro.sampling.cluster`   — seeded k-means, BIC-style k choice,
   medoids, :class:`SamplingPlan`
-* :mod:`repro.sampling.estimate`  — representative simulation and
+* :mod:`repro.sampling.estimate`  — the per-config plan a prepared
+  trace keeps (:class:`SamplingPrep`), representative simulation and
   weighted reconstitution
 """
 
@@ -28,8 +29,10 @@ from repro.sampling.config import SamplingConfig
 from repro.sampling.cluster import PhaseCluster, SamplingPlan, build_plan
 from repro.sampling.estimate import (
     SampledOutcome,
+    SamplingPrep,
     estimate_sampled,
     plan_report,
+    prepare_sampling,
     representative_trace,
     sample_report,
     sampling_section,
@@ -51,8 +54,10 @@ __all__ = [
     "SamplingPlan",
     "build_plan",
     "SampledOutcome",
+    "SamplingPrep",
     "estimate_sampled",
     "plan_report",
+    "prepare_sampling",
     "representative_trace",
     "sample_report",
     "sampling_section",

@@ -5,7 +5,12 @@ medoid interval is lifted into a standalone sub-trace (synthetic
 ``THREAD_BEGIN``/``THREAD_END`` delimiters; the begin is stamped at the
 thread's previous event time so the leading compute gap survives
 translation) and run through the ordinary
-:func:`repro.core.pipeline.extrapolate`.  Whole-run metrics are then the
+:func:`repro.core.pipeline.extrapolate`.  Everything up to that run —
+split, plan, scales, representative sub-traces and their translations —
+depends only on the trace and the config, so :func:`prepare_sampling`
+builds it once as a :class:`SamplingPrep` that a
+:class:`~repro.core.pipeline.PreparedTrace` keeps per config; each
+machine point then only simulates.  Whole-run metrics are then the
 cluster-weighted sums of the representatives' metrics: barriers
 synchronise the program between intervals, so interval times — and all
 additive counters — compose by addition.
@@ -23,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.pipeline import ExtrapolationOutcome, extrapolate
+from repro.core.pipeline import ExtrapolationOutcome, PreparedTrace, extrapolate
 from repro.des.engine import SimulationStalled
 from repro.sampling.cluster import SamplingPlan, build_plan
 from repro.sampling.config import SamplingConfig
@@ -31,7 +36,7 @@ from repro.sampling.intervals import Interval, IntervalSplit, split_trace
 from repro.sim.network import NetworkStats
 from repro.sim.result import ProcessorStats, SimulationResult
 from repro.trace.events import EventKind, TraceEvent
-from repro.trace.stats import TraceStats, compute_stats
+from repro.trace.stats import TraceStats
 from repro.trace.trace import ThreadTrace, Trace, TraceMeta
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -191,16 +196,60 @@ def _cluster_scales(split: IntervalSplit, plan: SamplingPlan) -> List[_ClusterSc
     return scales
 
 
+@dataclass(frozen=True)
+class SamplingPrep:
+    """A trace's sampling plan under one config: all work before simulation."""
+
+    config: SamplingConfig
+    split: IntervalSplit
+    plan: SamplingPlan
+    #: per cluster, in cluster order
+    scales: List[_ClusterScales]
+    #: per cluster, its medoid interval as a prepared sub-trace
+    representatives: List[PreparedTrace]
+
+    @property
+    def events_simulated(self) -> int:
+        """Events one estimate simulates (all representative sub-traces)."""
+        return sum(len(rep.trace.events) for rep in self.representatives)
+
+
+def prepare_sampling(
+    trace: "Trace | PreparedTrace", config: SamplingConfig
+) -> SamplingPrep:
+    """Split, cluster and lift representatives; no simulation.
+
+    Representatives inherit a prepared trace's event overhead, and are
+    translated on their first simulation.  Raises :class:`ValueError`
+    for an empty trace.
+    """
+    prepared = PreparedTrace.of(trace)
+    trace = prepared.trace
+    if not trace.events:
+        raise ValueError("cannot sample an empty trace (no events)")
+    split = split_trace(trace, config, keep_events=True)
+    plan = build_plan(split, config)
+    representatives = [
+        PreparedTrace(
+            representative_trace(
+                trace.meta, split.intervals[cluster.representative]
+            ),
+            event_overhead=prepared.event_overhead,
+        )
+        for cluster in plan.clusters
+    ]
+    return SamplingPrep(
+        config, split, plan, _cluster_scales(split, plan), representatives
+    )
+
+
 def _weighted_result(
     trace: Trace,
     params: "SimulationParameters",
-    config: SamplingConfig,
-    split: IntervalSplit,
-    plan: SamplingPlan,
-    scales: List[_ClusterScales],
+    prep: SamplingPrep,
     outcomes: List[ExtrapolationOutcome],
-    events_simulated: int,
 ) -> SimulationResult:
+    plan, scales = prep.plan, prep.scales
     n_proc = len(outcomes[0].result.processors)
     procs = [ProcessorStats(pid=p) for p in range(n_proc)]
     net = NetworkStats()
@@ -279,7 +328,7 @@ def _weighted_result(
     }
 
     sampling = {
-        "config": config.canonical_dict(),
+        "config": prep.config.canonical_dict(),
         "plan": plan.to_dict(),
         "scales": [
             {
@@ -290,8 +339,8 @@ def _weighted_result(
             }
             for s in scales
         ],
-        "events_total": split.events_total,
-        "events_simulated": events_simulated,
+        "events_total": prep.split.events_total,
+        "events_simulated": prep.events_simulated,
         "error_bars": error_bars,
     }
     return SimulationResult(
@@ -308,7 +357,7 @@ def _weighted_result(
 
 
 def estimate_sampled(
-    trace: Trace,
+    trace: "Trace | PreparedTrace",
     params: "SimulationParameters",
     config: Optional[SamplingConfig] = None,
     *,
@@ -319,51 +368,45 @@ def estimate_sampled(
     Splits, clusters, simulates one representative per phase, and
     returns the weight-combined estimate.  Deterministic for a fixed
     ``config.seed``.  Raises :class:`ValueError` for an empty trace.
+    A :class:`~repro.core.pipeline.PreparedTrace` reuses the plan it
+    already holds for ``config``; a plain trace is planned afresh.
 
     ``wall_clock_budget`` (real seconds) caps the whole call, planning
     included: each representative runs on what is left, and running out
     raises :class:`~repro.des.engine.SimulationStalled`.
     """
     start = time.monotonic()
-    config = config or SamplingConfig()
-    if not trace.events:
-        raise ValueError("cannot sample an empty trace (no events)")
-    split = split_trace(trace, config, keep_events=True)
-    plan = build_plan(split, config)
-    scales = _cluster_scales(split, plan)
+    prepared = PreparedTrace.of(trace)
+    prep = prepared.sampling(config or SamplingConfig())
+    clusters = prep.plan.clusters
 
     outcomes: List[ExtrapolationOutcome] = []
     representatives: Dict[int, ExtrapolationOutcome] = {}
-    events_simulated = 0
     ideal = 0.0
-    for done, (cluster, scale) in enumerate(zip(plan.clusters, scales)):
+    for done, (cluster, scale, rep) in enumerate(
+        zip(clusters, prep.scales, prep.representatives)
+    ):
         remaining = None
         if wall_clock_budget is not None:
             remaining = wall_clock_budget - (time.monotonic() - start)
             if remaining <= 0:
                 raise SimulationStalled(
                     f"wall-clock budget of {wall_clock_budget:g}s exceeded "
-                    f"({done} of {len(plan.clusters)} representatives "
+                    f"({done} of {len(clusters)} representatives "
                     "simulated)"
                 )
-        interval = split.intervals[cluster.representative]
-        sub = representative_trace(trace.meta, interval)
-        outcome = extrapolate(sub, params, wall_clock_budget=remaining)
+        outcome = extrapolate(rep, params, wall_clock_budget=remaining)
         outcomes.append(outcome)
         representatives[cluster.representative] = outcome
-        events_simulated += len(sub.events)
         ideal += scale.time * outcome.ideal_time
 
-    result = _weighted_result(
-        trace, params, config, split, plan, scales, outcomes, events_simulated
-    )
     return SampledOutcome(
-        trace=trace,
-        trace_stats=compute_stats(trace),
-        result=result,
-        plan=plan,
+        trace=prepared.trace,
+        trace_stats=prepared.stats,
+        result=_weighted_result(prepared.trace, params, prep, outcomes),
+        plan=prep.plan,
         representatives=representatives,
-        events_simulated=events_simulated,
+        events_simulated=prep.events_simulated,
         ideal_time_estimate=ideal,
     )
 
@@ -405,12 +448,8 @@ def plan_report(meta: TraceMeta, split: IntervalSplit, plan: SamplingPlan) -> st
 
 def sample_report(trace: Trace, config: Optional[SamplingConfig] = None) -> str:
     """Build and format a sampling plan for a trace without simulating."""
-    config = config or SamplingConfig()
-    if not trace.events:
-        raise ValueError("cannot sample an empty trace (no events)")
-    split = split_trace(trace, config, keep_events=False)
-    plan = build_plan(split, config)
-    return plan_report(trace.meta, split, plan)
+    prep = prepare_sampling(trace, config or SamplingConfig())
+    return plan_report(trace.meta, prep.split, prep.plan)
 
 
 def sampling_section(result: SimulationResult) -> str:

@@ -16,8 +16,11 @@ differently shaped payloads.  Cached and fresh responses
 are byte-identical: fresh payloads round-trip through JSON before they
 leave, exactly like the sweep executor.  The digest of a ``trace_path``
 file is remembered under the file's stat identity (path, device, inode,
-size, mtime, ctime), so a cache hit never reads the trace; a miss
-reads and re-digests it, and keys its result by the fresh digest.
+size, mtime, ctime), so a cache hit never reads the trace.  A miss
+takes the trace, prepared (translated, and planned per sampling config),
+from the process-wide memo :data:`repro.core.memo.PREPARED` under that
+digest and only simulates; a digest the memo no longer holds is read,
+re-digested and keyed by the fresh digest.
 
 Hardening notes (the service is a long-running process fed by
 untrusted clients):
@@ -58,6 +61,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro import __version__
 from repro.core import presets
+from repro.core.memo import PREPARED
 from repro.core.predict import PredictMode, predict, predict_report
 from repro.des import SimulationStalled
 from repro.metrics import result_record
@@ -448,16 +452,20 @@ class ExtrapService:
         payload = self.cache.get(key) if self.cache is not None else None
         cached = payload is not None
         if payload is None:
-            if trace is None:
-                # The simulation needs the events; a fresh digest keys
-                # the result, so a stale memo entry cannot misfile it.
-                trace, identity = self._read_identified(
-                    path, req.trace_path, stat_id
-                )
-                key = result_key(identity[0], params, extra=extra)
+            prepared = PREPARED.get(identity[0]) if trace is None else None
+            if prepared is None:
+                if trace is None:
+                    # The simulation needs the events; a fresh digest
+                    # keys the result, so a stale identity cannot
+                    # misfile it.
+                    trace, identity = self._read_identified(
+                        path, req.trace_path, stat_id
+                    )
+                    key = result_key(identity[0], params, extra=extra)
+                prepared = PREPARED.prepare(trace, identity[0])
             try:
                 outcome = predict(
-                    trace,
+                    prepared,
                     params,
                     mode,
                     wall_clock_budget=self._clamp_budget(req.wall_budget),

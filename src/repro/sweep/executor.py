@@ -13,10 +13,13 @@ Two layers:
 * :func:`run_sweep` — the sweep driver: expands a
   :class:`~repro.sweep.spec.SweepSpec`, answers points from the
   :class:`~repro.sweep.cache.ResultCache` where possible, fans the
-  misses out, and stores fresh results back.  Fresh results round-trip
-  through the same JSON encoding the cache uses before they are
-  reported, so a cached and an uncached run of the same spec render
-  identically down to float formatting.
+  misses out, and stores fresh results back.  Each task carries its
+  trace's digest, and the worker takes the prepared trace from
+  :data:`repro.core.memo.PREPARED` under it, so translation and sampling
+  plans are built once per trace and process, not per point.  Fresh
+  results round-trip through the same JSON encoding the cache uses
+  before they are reported, so a cached and an uncached run of the same
+  spec render identically down to float formatting.
 
 Per-point timeouts reuse the simulation watchdog: the wall-clock budget
 is enforced *inside* the point by
@@ -33,6 +36,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.memo import PREPARED
 from repro.core.pipeline import extrapolate, measure
 from repro.core.predict import PredictMode, predict
 from repro.metrics import result_record
@@ -264,6 +268,8 @@ class _PointTask:
     """Everything one worker needs to run one sweep point."""
 
     trace_ref: str
+    #: the trace's digest: the worker's key into the prepared-trace memo
+    digest: str
     point: SweepPoint
     base_preset: str
     wall_budget: Optional[float] = None
@@ -274,7 +280,7 @@ class _PointTask:
 
 def _sweep_point_worker(task: _PointTask) -> Dict[str, Any]:
     outcome = predict(
-        _WORKER_TRACES[task.trace_ref],
+        PREPARED.prepare(_WORKER_TRACES[task.trace_ref], task.digest),
         task.point.params(task.base_preset),
         PredictMode(sample=task.sample),
         wall_clock_budget=task.wall_budget,
@@ -445,7 +451,9 @@ def run_sweep(
                 records[i].cached = True
                 continue
         tasks.append(
-            _PointTask(ref, point, spec.preset, wall_budget, spec.sample)
+            _PointTask(
+                ref, digests[ref], point, spec.preset, wall_budget, spec.sample
+            )
         )
         task_indices.append(i)
     if cache is not None:

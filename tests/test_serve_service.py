@@ -11,7 +11,8 @@ import pytest
 import repro.serve.service as service_module
 from repro.cli import main
 from repro.core import presets
-from repro.core.predict import PredictMode
+from repro.core.memo import PREPARED
+from repro.core.predict import PredictMode, predict, predict_report
 from repro.serve import (
     ApiError,
     ExtrapService,
@@ -21,7 +22,9 @@ from repro.serve import (
 )
 from repro.sweep import SweepSpec, run_sweep
 from repro.serve.schema import validate_predict_request
+from repro.metrics import result_record
 from repro.sweep.cache import ResultCache, result_key
+from repro.sweep.spec import apply_param_overrides
 from repro.trace import read_trace
 
 
@@ -256,10 +259,10 @@ def test_cache_hit_does_not_read_the_trace(own_trace, count_reads):
     for _ in range(3):
         assert svc.predict(body)["cached"] is True
     assert len(count_reads) == 1
-    # A miss on a remembered file still reads it: the simulation needs it.
+    # A miss on a remembered file takes the prepared trace from the memo.
     tweaked = {**body, "overrides": {"processor.mips_ratio": 0.5}}
     assert svc.predict(tweaked)["cached"] is False
-    assert len(count_reads) == 2
+    assert len(count_reads) == 1
 
 
 def test_same_size_rewrite_with_restored_mtime_is_a_miss(own_trace):
@@ -300,6 +303,45 @@ def test_identity_memo_is_bounded(own_trace, count_reads, monkeypatch):
     # content) had to read t.jsonl again to learn its digest.
     assert [Path(p).name for p in count_reads] == ["t.jsonl", "u.jsonl", "t.jsonl"]
     assert len(svc._identities) == 1
+
+
+@pytest.mark.parametrize("sample", [None, {"seed": 2}], ids=["full", "sampled"])
+def test_known_identity_miss_takes_the_prepared_trace(
+    own_trace, count_reads, sample
+):
+    svc, _ = own_trace
+    body = {"trace_path": "t.jsonl", "preset": "cm5"}
+    if sample is not None:
+        body["sample"] = sample
+    svc.predict(body)
+    assert len(count_reads) == 1
+    for hop in (0.5, 0.75):
+        tweaked = {**body, "overrides": {"network.hop_time": hop}}
+        assert svc.predict(tweaked)["cached"] is False
+    assert len(count_reads) == 1
+    # A digest the memo no longer holds is read and prepared again.
+    PREPARED.clear()
+    tweaked = {**body, "overrides": {"network.hop_time": 2.0}}
+    assert svc.predict(tweaked)["cached"] is False
+    assert len(count_reads) == 2
+
+
+def test_rewritten_trace_is_answered_from_its_new_content(own_trace, tmp_path):
+    svc, path = own_trace
+    body = {"trace_path": "t.jsonl", "preset": "cm5"}
+    old = svc.predict(body)
+    assert main(["trace", "sort", "-n", "4", "-o", str(tmp_path / "s.jsonl")]) == 0
+    path.write_bytes((tmp_path / "s.jsonl").read_bytes())
+    overrides = {"network.hop_time": 1.5}
+    new = svc.predict({**body, "overrides": overrides})
+    trace = read_trace(path)
+    params = apply_param_overrides(presets.by_name("cm5"), overrides)
+    fresh = predict(trace, params)
+    assert new["cached"] is False
+    assert new["trace"]["digest"] == trace.digest() != old["trace"]["digest"]
+    assert new["trace"]["program"] == "sort"
+    assert new["report"] == predict_report(params, fresh)
+    assert new["metrics"] == json.loads(json.dumps(result_record(fresh)))
 
 
 @pytest.mark.parametrize(
