@@ -6,8 +6,8 @@ This is the substrate underneath both the ExtraP trace-driven simulator
 
 * :class:`Environment` — the simulation clock and event loop;
 * generator-based :class:`Process`\\ es that ``yield`` events to wait on;
-* :class:`Event` / :class:`Timeout` / :class:`AnyOf` / :class:`AllOf`
-  synchronisation primitives;
+* :class:`Event` / :class:`Timeout` / :class:`AnyOf` / :class:`AllOf` /
+  :class:`FirstOf` synchronisation primitives;
 * :class:`Interrupt` delivery into waiting processes (used by the
   *interrupt* remote-access service policy);
 * :class:`Store` / :class:`PriorityStore` message queues and a counted
@@ -17,7 +17,7 @@ The engine is deterministic: simultaneous events fire in FIFO order of
 scheduling (stable tie-break on a monotone sequence number).
 """
 
-from repro.des.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.des.events import AllOf, AnyOf, Event, FirstOf, Interrupt, Timeout
 from repro.des.engine import (
     Deadlock,
     Environment,
@@ -36,6 +36,7 @@ __all__ = [
     "Environment",
     "Event",
     "FilterStore",
+    "FirstOf",
     "Interrupt",
     "PriorityItem",
     "PriorityStore",

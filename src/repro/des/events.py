@@ -109,6 +109,25 @@ class Event:
         self.env._schedule(self, 0.0 if delay == 0.0 else delay)
         return self
 
+    def resolve(self, value: Any = None) -> "Event":
+        """Succeed now, without queueing, when nothing waits on the event.
+
+        For an event that only its own waiter triggers: the waiter tests
+        ``triggered`` and moves on, so processing the event through the
+        queue would run no callback.  The event goes straight to
+        PROCESSED, keeping its queue slot (and its sequence number) out
+        of the ``(time, priority, seq)`` order; a process that yields it
+        later is resumed through a fresh queue entry.  With callbacks
+        attached this is :meth:`succeed`.
+        """
+        if self.callbacks:
+            return self.succeed(value)
+        if self._state != PENDING:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._value = value
+        self._state = PROCESSED
+        return self
+
     # -- internal ----------------------------------------------------------
 
     def _process(self) -> None:
@@ -193,6 +212,49 @@ class _Condition(Event):
 
     def _collect(self) -> dict:
         return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}
+
+
+class FirstOf(Event):
+    """Fires, through the queue, with the value of the first child processed.
+
+    The one-waiter form of :class:`AnyOf`: no result dict, and the
+    losers' callbacks are removed when it fires, so a waiter that loops
+    on a long-lived child leaves nothing behind on it.  The winner is
+    whichever child the environment processes first, and the FirstOf is
+    scheduled from that child's callback, exactly when an ``AnyOf``
+    over the same children would be.  With a single child it is a
+    relay: one queue hop after its child.
+    """
+
+    __slots__ = ("children",)
+
+    def __init__(self, env: "Environment", children: tuple):
+        self.env = env
+        self._state = PENDING
+        self._value = None
+        self._ok = True
+        self.callbacks = []
+        self.defused = False
+        self.children = children
+        for ev in children:
+            if ev._state == PROCESSED:
+                self._on_child(ev)
+                return
+        on_child = self._on_child
+        for ev in children:
+            ev.callbacks.append(on_child)
+
+    def _on_child(self, ev: Event) -> None:
+        if len(self.children) > 1:
+            on_child = self._on_child
+            for other in self.children:
+                if other is not ev:
+                    other._remove_callback(on_child)
+        if ev._ok:
+            self.succeed(ev._value)
+        else:
+            ev.defused = True
+            self.fail(ev._value)
 
 
 class AnyOf(_Condition):

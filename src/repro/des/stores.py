@@ -2,7 +2,8 @@
 
 :class:`Store` is an unbounded (or capacity-bounded) FIFO of items with
 event-returning ``put``/``get``; it is the building block for processor
-receive queues in both simulators.  :class:`PriorityStore` dequeues the
+receive queues in both simulators (which deliver with the event-free
+``put_nowait``).  :class:`PriorityStore` dequeues the
 smallest item first; :class:`FilterStore` lets getters select items by
 predicate (used for reply matching).
 """
@@ -13,7 +14,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List
 
-from repro.des.events import Event
+from repro.des.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.engine import Environment
@@ -35,7 +36,13 @@ class StoreGet(Event):
     __slots__ = ()
 
     def __init__(self, store: "Store"):
-        super().__init__(store.env)
+        # One per receive; set the slots directly, as Timeout does.
+        self.env = store.env
+        self._state = PENDING
+        self._value = None
+        self._ok = True
+        self.callbacks = []
+        self.defused = False
 
 
 class FilterStoreGet(StoreGet):
@@ -88,6 +95,20 @@ class Store:
             self._dispatch()
         return ev
 
+    def put_nowait(self, item: Any) -> None:
+        """Add ``item`` at once, creating no put event.
+
+        For producers nobody waits on, such as a network delivering into
+        a receive queue: a waiting getter is served exactly as
+        :meth:`put` would serve it, minus the put event's queue slot.
+        Raises ``RuntimeError`` when the item cannot be accepted now.
+        """
+        if self._put_waiters or len(self.items) >= self.capacity:
+            raise RuntimeError(f"store is full (capacity {self.capacity})")
+        self._accept(item)
+        if self._get_waiters:
+            self._dispatch()
+
     def get(self) -> StoreGet:
         """Request to remove the oldest item; returns the retrieval event."""
         ev = StoreGet(self)
@@ -101,7 +122,8 @@ class Store:
                     self._dispatch()
                 return ev
         self._get_waiters.append(ev)
-        self._dispatch()
+        if self.items or self._put_waiters:
+            self._dispatch()
         return ev
 
     def cancel(self, get_ev: StoreGet) -> None:

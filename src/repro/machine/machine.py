@@ -240,7 +240,7 @@ class MachineNode:
                 raise AssertionError(f"unhandled message kind {msg.kind}")
 
     def deliver(self, msg: WireMessage) -> None:
-        self.inbox.put(msg)
+        self.inbox.put_nowait(msg)
 
     # -- ThreadCtx-compatible operations ----------------------------------------
 

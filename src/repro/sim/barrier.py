@@ -133,17 +133,17 @@ class BarrierCoordinator:
             if ep.tree_arrived[proc.pid] >= len(self.tree_children(proc.pid)):
                 done = self._tree_done_event(ep, proc.pid)
                 if not done.triggered:
-                    done.succeed()
+                    done.resolve()
         else:
             ep.arrived += 1
             if ep.arrived >= self.n - 1 and not ep.master_done.triggered:
-                ep.master_done.succeed()
+                ep.master_done.resolve()
 
     def on_release(self, proc: "SimProcessor", msg: Message) -> Generator:
         """A release message reached slave ``proc``."""
         ev = self._release_event(self._ep(msg.barrier_id), proc.pid)
         if not ev.triggered:
-            ev.succeed()
+            ev.resolve()
         return
         yield  # pragma: no cover - keeps the dispatch interface uniform
 
@@ -207,7 +207,7 @@ class BarrierCoordinator:
         yield from proc._busy(b.entry_time, _BARRIER_CAT)
         if proc.pid == self.MASTER:
             if self.n > 1:
-                yield from proc._await_serving(ep.master_done)
+                yield from proc._await_own(ep.master_done)
             self.history[bid] = (self.env.now, None)
             yield from proc._busy(b.model_time, _BARRIER_CAT)
             for slave in range(1, self.n):
@@ -233,7 +233,7 @@ class BarrierCoordinator:
                     barrier_id=bid,
                 )
             )
-            yield from proc._await_serving(self._release_event(ep, proc.pid))
+            yield from proc._await_own(self._release_event(ep, proc.pid))
         yield from proc._busy(b.exit_time, _BARRIER_CAT)
 
     def _participate_log(self, proc: "SimProcessor", bid: int) -> Generator:
@@ -244,8 +244,8 @@ class BarrierCoordinator:
         if children:
             done = self._tree_done_event(ep, proc.pid)
             if ep.tree_arrived.get(proc.pid, 0) >= len(children) and not done.triggered:
-                done.succeed()
-            yield from proc._await_serving(done)
+                done.resolve()
+            yield from proc._await_own(done)
         if proc.pid != 0:
             proc._send_raw(
                 Message(
@@ -256,7 +256,7 @@ class BarrierCoordinator:
                     barrier_id=bid,
                 )
             )
-            yield from proc._await_serving(self._release_event(ep, proc.pid))
+            yield from proc._await_own(self._release_event(ep, proc.pid))
         else:
             self.history[bid] = (self.env.now, self.env.now)
             yield from proc._busy(b.model_time, _BARRIER_CAT)

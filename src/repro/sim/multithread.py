@@ -143,7 +143,7 @@ class _MTProcessor:
         self.stats = MultithreadStats(pid=pid)
 
     def deliver(self, msg: Message) -> None:
-        self.inbox.put(msg)
+        self.inbox.put_nowait(msg)
 
     def _on_cpu(self, duration: float, bucket: str) -> Generator:
         req = self.cpu.request()

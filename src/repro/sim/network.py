@@ -158,83 +158,71 @@ class Network:
             raise RuntimeError("network not attached to processors yet")
         if msg.src == msg.dst:
             raise ValueError(f"message to self: {msg!r}")
-        msg.inject_time = self.env.now
+        now = self.env.now
+        stats = self.stats
+        kind = msg.kind.value
+        msg.inject_time = now
         transit = self.wire_time(msg)
 
         dropped = duplicated = False
         if self._faults is not None:
-            dropped, duplicated, extra = self._faults.message_fate(
-                msg.kind.value
-            )
+            dropped, duplicated, extra = self._faults.message_fate(kind)
             if extra > 0.0:
                 transit += extra
-                self.stats.total_jitter += extra
+                stats.total_jitter += extra
 
-        msg.deliver_time = -1.0 if dropped else self.env.now + transit
+        msg.deliver_time = -1.0 if dropped else now + transit
 
-        self.stats.messages += 1
-        self.stats.bytes += msg.nbytes
-        self.stats.by_kind[msg.kind.value] = (
-            self.stats.by_kind.get(msg.kind.value, 0) + 1
-        )
+        stats.messages += 1
+        stats.bytes += msg.nbytes
+        by_kind = stats.by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
         if self.record_messages:
             self.message_log.append(
-                (
-                    msg.inject_time,
-                    msg.deliver_time,
-                    msg.kind.value,
-                    msg.src,
-                    msg.dst,
-                    msg.nbytes,
-                )
+                (msg.inject_time, msg.deliver_time, kind, msg.src, msg.dst, msg.nbytes)
             )
 
         if dropped:
             # The message vanishes in transit: it never reaches the
             # destination's receive queue and stops loading the wire.
-            self.stats.dropped += 1
+            stats.dropped += 1
             if self._obs is not None:
                 self._obs.instant(
                     msg.src,
                     "fault.msg_drop",
-                    self.env.now,
-                    kind=msg.kind.value,
+                    now,
+                    kind=kind,
                     dst=msg.dst,
                     msg_id=msg.msg_id,
                 )
-                self._obs.counter(
-                    "net.dropped", self.env.now, self.stats.dropped
-                )
+                self._obs.counter("net.dropped", now, stats.dropped)
             return transit
 
         self._in_flight += 1
-        self.stats.total_wire_time += transit
-        self.stats.max_in_flight = max(self.stats.max_in_flight, self._in_flight)
+        stats.total_wire_time += transit
+        if self._in_flight > stats.max_in_flight:
+            stats.max_in_flight = self._in_flight
         if self._obs is not None:
-            now = self.env.now
             self._obs.counter("net.in_flight", now, self._in_flight)
-            self._obs.counter("net.bytes_total", now, self.stats.bytes)
+            self._obs.counter("net.bytes_total", now, stats.bytes)
 
-        deliver = self.env.timeout(transit, msg)
-        deliver.callbacks.append(self._deliver)
+        self.env.timeout(transit, msg).callbacks.append(self._deliver)
 
         if duplicated:
             # A second copy arrives after an independently priced
             # transit (the network state may have changed meanwhile).
-            self.stats.duplicated += 1
+            stats.duplicated += 1
             dup_transit = self.wire_time(msg)
             self._in_flight += 1
-            self.stats.max_in_flight = max(
-                self.stats.max_in_flight, self._in_flight
-            )
-            dup = self.env.timeout(dup_transit, msg)
-            dup.callbacks.append(self._deliver)
+            if self._in_flight > stats.max_in_flight:
+                stats.max_in_flight = self._in_flight
+            self.env.timeout(dup_transit, msg).callbacks.append(self._deliver)
             if self._obs is not None:
                 self._obs.instant(
                     msg.src,
                     "fault.msg_dup",
-                    self.env.now,
-                    kind=msg.kind.value,
+                    now,
+                    kind=kind,
                     dst=msg.dst,
                     msg_id=msg.msg_id,
                 )

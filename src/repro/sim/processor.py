@@ -21,10 +21,11 @@ threads that finish early still answer the stragglers.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Generator, List
 
 from repro.core.parameters import RemoteServicePolicy, SimulationParameters
-from repro.des import AnyOf, Environment, Event, Store
+from repro.des import Environment, Event, FirstOf, Store, Timeout
 from repro.sim.actions import Action, ActionKind
 from repro.sim.messages import Message, MsgKind
 from repro.sim.result import ProcessorStats
@@ -74,7 +75,7 @@ class SimProcessor:
 
         # Pre-bound hot-path helpers: the replay loop busies/unblocks once
         # per action, so shave the attribute chains off every step.
-        self._timeout = env.timeout
+        self._timeout = partial(Timeout, env)
         self._stats_add = self.stats.add
         self._mips_ratio = self.pp.mips_ratio
         self._policy = self.pp.policy
@@ -90,7 +91,7 @@ class SimProcessor:
     # -- delivery hook for the network --------------------------------------------
 
     def deliver(self, msg: Message) -> None:
-        self.inbox.put(msg)
+        self.inbox.put_nowait(msg)
         if self._obs is not None:
             self._obs.counter(
                 self._rxq_counter, self.env.now, len(self.inbox.items)
@@ -219,7 +220,7 @@ class SimProcessor:
             start = self.env.now
             finish = self._timeout(remaining)
             get_ev = self.inbox.get()
-            yield AnyOf(self.env, [finish, get_ev])
+            yield FirstOf(self.env, (finish, get_ev))
             remaining -= self.env.now - start
             self._stats_add("compute", self.env.now - start)
             if self._obs is not None and self.env.now > start:
@@ -291,7 +292,7 @@ class SimProcessor:
         if plan is not None and plan.request_timeout > 0.0:
             yield from self._await_reply_retry(msg, reply_ev, owner, write)
         else:
-            yield from self._await_serving(reply_ev)
+            yield from self._await_own(reply_ev)
         self.stats.comm_wait += (self.env.now - t0) - (self.stats.busy_total - busy0)
         self.stats.remote_accesses += 1
         if self._obs is not None:
@@ -347,7 +348,7 @@ class SimProcessor:
                         owner=owner,
                         msg_id=msg.msg_id,
                     )
-                yield from self._await_serving(reply_ev)
+                yield from self._await_own(reply_ev)
                 self.blocked_reason = None
                 return
             self.stats.retries += 1
@@ -375,6 +376,8 @@ class SimProcessor:
     def _await_either_serving(self, target: Event, timer: Event) -> Generator:
         """Wait for ``target`` or ``timer`` while servicing arrivals.
 
+        ``target`` is one this processor's own dispatch triggers (see
+        :meth:`_await_own`), so only ``timer`` and the inbox race.
         ``timer`` is a :class:`~repro.des.events.Timeout`, which is born
         in the TRIGGERED (= scheduled) state — only ``processed`` says it
         actually expired, so that is what both the loop condition and the
@@ -382,7 +385,7 @@ class SimProcessor:
         """
         while not target.triggered and not timer.processed:
             get_ev = self.inbox.get()
-            yield AnyOf(self.env, [target, timer, get_ev])
+            yield FirstOf(self.env, (timer, get_ev))
             if get_ev.triggered:
                 yield from self._dispatch(get_ev.value)
             else:
@@ -393,7 +396,12 @@ class SimProcessor:
         cost = self.pp.msg_build_time + self.network.startup_time(
             msg.src, msg.dst
         )
-        yield from self._busy(cost, category)
+        if cost > 0:  # inlined _busy: one generator frame less per send
+            t0 = self.env.now
+            yield self._timeout(cost)
+            self._stats_add(category, cost)
+            if self._obs is not None:
+                self._obs_span(category, t0)
         self.network.send(msg)
         self.stats.messages_sent += 1
 
@@ -466,7 +474,7 @@ class SimProcessor:
                     f"processor {self.pid}: unexpected {msg!r} "
                     "(no pending request with that id)"
                 )
-            ev.succeed(msg)
+            ev.resolve(msg)
         elif msg.kind is MsgKind.BARRIER_ARRIVE:
             yield from self.coordinator.on_arrive(self, msg)
         elif msg.kind is MsgKind.BARRIER_RELEASE:
@@ -474,15 +482,37 @@ class SimProcessor:
         else:  # pragma: no cover - exhaustive
             raise AssertionError(f"unhandled message kind {msg.kind}")
 
+    def _await_own(self, target: Event) -> Generator:
+        """Wait for an event that only this processor's dispatch triggers.
+
+        Reply/ack events and the message-mode barrier events are
+        triggered by :meth:`_dispatch` running in this process, with
+        :meth:`~repro.des.events.Event.resolve` (never queued), so while
+        the process is suspended only an inbox arrival can end the wait.
+        The arrival is awaited through a one-child
+        :class:`~repro.des.events.FirstOf` relay: the process resumes one
+        queue hop after the inbox get, where it would resume after an
+        ``AnyOf`` of target and get.  Dropping that hop reorders
+        same-time ties (the ``ideal`` preset moves most).
+        """
+        inbox_get = self.inbox.get
+        env = self.env
+        while not target.triggered:
+            msg = yield FirstOf(env, (inbox_get(),))
+            yield from self._dispatch(msg)
+        return target._value
+
     def _await_serving(self, target: Event) -> Generator:
         """Wait for ``target`` while servicing any messages that arrive.
 
         This is the "process messages while waiting" behaviour the paper
-        requires of every wait state (reply waits, barrier waits).
+        requires of every wait state.  ``target`` is triggered by another
+        process (flag and hardware barriers); waits on this processor's
+        own events use :meth:`_await_own`.
         """
         while not target.triggered:
             get_ev = self.inbox.get()
-            yield AnyOf(self.env, [target, get_ev])
+            yield FirstOf(self.env, (target, get_ev))
             if get_ev.triggered:
                 yield from self._dispatch(get_ev.value)
             else:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Event
+from repro.des import AllOf, AnyOf, Environment, Event, FirstOf
 
 
 def test_event_lifecycle():
@@ -111,3 +111,98 @@ def test_condition_propagates_failure():
     bad.fail(RuntimeError("child failed"))
     env.run(until=10.0)
     assert cond.triggered and not cond.ok
+
+
+def test_resolve_without_waiters_is_not_queued():
+    env = Environment()
+    ev = env.event()
+    ev.resolve("v")
+    assert ev.processed and ev.ok and ev.value == "v"
+    assert env.peek() == float("inf")
+    with pytest.raises(RuntimeError):
+        ev.resolve()
+
+
+def test_resolve_with_a_waiter_is_succeed():
+    env = Environment()
+    ev = env.event()
+    got = []
+
+    def waiter(env):
+        got.append((yield ev))
+
+    env.process(waiter(env))
+    env.run(until=1.0)
+    ev.resolve("v")
+    assert ev.triggered and not ev.processed
+    env.run(None)
+    assert got == ["v"]
+
+
+def test_yielding_a_resolved_event_resumes_now():
+    env = Environment()
+    ev = env.event()
+    ev.resolve(7)
+    got = []
+
+    def late(env):
+        yield env.timeout(3)
+        got.append((yield ev))
+        got.append(env.now)
+
+    env.process(late(env))
+    env.run(None)
+    assert got == [7, 3.0]
+
+
+def test_firstof_fires_with_first_child_value():
+    env = Environment()
+    a, b = env.timeout(5, "a"), env.timeout(10, "b")
+    first = FirstOf(env, (a, b))
+    env.run(first)
+    assert env.now == 5.0
+    assert first.value == "a"
+
+
+def test_firstof_detaches_from_losers():
+    env = Environment()
+    never = env.event()
+    for t in range(1, 4):
+        env.run(FirstOf(env, (never, env.timeout(1, t))))
+    # AnyOf would have left one callback per turn on ``never``.
+    assert never.callbacks == []
+
+
+def test_firstof_fires_one_hop_after_its_child_like_anyof():
+    env = Environment()
+    order = []
+    a, b = env.event(), env.event()
+    FirstOf(env, (a,)).callbacks.append(lambda ev: order.append("first"))
+    AnyOf(env, [b]).callbacks.append(lambda ev: order.append("any"))
+    a.succeed()
+    b.succeed()
+    env.timeout(0).callbacks.append(lambda ev: order.append("timeout"))
+    env.run(None)
+    # Both composites are scheduled when their child is processed,
+    # i.e. after the timeout queued before that.
+    assert order == ["timeout", "first", "any"]
+
+
+def test_firstof_with_processed_child_fires_at_once():
+    env = Environment()
+    a = env.timeout(1, "a")
+    env.run(until=2.0)
+    first = FirstOf(env, (a, env.timeout(10)))
+    assert first.triggered
+    env.run(first)
+    assert env.now == 2.0 and first.value == "a"
+
+
+def test_firstof_propagates_failure():
+    env = Environment()
+    bad = env.event()
+    first = FirstOf(env, (bad, env.timeout(5)))
+    first.defused = True
+    bad.fail(RuntimeError("child failed"))
+    env.run(until=10.0)
+    assert first.triggered and not first.ok

@@ -86,6 +86,37 @@ def test_cancel_get():
     store.cancel(g1)  # idempotent
 
 
+def test_put_nowait_schedules_no_put_event():
+    env = Environment()
+    store = Store(env)
+    store.put_nowait("a")
+    assert store.items == ["a"]
+    assert env.peek() == float("inf")
+
+
+def test_put_nowait_serves_a_waiting_getter_like_put():
+    env = Environment()
+    got = []
+    stores = [Store(env), Store(env)]
+    gets = [s.get() for s in stores]
+    for g, tag in zip(gets, ("nowait", "put")):
+        g.callbacks.append(lambda ev, tag=tag: got.append((tag, ev.value)))
+    stores[0].put_nowait(1)
+    stores[1].put(2)
+    env.run(None)
+    # Same getter service; only the put path queued a put event too.
+    assert got == [("nowait", 1), ("put", 2)]
+    assert env.processed_event_count == 3
+
+
+def test_put_nowait_refuses_a_full_store():
+    env = Environment()
+    store = Store(env, capacity=1)
+    store.put_nowait("a")
+    with pytest.raises(RuntimeError, match="full"):
+        store.put_nowait("b")
+
+
 def test_pending_gets_count():
     env = Environment()
     store = Store(env)

@@ -140,3 +140,125 @@ def test_finished_processor_keeps_serving():
     res = simulate(tp, presets.distributed_memory())
     assert res.processors[0].requests_served == 1
     assert res.processors[1].remote_accesses == 1
+
+
+# -- replay-path event cuts -------------------------------------------------------
+
+
+def one_read_program(n=2):
+    """Thread 0 reads one element from thread 1; both then barrier."""
+
+    def factory(rt):
+        coll = Collection("c", make_distribution(n, n, "block"), element_nbytes=64)
+        for i in range(n):
+            coll.poke(i, i)
+
+        def body(ctx):
+            if ctx.tid == 0:
+                yield from ctx.get(coll, 1, nbytes=8)
+            yield from ctx.barrier()
+
+        return body
+
+    return factory
+
+
+def test_delivered_message_schedules_no_put_event():
+    from repro.sim.messages import Message, MsgKind
+    from repro.sim.simulator import Simulator
+
+    tp = translate(measure(one_read_program(), 2, name="d"))
+    sim = Simulator(tp, presets.distributed_memory())
+    counters = sim.env.enable_profiling()
+    msg = Message(MsgKind.REQUEST, src=0, dst=1, msg_id=99)
+    sim.processors[1].deliver(msg)
+    assert sim.processors[1].inbox.items == [msg]
+    assert counters.scheduled_total == 0
+    assert sim.env.peek() == float("inf")
+
+
+def test_remote_access_completes_without_a_scheduled_reply_event(monkeypatch):
+    from repro.des import Environment, Event
+    from repro.sim.messages import MsgKind
+
+    scheduled, resolved = [], []
+    schedule, resolve = Environment._schedule, Event.resolve
+
+    def spy_schedule(self, event, delay=0.0, priority=0):
+        scheduled.append(event)
+        schedule(self, event, delay, priority)
+
+    def spy_resolve(self, value=None):
+        resolved.append(self)
+        return resolve(self, value)
+
+    monkeypatch.setattr(Environment, "_schedule", spy_schedule)
+    monkeypatch.setattr(Event, "resolve", spy_resolve)
+    tp = translate(measure(one_read_program(), 2, name="d"))
+    res = simulate(tp, presets.distributed_memory())
+    assert res.processors[0].remote_accesses == 1
+    replies = [
+        ev for ev in resolved if getattr(ev.value, "kind", None) is MsgKind.REPLY
+    ]
+    assert len(replies) == 1
+    assert replies[0].processed
+    assert not any(ev is replies[0] for ev in scheduled)
+
+
+@pytest.mark.parametrize("preset", ["distributed_memory", "shared_memory"])
+def test_late_duplicate_replies_still_counted(preset):
+    from dataclasses import replace
+
+    from repro.faults import FaultPlan
+
+    tp = translate(measure(one_read_program(), 2, name="d"))
+    params = replace(
+        presets.by_name(preset), faults=FaultPlan(seed=5, msg_dup_rate=1.0)
+    )
+    res = simulate(tp, params)
+    p0 = res.processors[0]
+    # The duplicated request is served twice and each reply is duplicated:
+    # four copies reach thread 0, one completes the access, three are late.
+    assert p0.remote_accesses == 1
+    assert p0.late_replies == 3
+
+
+def early_barrier_program(n=3, reads=4):
+    """Thread 1 waits at the barrier while the others read from it."""
+
+    def factory(rt):
+        coll = Collection("c", make_distribution(n, n, "block"), element_nbytes=64)
+        for i in range(n):
+            coll.poke(i, i)
+
+        def body(ctx):
+            if ctx.tid != 1:
+                yield from ctx.compute_us(50.0)
+                for _ in range(reads):
+                    yield from ctx.get(coll, 1, nbytes=8)
+            yield from ctx.barrier()
+
+        return body
+
+    return factory
+
+
+@pytest.mark.parametrize("algorithm", ["linear", "hardware"])
+def test_barrier_wait_leaves_no_callbacks_on_its_target(algorithm):
+    from repro.sim.simulator import Simulator
+
+    n, reads = 3, 4
+    tp = translate(measure(early_barrier_program(n, reads), n, name="b"))
+    params = presets.shared_memory().with_(barrier={"algorithm": algorithm})
+    assert not params.barrier.by_msgs  # flag/hardware: an external wait
+    sim = Simulator(tp, params)
+    sim._spawn()
+    env, most = sim.env, 0
+    while env.peek() != float("inf"):
+        env.step()
+        for ep in sim.coordinator._episodes.values():
+            most = max(most, len(ep.released.callbacks))
+    # Thread 1 serviced every read while waiting on the release, yet the
+    # release never held more than one callback per waiting processor.
+    assert sim.processors[1].stats.requests_served == (n - 1) * reads
+    assert 1 <= most <= n
