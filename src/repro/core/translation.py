@@ -28,11 +28,14 @@ zero), as the paper notes the algorithm is easily modified to do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.trace import ThreadTrace, Trace, TraceMeta
 from repro.trace.validate import validate_trace
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.actions import Action
 
 
 @dataclass
@@ -55,10 +58,28 @@ class TranslatedProgram:
     threads: List[ThreadTrace]
     barrier_entry_times: Dict[int, List[float]] = field(default_factory=dict)
     barrier_exit_times: Dict[int, float] = field(default_factory=dict)
+    _actions: Optional[List[List["Action"]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_threads(self) -> int:
         return len(self.threads)
+
+    def thread_actions(self) -> List[List["Action"]]:
+        """Per-thread replay action lists, built on first use.
+
+        Every simulation of this program (sweep points, serve misses,
+        sampled representatives reusing a prepared trace) shares these
+        lists; the replay only iterates them, so nothing may mutate
+        them.
+        """
+        if self._actions is None:
+            # Imported here: repro.sim imports this module.
+            from repro.sim.actions import actions_from_thread_trace
+
+            self._actions = [actions_from_thread_trace(tt) for tt in self.threads]
+        return self._actions
 
     def ideal_execution_time(self) -> float:
         """Execution time under zero communication/synchronisation cost.
@@ -151,6 +172,10 @@ def translate(
     trans_prev = [0.0] * n  # translated timestamp of previous event
     started = [False] * n
 
+    # Enum members as locals: on CPython 3.11 each ``SomeEnum.MEMBER``
+    # read costs ~0.1 us, and advance_thread reads them per event.
+    ENTER, EXIT = EventKind.BARRIER_ENTER, EventKind.BARRIER_EXIT
+
     def advance_thread(t: int) -> int | None:
         """Translate thread t's events until it blocks on a barrier.
 
@@ -161,7 +186,7 @@ def translate(
         i = positions[t]
         while i < len(events):
             ev = events[i]
-            if ev.kind == EventKind.BARRIER_EXIT:
+            if ev.kind == EXIT:
                 bid = ev.barrier_id
                 if bid not in barrier_exit_times:
                     # Cannot resolve yet; stay parked (should not happen:
@@ -187,7 +212,7 @@ def translate(
             trans_prev[t] = t_new
             i += 1
 
-            if ev.kind == EventKind.BARRIER_ENTER:
+            if ev.kind == ENTER:
                 entry_by_thread.setdefault(ev.barrier_id, {})[t] = t_new
                 positions[t] = i
                 return ev.barrier_id

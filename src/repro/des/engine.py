@@ -200,6 +200,20 @@ class Environment:
         """Create an event that fires ``delay`` after the current time."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that fires at the absolute time ``when``.
+
+        The queue entry is keyed by exactly ``when``: a caller that sums
+        a chain of delays itself gets the float that one timeout per
+        step would reach, where ``now + (when - now)`` may round
+        differently.
+        """
+        if when < self._now:
+            raise ValueError(
+                f"cannot schedule into the past (at {when}, now {self._now})"
+            )
+        return Timeout(self, when - self._now, value, when)
+
     def process(
         self, generator: Generator[Event, Any, Any], name: str | None = None
     ) -> Process:
@@ -222,11 +236,8 @@ class Environment:
         self._seq += 1
         queue = self._queue
         heappush(queue, (self._now + delay, priority, self._seq, event))
-        profile = self._profile
-        if profile is not None:
-            profile.scheduled_total += 1
-            if len(queue) > profile.heap_peak:
-                profile.heap_peak = len(queue)
+        if self._profile is not None:
+            self._profile.pushed(len(queue))
 
     def step(self) -> Event:
         """Process exactly one event (advancing the clock to it).

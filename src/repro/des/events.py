@@ -13,6 +13,7 @@ callback chains.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -152,16 +153,27 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
+
+    ``when`` (default ``now + delay``) is the queue key; see
+    :meth:`~repro.des.engine.Environment.timeout_at`.
+    """
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(
+        self,
+        env: "Environment",
+        delay: float,
+        value: Any = None,
+        when: Optional[float] = None,
+    ):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         # Timeouts are the engine's hottest allocation; set every slot
         # directly instead of chaining through Event.__init__ (which
-        # would store _state/_ok/_value twice).
+        # would store _state/_ok/_value twice), and push the queue entry
+        # here instead of through Environment._schedule.
         self.env = env
         self.delay = delay
         self._state = TRIGGERED
@@ -169,7 +181,13 @@ class Timeout(Event):
         self._ok = True
         self.callbacks = []
         self.defused = False
-        env._schedule(self, delay)
+        if when is None:
+            when = env._now + delay
+        env._seq += 1
+        queue = env._queue
+        heappush(queue, (when, 0, env._seq, self))
+        if env._profile is not None:
+            env._profile.pushed(len(queue))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"

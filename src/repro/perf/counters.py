@@ -48,6 +48,12 @@ class EngineCounters:
         by_type[name] = by_type.get(name, 0) + 1
         self.callbacks_fired += len(event.callbacks)
 
+    def pushed(self, queue_len: int) -> None:
+        """Record one heap push leaving ``queue_len`` entries queued."""
+        self.scheduled_total += 1
+        if queue_len > self.heap_peak:
+            self.heap_peak = queue_len
+
     def as_dict(self) -> dict:
         """JSON-serialisable snapshot."""
         return {

@@ -285,17 +285,21 @@ class BarrierCoordinator:
         if proc.pid == self.MASTER:
             yield from proc._await_serving(ep.all_arrived)
             # The successful check, then lowering the barrier.
-            yield from proc._busy(b.check_time, _BARRIER_CAT)
-            yield from proc._busy(b.model_time, _BARRIER_CAT)
+            yield from proc._busy(
+                b.check_time, _BARRIER_CAT, (b.model_time, _BARRIER_CAT)
+            )
             if not ep.released.triggered:
                 ep.released.succeed()
             self.history[bid] = (self.history[bid][0], self.env.now)
             if self._obs is not None:
                 self._obs_release(bid)
+            yield from proc._busy(b.exit_time, _BARRIER_CAT)
         else:
             yield from proc._await_serving(ep.released)
-            yield from proc._busy(b.exit_check_time, _BARRIER_CAT)
-        yield from proc._busy(b.exit_time, _BARRIER_CAT)
+            # Noticing the release, then leaving.
+            yield from proc._busy(
+                b.exit_check_time, _BARRIER_CAT, (b.exit_time, _BARRIER_CAT)
+            )
 
     def _participate_hardware(self, proc: "SimProcessor", bid: int) -> Generator:
         b = self.params

@@ -35,7 +35,7 @@ from typing import Dict, Generator, List, Optional
 from repro.core.parameters import SimulationParameters
 from repro.core.translation import TranslatedProgram
 from repro.des import Deadlock, Environment, Event, Resource, Store
-from repro.sim.actions import Action, ActionKind, actions_from_thread_trace
+from repro.sim.actions import Action, ActionKind
 from repro.sim.messages import Message, MsgKind
 from repro.sim.network import Network
 from repro.trace.trace import TraceMeta
@@ -275,12 +275,9 @@ class MultithreadSimulator:
             raise RuntimeError("simulator already ran; create a new one")
         self._ran = True
         env = self.env
-        for tid, tt in enumerate(self.translated.threads):
+        for tid, actions in enumerate(self.translated.thread_actions()):
             proc = self.processors[self.assignment[tid]]
-            env.process(
-                proc.run_thread(tid, actions_from_thread_trace(tt)),
-                name=f"thread{tid}",
-            )
+            env.process(proc.run_thread(tid, actions), name=f"thread{tid}")
         for proc in self.processors:
             env.process(proc.server(), name=f"server{proc.pid}")
         done = env.all_of(self.thread_done)

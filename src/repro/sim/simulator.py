@@ -13,7 +13,6 @@ from repro.des import Deadlock, Environment, SimulationStalled, Watchdog
 from repro.faults.injector import FaultInjector
 from repro.obs.recorder import TimelineRecorder
 from repro.perf import PhaseTimer, SimulationProfile
-from repro.sim.actions import actions_from_thread_trace
 from repro.sim.barrier import BarrierCoordinator
 from repro.sim.network import Network
 from repro.sim.processor import SimProcessor
@@ -126,10 +125,10 @@ class Simulator:
                 params,
                 self.network,
                 self.coordinator,
-                actions_from_thread_trace(tt),
+                actions,
                 msg_ids,
             )
-            for pid, tt in enumerate(translated.threads)
+            for pid, actions in enumerate(translated.thread_actions())
         ]
         self.network.attach([p.deliver for p in self.processors])
         self._ran = False

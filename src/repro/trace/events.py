@@ -11,7 +11,7 @@ metrics; ignored by the simulator's timing models).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 
@@ -77,7 +77,10 @@ class TraceEvent:
 
     def shifted(self, new_time: float) -> "TraceEvent":
         """Copy of this event at a different timestamp."""
-        return replace(self, time=new_time)
+        return TraceEvent(
+            new_time, self.thread, self.kind, self.barrier_id, self.owner,
+            self.nbytes, self.collection, self.tag,
+        )
 
     @property
     def is_barrier(self) -> bool:
@@ -111,13 +114,22 @@ class TraceEvent:
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "TraceEvent":
         """Inverse of :meth:`to_dict`."""
+        kind = _KINDS.get(int(d["k"]))
+        if kind is None:
+            kind = EventKind(int(d["k"]))  # raises the usual ValueError
+        get = d.get
         return cls(
-            time=float(d["t"]),
-            thread=int(d["th"]),
-            kind=EventKind(int(d["k"])),
-            barrier_id=int(d.get("b", -1)),
-            owner=int(d.get("o", -1)),
-            nbytes=int(d.get("n", 0)),
-            collection=str(d.get("c", "")),
-            tag=str(d.get("g", "")),
+            float(d["t"]),
+            int(d["th"]),
+            kind,
+            int(get("b", -1)),
+            int(get("o", -1)),
+            int(get("n", 0)),
+            str(get("c", "")),
+            str(get("g", "")),
         )
+
+
+#: ``int(kind) -> EventKind``; a dict lookup instead of an enum call per
+#: parsed event.
+_KINDS = {int(kind): kind for kind in EventKind}

@@ -65,16 +65,19 @@ def test_reference_run_pinned():
     values the pre-fast-path engine produced, and a change to them means
     the engine changed what gets simulated.  The event count pins how
     many events the engine *schedules* for this run; it drops when a
-    change stops queueing events nobody waits on (485 since reply,
-    barrier-completion and inbox-put events are no longer queued; 623
-    before).  Event order itself is pinned by tests/test_replay_golden.py.
+    change stops queueing events nobody waits on or folds fixed-latency
+    busy chains into one event (483 since an interrupting request's
+    interrupt overhead and service are one event; 485 before that, once
+    reply, barrier-completion and inbox-put events stopped being queued;
+    623 before).  Event order itself is pinned by
+    tests/test_replay_golden.py.
     """
     from repro.sim.simulator import Simulator
 
     tp = translate(measure(program, 8, name="d"))
     sim = Simulator(tp, presets.distributed_memory())
     res = sim.run()
-    assert sim.env.processed_event_count == 485
+    assert sim.env.processed_event_count == 483
     assert res.execution_time == pytest.approx(1956.6999999999998, abs=1e-9)
     assert res.network.messages == 90
     assert res.network.bytes == 7296
@@ -87,10 +90,10 @@ def test_profiled_run_matches_reference():
     tp = translate(measure(program, 8, name="d"))
     sim = Simulator(tp, presets.distributed_memory(), profile=True)
     res = sim.run()
-    assert sim.env.processed_event_count == 485
+    assert sim.env.processed_event_count == 483
     assert res.execution_time == pytest.approx(1956.6999999999998, abs=1e-9)
     assert res.profile is not None
-    assert res.profile.counters.events_total == 485
+    assert res.profile.counters.events_total == 483
     assert res.profile.counters.heap_peak >= 8
     assert set(res.profile.timers.phases) == {
         "spawn",
