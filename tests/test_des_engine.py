@@ -78,6 +78,27 @@ def test_negative_delay_rejected():
         env.timeout(-1)
 
 
+def test_timeout_at_keys_the_exact_absolute_time():
+    # 0.1 + 0.2 + 0.3 summed left to right, as a chain of timeouts would.
+    env = Environment(0.1)
+    when = 0.1 + 0.2 + 0.3
+    chain_end = []
+
+    def chain(env):
+        yield env.timeout(0.2)
+        yield env.timeout(0.3)
+        chain_end.append(env.now)
+
+    env.process(chain(env))
+    ev = env.timeout_at(when, value="v")
+    assert env.run(ev) == "v"
+    assert env.now == when
+    env.run(None)
+    assert chain_end == [when]
+    with pytest.raises(ValueError):
+        env.timeout_at(env.now - 1.0)
+
+
 def test_step_empty_queue():
     with pytest.raises(StopSimulation):
         Environment().step()
