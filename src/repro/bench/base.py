@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Sequence
 
-import numpy as np
-
 from repro.pcxx.runtime import TracingRuntime
 
 #: (n_threads) -> (rt -> bodies)
@@ -61,23 +59,6 @@ def block_range(total: int, parts: int, index: int) -> range:
     lo = min(index * block, total)
     hi = min(lo + block, total)
     return range(lo, hi)
-
-
-def check_close(name: str, got: np.ndarray, want: np.ndarray, tol: float = 1e-8) -> None:
-    """Raise with a useful message if two arrays disagree."""
-    got = np.asarray(got, dtype=float)
-    want = np.asarray(want, dtype=float)
-    if got.shape != want.shape:
-        raise AssertionError(
-            f"{name}: shape mismatch {got.shape} vs {want.shape}"
-        )
-    err = float(np.max(np.abs(got - want))) if got.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(want))) if want.size else 1.0)
-    if err > tol * scale:
-        raise AssertionError(
-            f"{name}: max abs error {err:g} exceeds tolerance "
-            f"{tol * scale:g}"
-        )
 
 
 def ilog2(n: int) -> int:

@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 from math import inf
 from typing import Any, Generator, Iterable, List, Optional, Sequence, Tuple
 
-from repro.des.events import PROCESSED, AllOf, AnyOf, Event, Timeout
+from repro.des.events import PROCESSED, AllOf, Event, Timeout
 from repro.des.process import Process
 from repro.perf.counters import EngineCounters
 
@@ -129,7 +129,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active: Optional[Process] = None
         self._event_count = 0
         self._profile: Optional[EngineCounters] = None
         #: Observability hook slot (see :mod:`repro.obs`).  A simulator
@@ -157,11 +156,6 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing a step, if any."""
-        return self._active
-
-    @property
     def processed_event_count(self) -> int:
         """Total number of events processed so far (profiling aid)."""
         return self._event_count
@@ -180,11 +174,6 @@ class Environment:
         if self._profile is None:
             self._profile = EngineCounters()
         return self._profile
-
-    def disable_profiling(self) -> Optional[EngineCounters]:
-        """Detach and return the counter block."""
-        profile, self._profile = self._profile, None
-        return profile
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -219,10 +208,6 @@ class Environment:
     ) -> Process:
         """Spawn a new process from a generator."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires when any of ``events`` fires."""
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""

@@ -25,21 +25,6 @@ TRIGGERED = 1
 PROCESSED = 2
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    ``cause`` carries the interrupter's payload (for the processor model it
-    is the arriving message that preempted computation).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 
@@ -193,55 +178,15 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
 
 
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
-
-    __slots__ = ("events", "_done")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self.events: List[Event] = list(events)
-        self._done = 0
-        for ev in self.events:
-            if ev.env is not env:
-                raise ValueError("all events must share one environment")
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            if ev.processed:
-                self._on_child(ev)
-            else:
-                ev.callbacks.append(self._on_child)
-
-    def _needed(self) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            ev.defused = True
-            self.fail(ev.value)
-            return
-        self._done += 1
-        if self._done >= self._needed():
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict:
-        return {ev: ev.value for ev in self.events if ev.triggered and ev.ok}
-
-
 class FirstOf(Event):
     """Fires, through the queue, with the value of the first child processed.
 
-    The one-waiter form of :class:`AnyOf`: no result dict, and the
-    losers' callbacks are removed when it fires, so a waiter that loops
-    on a long-lived child leaves nothing behind on it.  The winner is
-    whichever child the environment processes first, and the FirstOf is
-    scheduled from that child's callback, exactly when an ``AnyOf``
-    over the same children would be.  With a single child it is a
-    relay: one queue hop after its child.
+    The winner is whichever child the environment processes first.  The
+    FirstOf is scheduled from that child's callback, so it fires one
+    queue hop after it.  The losers' callbacks are removed at that
+    point, so a waiter that loops on a long-lived child leaves nothing
+    behind on it.  A failing winner fails the FirstOf.  With a single
+    child it is a relay.
     """
 
     __slots__ = ("children",)
@@ -275,22 +220,41 @@ class FirstOf(Event):
             self.fail(ev._value)
 
 
-class AnyOf(_Condition):
-    """Fires when any child event has fired (value: dict of fired events)."""
+class AllOf(Event):
+    """Fires, through the queue, once every child has been processed.
 
-    __slots__ = ()
+    It is scheduled from the last child's callback, so it fires one
+    queue hop after that child; with no children it is triggered at
+    construction.  The first child that fails fails it.  Its value is
+    ``None``.
+    """
 
-    def _needed(self) -> int:
-        return 1
+    __slots__ = ("_pending",)
 
+    def __init__(self, env: "Environment", events: Iterable[Event]):
+        super().__init__(env)
+        children = list(events)
+        if any(ev.env is not env for ev in children):
+            raise ValueError("all events must share one environment")
+        self._pending = len(children)
+        if not children:
+            self.succeed()
+        for ev in children:
+            if ev._state == PROCESSED:
+                self._on_child(ev)
+            else:
+                ev.callbacks.append(self._on_child)
 
-class AllOf(_Condition):
-    """Fires when all child events have fired (value: dict of fired events)."""
-
-    __slots__ = ()
-
-    def _needed(self) -> int:
-        return len(self.events)
+    def _on_child(self, ev: Event) -> None:
+        if self._state != PENDING:
+            return
+        if not ev._ok:
+            ev.defused = True
+            self.fail(ev._value)
+            return
+        self._pending -= 1
+        if not self._pending:
+            self.succeed()
 
 
 class Initialize(Event):

@@ -10,23 +10,12 @@ return value — so processes can wait on other processes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
-from repro.des.events import (
-    Event,
-    Initialize,
-    Interrupt,
-    PENDING,
-    PROCESSED,
-    TRIGGERED,
-)
+from repro.des.events import Event, Initialize, PENDING, PROCESSED, TRIGGERED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.engine import Environment
-
-
-class ProcessKilled(Exception):
-    """Raised inside a process that was forcibly killed via .kill()."""
 
 
 class Process(Event):
@@ -42,7 +31,7 @@ class Process(Event):
         Optional label used in reprs and error messages.
     """
 
-    __slots__ = ("_generator", "name", "_target")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -55,58 +44,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: the event this process is currently waiting on (None while running)
-        self._target: Optional[Event] = None
         Initialize(env).callbacks.append(self._resume)
-
-    # -- public API --------------------------------------------------------
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._state == PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process is an error.  A process may not
-        interrupt itself (that would mean throwing into a running frame).
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has already terminated")
-        if self.env.active_process is self:
-            raise RuntimeError("a process cannot interrupt itself")
-        # Detach from whatever the process was waiting for ...
-        if self._target is not None:
-            self._target._remove_callback(self._resume)
-            self._target = None
-        # ... and resume it immediately with the interrupt.
-        wakeup = Event(self.env)
-        wakeup.callbacks.append(self._resume_with_interrupt)
-        wakeup.succeed(Interrupt(cause))
-
-    def kill(self) -> None:
-        """Forcibly terminate the process by throwing :class:`ProcessKilled`.
-
-        Unlike interrupt, a kill that the process body does not catch is
-        swallowed: the process event fails defused, waiters see the failure.
-        """
-        if not self.is_alive:
-            return
-        if self._target is not None:
-            self._target._remove_callback(self._resume)
-            self._target = None
-        wakeup = Event(self.env)
-        wakeup.callbacks.append(self._resume_with_kill)
-        wakeup.succeed(None)
-
-    # -- resume paths --------------------------------------------------------
-
-    def _resume_with_interrupt(self, ev: Event) -> None:
-        self._throw_in(ev.value, killing=False)
-
-    def _resume_with_kill(self, ev: Event) -> None:
-        self._throw_in(ProcessKilled(), killing=True)
 
     def _resume(self, ev: Event) -> None:
         """Advance the generator one step and rearm on its next yield.
@@ -116,59 +54,27 @@ class Process(Event):
         no property lookups, no delegation, and the common rearm case —
         a live event in this environment — is handled here.
         """
-        self._target = None
-        env = self.env
-        env._active = self
         try:
             if ev._ok:
                 target = self._generator.send(ev._value)
             else:
                 target = self._generator.throw(ev._value)
         except StopIteration as stop:
-            env._active = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            env._active = None
             self.fail(exc)
             return
-        env._active = None
 
         # Hot rearm: a pending/triggered event belonging to this env.
-        if isinstance(target, Event) and target.env is env:
+        if isinstance(target, Event) and target.env is self.env:
             state = target._state
             if state != PROCESSED:
                 target.callbacks.append(self._resume)
-                self._target = target
                 if state == TRIGGERED and not target._ok:
                     # We are now a waiter on the failure, so it is handled.
                     target.defused = True
                 return
-        self._rearm(target)
-
-    def _throw_in(self, exc: BaseException, killing: bool) -> None:
-        """Resume the generator by throwing (interrupt/kill cold path)."""
-        self._target = None
-        env = self.env
-        env._active = self
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            env._active = None
-            self.succeed(stop.value)
-            return
-        except ProcessKilled as err:
-            env._active = None
-            self.fail(err)
-            if killing:
-                # Normal kill path: fail quietly, nobody has to observe it.
-                self.defused = True
-            return
-        except BaseException as err:
-            env._active = None
-            self.fail(err)
-            return
-        env._active = None
         self._rearm(target)
 
     def _rearm(self, target: Any) -> None:
@@ -184,24 +90,16 @@ class Process(Event):
             self._generator.close()
             self.fail(RuntimeError("yielded event belongs to another environment"))
             return
-        if target._state == PROCESSED:
-            # Already done: resume at the current time through the queue so
-            # simultaneous events keep FIFO order.
-            proxy = Event(self.env)
-            proxy.callbacks.append(self._resume)
-            if target._ok:
-                proxy.succeed(target._value)
-            else:
-                target.defused = True
-                proxy.fail(target._value)
-            self._target = proxy
+        # Already processed: resume at the current time through the queue
+        # so simultaneous events keep FIFO order.
+        proxy = Event(self.env)
+        proxy.callbacks.append(self._resume)
+        if target._ok:
+            proxy.succeed(target._value)
         else:
-            target.callbacks.append(self._resume)
-            self._target = target
-            if target._state == TRIGGERED and not target._ok:
-                # We are now a waiter on the failure, so it is handled.
-                target.defused = True
+            target.defused = True
+            proxy.fail(target._value)
 
     def __repr__(self) -> str:
-        status = "alive" if self.is_alive else "dead"
+        status = "alive" if self._state == PENDING else "dead"
         return f"<Process {self.name} {status} at {id(self):#x}>"

@@ -1,14 +1,14 @@
-"""Counted resources with FIFO queuing.
+"""A one-slot resource with FIFO queuing.
 
-:class:`Resource` models a facility with ``capacity`` concurrent slots
-(links, DMA engines, barrier hardware ports).  Processes ``yield
-resource.request()``, do their work, then call ``release(req)``.  The
-request queue is FIFO, which keeps contention deterministic.
+:class:`Resource` models a facility one process holds at a time (a
+network port, a CPU).  Processes ``yield resource.request()``, do their
+work, then call ``release(req)``.  The request queue is FIFO, which
+keeps contention deterministic.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.des.events import Event
 
@@ -16,86 +16,38 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.des.engine import Environment
 
 
-class Request(Event):
-    """A pending or granted claim on a resource slot."""
-
-    __slots__ = ("resource", "granted")
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.granted = False
-
-    def cancel(self) -> None:
-        """Withdraw an ungranted request (no-op if already granted)."""
-        if not self.granted:
-            self.resource._withdraw(self)
-
-
 class Resource:
-    """A facility with a fixed number of concurrent usage slots."""
+    """A FIFO lock: one holder at a time, waiters granted in request order."""
 
-    def __init__(self, env: "Environment", capacity: int = 1):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, env: "Environment"):
         self.env = env
-        self.capacity = capacity
-        self._users: List[Request] = []
-        self._waiters: List[Request] = []
-        #: cumulative (time-weighted) busy integral for utilisation metrics
-        self._busy_integral = 0.0
-        self._last_change = env.now
-
-    # -- metrics -------------------------------------------------------------
+        self._holder: Optional[Event] = None
+        self._waiters: List[Event] = []
 
     @property
     def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self._users)
+        """1 while the slot is held, else 0."""
+        return 0 if self._holder is None else 1
 
     @property
     def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
+        """Number of requests waiting for the slot."""
         return len(self._waiters)
 
-    def utilization_integral(self) -> float:
-        """Time-integral of busy slots up to 'now' (divide by elapsed*capacity)."""
-        self._account()
-        return self._busy_integral
-
-    def _account(self) -> None:
-        now = self.env.now
-        self._busy_integral += len(self._users) * (now - self._last_change)
-        self._last_change = now
-
-    # -- protocol -------------------------------------------------------------
-
-    def request(self) -> Request:
-        """Claim a slot; the returned event fires when the claim is granted."""
-        req = Request(self)
-        if len(self._users) < self.capacity:
-            self._account()
-            self._users.append(req)
-            req.granted = True
+    def request(self) -> Event:
+        """Claim the slot; the returned event fires when the claim is granted."""
+        req = Event(self.env)
+        if self._holder is None:
+            self._holder = req
             req.succeed(req)
         else:
             self._waiters.append(req)
         return req
 
-    def release(self, request: Request) -> None:
-        """Return a previously granted slot."""
-        if request not in self._users:
-            raise ValueError("releasing a request that does not hold a slot")
-        self._account()
-        self._users.remove(request)
-        if self._waiters:
-            nxt = self._waiters.pop(0)
-            self._users.append(nxt)
-            nxt.granted = True
-            nxt.succeed(nxt)
-
-    def _withdraw(self, request: Request) -> None:
-        try:
-            self._waiters.remove(request)
-        except ValueError:
-            pass
+    def release(self, request: Event) -> None:
+        """Give the slot back; the oldest waiter, if any, is granted it."""
+        if request is not self._holder:
+            raise ValueError("releasing a request that does not hold the slot")
+        self._holder = self._waiters.pop(0) if self._waiters else None
+        if self._holder is not None:
+            self._holder.succeed(self._holder)

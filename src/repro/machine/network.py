@@ -56,8 +56,8 @@ class PortNetwork:
         self.env = env
         self.n = n
         self.spec = spec
-        self.inject = [Resource(env, 1) for _ in range(n)]
-        self.eject = [Resource(env, 1) for _ in range(n)]
+        self.inject = [Resource(env) for _ in range(n)]
+        self.eject = [Resource(env) for _ in range(n)]
         self.stats = PortNetworkStats()
         self._topology = make_topology(spec.topology, n)
         self._inboxes: List[Callable[[WireMessage], None]] = []

@@ -138,7 +138,7 @@ class _MTProcessor:
         self.sim = sim
         self.env = sim.env
         self.pid = pid
-        self.cpu = Resource(sim.env, 1)
+        self.cpu = Resource(sim.env)
         self.inbox: Store = Store(sim.env)
         self.stats = MultithreadStats(pid=pid)
 

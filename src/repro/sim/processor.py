@@ -560,8 +560,8 @@ class SimProcessor:
         the process is suspended only an inbox arrival can end the wait.
         The arrival is awaited through a one-child
         :class:`~repro.des.events.FirstOf` relay: the process resumes one
-        queue hop after the inbox get, where it would resume after an
-        ``AnyOf`` of target and get.  Dropping that hop reorders
+        queue hop after the inbox get, behind any same-time event queued
+        before the get was processed.  Dropping that hop reorders
         same-time ties (the ``ideal`` preset moves most).
         """
         inbox_get = self.inbox.get

@@ -94,11 +94,6 @@ def trace_format(path: Path) -> Tuple[str, Optional[str]]:
     return fmt, compression
 
 
-def _format_for(path: Path) -> str:
-    """Normalized format suffix for ``path``, or a helpful error."""
-    return trace_format(path)[0]
-
-
 def _open_stream(path: Path, compression: Optional[str]):
     """Binary read handle, transparently decompressing."""
     if compression == ".gz":

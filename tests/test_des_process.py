@@ -1,109 +1,8 @@
-"""Processes: interrupts, kills, error handling."""
+"""Processes: return values, waiting, error handling."""
 
 import pytest
 
-from repro.des import Environment, Interrupt
-from repro.des.process import ProcessKilled
-
-
-def test_interrupt_resumes_with_cause():
-    env = Environment()
-
-    def worker(env):
-        try:
-            yield env.timeout(100)
-            return "finished"
-        except Interrupt as i:
-            return ("interrupted", env.now, i.cause)
-
-    def poker(env, w):
-        yield env.timeout(30)
-        w.interrupt("cause!")
-
-    w = env.process(worker(env))
-    env.process(poker(env, w))
-    assert env.run(w) == ("interrupted", 30.0, "cause!")
-
-
-def test_interrupt_detaches_old_target():
-    """After an interrupt, the original timeout firing must not resume
-    the process a second time."""
-    env = Environment()
-    resumptions = []
-
-    def worker(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt:
-            pass
-        resumptions.append(env.now)
-        yield env.timeout(500)
-
-    def poker(env, w):
-        yield env.timeout(30)
-        w.interrupt()
-
-    w = env.process(worker(env))
-    env.process(poker(env, w))
-    env.run(until=400.0)
-    assert resumptions == [30.0]
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def worker(env):
-        yield env.timeout(1)
-
-    w = env.process(worker(env))
-    env.run(None)
-    with pytest.raises(RuntimeError):
-        w.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-    holder = {}
-
-    def worker(env):
-        with pytest.raises(RuntimeError):
-            holder["proc"].interrupt()
-        yield env.timeout(1)
-
-    holder["proc"] = env.process(worker(env))
-    env.run(None)
-
-
-def test_kill():
-    env = Environment()
-    progress = []
-
-    def worker(env):
-        progress.append("started")
-        yield env.timeout(100)
-        progress.append("never")
-
-    w = env.process(worker(env))
-
-    def killer(env):
-        yield env.timeout(10)
-        w.kill()
-
-    env.process(killer(env))
-    env.run(None)
-    assert progress == ["started"]
-    assert not w.is_alive
-
-
-def test_kill_dead_process_is_noop():
-    env = Environment()
-
-    def worker(env):
-        yield env.timeout(1)
-
-    w = env.process(worker(env))
-    env.run(None)
-    w.kill()  # no raise
+from repro.des import Environment
 
 
 def test_exception_in_process_fails_waiters():

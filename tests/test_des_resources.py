@@ -1,4 +1,4 @@
-"""Counted resources: capacity, FIFO grants, utilisation accounting."""
+"""One-slot resources: FIFO grants and queue accounting."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.des import Environment, Resource
 
 def test_capacity_one_serialises():
     env = Environment()
-    res = Resource(env, 1)
+    res = Resource(env)
     log = []
 
     def user(env, tag, hold):
@@ -29,27 +29,9 @@ def test_capacity_one_serialises():
     ]
 
 
-def test_capacity_two_overlaps():
-    env = Environment()
-    res = Resource(env, 2)
-    started = []
-
-    def user(env):
-        req = res.request()
-        yield req
-        started.append(env.now)
-        yield env.timeout(10)
-        res.release(req)
-
-    for _ in range(3):
-        env.process(user(env))
-    env.run(None)
-    assert started == [0.0, 0.0, 10.0]
-
-
 def test_release_without_hold_rejected():
     env = Environment()
-    res = Resource(env, 1)
+    res = Resource(env)
     a = res.request()
     res.release(a)
     with pytest.raises(ValueError):
@@ -58,7 +40,7 @@ def test_release_without_hold_rejected():
 
 def test_queue_length_and_count():
     env = Environment()
-    res = Resource(env, 1)
+    res = Resource(env)
     a = res.request()
     res.request()
     assert res.count == 1
@@ -66,34 +48,3 @@ def test_queue_length_and_count():
     res.release(a)
     assert res.count == 1
     assert res.queue_length == 0
-
-
-def test_cancel_waiting_request():
-    env = Environment()
-    res = Resource(env, 1)
-    a = res.request()
-    b = res.request()
-    b.cancel()
-    res.release(a)
-    assert res.count == 0  # b was withdrawn, nothing granted
-
-
-def test_utilization_integral():
-    env = Environment()
-    res = Resource(env, 1)
-
-    def user(env):
-        req = res.request()
-        yield req
-        yield env.timeout(10)
-        res.release(req)
-        yield env.timeout(10)
-
-    env.process(user(env))
-    env.run(None)
-    assert res.utilization_integral() == pytest.approx(10.0)
-
-
-def test_bad_capacity():
-    with pytest.raises(ValueError):
-        Resource(Environment(), 0)

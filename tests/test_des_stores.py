@@ -1,10 +1,9 @@
-"""Stores: FIFO semantics, capacity, filtering, priorities, cancel."""
+"""Stores: FIFO semantics, put_nowait, cancel."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, FilterStore, PriorityItem, PriorityStore, Store
+from repro.des import Environment, Store
 
 
 def run_all(env):
@@ -47,32 +46,6 @@ def test_get_blocks_until_put():
     assert got == [(10.0, "x")]
 
 
-def test_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    done = []
-
-    def producer(env):
-        yield store.put("a")
-        done.append(("a", env.now))
-        yield store.put("b")
-        done.append(("b", env.now))
-
-    def consumer(env):
-        yield env.timeout(5)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    run_all(env)
-    assert done == [("a", 0.0), ("b", 5.0)]
-
-
-def test_bad_capacity():
-    with pytest.raises(ValueError):
-        Store(Environment(), capacity=0)
-
-
 def test_cancel_get():
     env = Environment()
     store = Store(env)
@@ -109,59 +82,12 @@ def test_put_nowait_serves_a_waiting_getter_like_put():
     assert env.processed_event_count == 3
 
 
-def test_put_nowait_refuses_a_full_store():
-    env = Environment()
-    store = Store(env, capacity=1)
-    store.put_nowait("a")
-    with pytest.raises(RuntimeError, match="full"):
-        store.put_nowait("b")
-
-
 def test_pending_gets_count():
     env = Environment()
     store = Store(env)
     store.get()
     store.get()
     assert store.pending_gets == 2
-
-
-def test_filter_store():
-    env = Environment()
-    store = FilterStore(env)
-    for item in ("apple", "banana", "avocado"):
-        store.put(item)
-    got = []
-
-    def consumer(env):
-        x = yield store.get(lambda s: s.startswith("b"))
-        got.append(x)
-        y = yield store.get()
-        got.append(y)
-
-    env.process(consumer(env))
-    run_all(env)
-    assert got == ["banana", "apple"]
-
-
-def test_filter_store_waits_for_match():
-    env = Environment()
-    store = FilterStore(env)
-    store.put(1)
-    got = []
-
-    def consumer(env):
-        x = yield store.get(lambda v: v > 10)
-        got.append((env.now, x))
-
-    def producer(env):
-        yield env.timeout(5)
-        yield store.put(99)
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    run_all(env)
-    assert got == [(5.0, 99)]
-    assert store.items == [1]
 
 
 def test_none_is_a_valid_item():
@@ -177,23 +103,6 @@ def test_none_is_a_valid_item():
     env.process(consumer(env))
     env.run(None)
     assert got == [None]
-
-
-def test_priority_store():
-    env = Environment()
-    store = PriorityStore(env)
-    for p in (5, 1, 3):
-        store.put(PriorityItem(p, f"item{p}"))
-    got = []
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item.priority)
-
-    env.process(consumer(env))
-    run_all(env)
-    assert got == [1, 3, 5]
 
 
 @settings(max_examples=40, deadline=None)
