@@ -54,10 +54,17 @@ class PreparedMemo:
         """The entry for ``digest``, prepared from ``trace`` on a miss.
 
         ``digest`` must be ``trace.digest()``; callers pass the one they
-        already computed for their cache keys.
+        already computed for their cache keys.  A miss checks it (a hit
+        of the trace's own digest memo) and raises ``ValueError`` on a
+        mismatch, so no entry is ever filed under another trace's key.
         """
         prepared = self.get(digest)
         if prepared is None:
+            actual = trace.digest()
+            if digest != actual:
+                raise ValueError(
+                    f"digest {digest} given for a trace whose digest is {actual}"
+                )
             fresh = PreparedTrace(trace, digest=digest)
             fresh.on_grow = self._shrink
             with self._lock:

@@ -404,7 +404,6 @@ def run_sweep(
     misses0 = cache.misses if cache is not None else 0
 
     traces: Dict[str, Trace] = {}
-    digests: Dict[str, str] = {}
 
     def trace_for(point: SweepPoint) -> str:
         """Ref of the trace this point runs against (measuring lazily)."""
@@ -428,8 +427,6 @@ def run_sweep(
             ref = f"bench:{n}"
             if ref not in traces:
                 traces[ref] = _measure_benchmark_trace(spec, n)
-        if ref not in digests:
-            digests[ref] = traces[ref].digest()
         return ref
 
     # Resolve each point against the cache first; only misses execute.
@@ -440,10 +437,10 @@ def run_sweep(
     key_extra = PredictMode(sample=spec.sample).cache_extra()
     for i, point in enumerate(points):
         ref = trace_for(point)
+        # Trace.digest() memoises, so only the first call hashes.
+        digest = traces[ref].digest()
         if cache is not None:
-            key = result_key(
-                digests[ref], point.params(spec.preset), extra=key_extra
-            )
+            key = result_key(digest, point.params(spec.preset), extra=key_extra)
             keys[i] = key
             hit = cache.get(key)
             if hit is not None:
@@ -451,9 +448,7 @@ def run_sweep(
                 records[i].cached = True
                 continue
         tasks.append(
-            _PointTask(
-                ref, digests[ref], point, spec.preset, wall_budget, spec.sample
-            )
+            _PointTask(ref, digest, point, spec.preset, wall_budget, spec.sample)
         )
         task_indices.append(i)
     if cache is not None:

@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.trace.events import EventKind, TraceEvent
 
@@ -69,6 +69,11 @@ class TraceMeta:
 DIGEST_CHUNK = 4096
 
 
+def _meta_json(meta: TraceMeta) -> str:
+    """The canonical (sorted-key) JSON of ``meta`` that digests hash."""
+    return json.dumps(dict(meta.to_dict()), sort_keys=True)
+
+
 def digest_events(meta: TraceMeta, events: Iterable[TraceEvent]) -> str:
     """SHA-256 over trace metadata + an event stream (hex).
 
@@ -79,7 +84,7 @@ def digest_events(meta: TraceMeta, events: Iterable[TraceEvent]) -> str:
     and always equals the digest of the fully-loaded trace.
     """
     h = hashlib.sha256()
-    h.update(json.dumps(dict(meta.to_dict()), sort_keys=True).encode("utf-8"))
+    h.update(_meta_json(meta).encode("utf-8"))
     events = iter(events)
     while chunk := list(islice(events, DIGEST_CHUNK)):
         # One line per event, hashed a chunk at a time (sha256 is
@@ -106,6 +111,9 @@ class Trace:
         #: §5 extrapolation-safety findings attached by the tracing
         #: runtime (in-memory diagnostic; not serialised to trace files).
         self.race_findings: List[Any] = []
+        #: ``(meta JSON, copy of events, digest)`` of the last
+        #: :meth:`digest` call, or None before the first.
+        self._digest_memo: Optional[Tuple[str, List[TraceEvent], str]] = None
 
     def __len__(self) -> int:
         return len(self.events)
@@ -162,8 +170,30 @@ class Trace:
         (:mod:`repro.sweep.cache`) and reported by ``extrap validate``.
         ``race_findings`` are in-memory diagnostics and do not
         participate.
+
+        The last result is memoised as the canonical meta JSON, a
+        shallow copy of ``events`` and the digest.  A call whose meta
+        JSON and event list compare *equal* (``==``) to that snapshot
+        returns the stored digest (a few microseconds); any other call
+        rehashes through :func:`digest_events` and refreshes the memo.
+        So appending, popping, replacing, reordering or rebinding
+        events, or editing any meta field down into ``meta.problem``,
+        is seen, and a trace is hashed once however often it is asked.
+        The snapshot costs one pointer (8 bytes) per event, and keeps
+        the hashed events alive until the next call.  The guard
+        cannot see two kinds of change: a field of a frozen
+        :class:`TraceEvent` written through ``object.__setattr__``, and
+        an event swapped for one that compares equal but prints
+        differently (time ``-0.0`` for ``0.0``, or ``1`` for ``1.0``).
         """
-        return digest_events(self.meta, self.events)
+        meta_json = _meta_json(self.meta)
+        memo = self._digest_memo
+        if memo is not None and memo[0] == meta_json and memo[1] == self.events:
+            return memo[2]
+        events = list(self.events)
+        digest = digest_events(self.meta, events)
+        self._digest_memo = (meta_json, events, digest)
+        return digest
 
     @classmethod
     def from_thread_traces(

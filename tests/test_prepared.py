@@ -202,6 +202,16 @@ def test_events_held_stay_within_the_bound(traces):
     assert 0 < len(memo) < len(names)
 
 
+def test_prepare_rejects_a_digest_that_is_not_the_traces(traces):
+    trace, other = traces["embar"], traces["grid"]
+    memo = PreparedMemo()
+    with pytest.raises(ValueError) as info:
+        memo.prepare(trace, other.digest())
+    assert other.digest() in str(info.value)
+    assert trace.digest() in str(info.value)
+    assert len(memo) == 0 and memo.events_held == 0
+
+
 def test_entry_larger_than_the_bound_is_not_kept(traces):
     trace = traces["matmul"]
     memo = PreparedMemo(max_events=len(trace.events) - 1)

@@ -1,7 +1,10 @@
 """Sweep executor: serial/parallel determinism, retries, failure capture."""
 
+import copy
+
 import pytest
 
+import repro.trace.trace as trace_mod
 from repro.bench.suite import get_benchmark
 from repro.core.pipeline import measure
 from repro.sweep import ParallelExecutor, ResultCache, SweepSpec, run_sweep
@@ -115,6 +118,42 @@ def test_cached_rerun_identical_json(spec, embar_trace, tmp_path):
     assert warm.counters.cache_hits == 4 and warm.counters.cache_misses == 0
     assert warm.counters.hit_rate == 1.0
     assert warm.counters.executed == 0
+
+
+def test_repeated_sweeps_hash_their_trace_once(tmp_path, monkeypatch):
+    """The trace's digest memo spares every run_sweep call after the first."""
+    info = get_benchmark("matmul")
+    trace = measure(info.make_program()(4), 4, name="matmul")
+    twin = copy.deepcopy(trace)  # hashed afresh below
+    hashes = []
+    real = trace_mod.digest_events
+
+    def counting(meta, events):
+        hashes.append(len(events))
+        return real(meta, events)
+
+    monkeypatch.setattr(trace_mod, "digest_events", counting)
+
+    def sweeps(t, cache_dir, jobs=1):
+        cache = ResultCache(cache_dir)
+        records = []
+        for hop in (0.5, 1.5):
+            spec = SweepSpec(
+                name=f"hop{hop}", preset="cm5",
+                points=[{"network.hop_time": hop}], sample={"seed": 0},
+            )
+            run = run_sweep(spec, trace=t, jobs=jobs, cache=cache)
+            assert cache.misses == len(records) + 1
+            records += [r.result for r in run.records]
+        return records, sorted(p.name for p in cache_dir.rglob("*.json"))
+
+    records, files = sweeps(trace, tmp_path / "once")
+    assert hashes == [len(trace.events)]
+    assert (records, files) == sweeps(twin, tmp_path / "twin")
+    assert len(hashes) == 2
+    # A pool run gives the same bytes, and the parent does not rehash.
+    assert sweeps(trace, tmp_path / "jobs2", jobs=2) == (records, files)
+    assert len(hashes) == 2
 
 
 def test_n_threads_axis_rejected_in_trace_mode(embar_trace):

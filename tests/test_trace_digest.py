@@ -1,8 +1,23 @@
-"""Trace.digest(): stable content identity over the canonical encoding."""
+"""Trace.digest(): stable content identity over the canonical encoding.
 
+Also the digest memo: a trace is hashed once until its content changes,
+and oracle (d): every file format and compression of a generated trace
+digests like the in-memory trace, before and after drawn mutations.
+"""
+
+import copy
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.trace.trace as trace_mod
 from repro.bench.suite import get_benchmark
 from repro.core.pipeline import measure
-from repro.trace.io import read_trace, write_trace
+from repro.trace.events import EventKind, TraceEvent
+from repro.trace.io import read_trace, streaming_digest, write_trace
+from repro.trace.trace import Trace, TraceMeta, digest_events
 
 
 def _trace(bench="embar", n=4):
@@ -60,15 +75,240 @@ FIXED_DIGEST = "fc35ad662a255c550e2ec9bc852465438fffdbf022df0f536139d44a56b631fe
 
 
 def test_digest_pinned_and_streaming_equal(tmp_path, monkeypatch):
-    import repro.trace.trace as trace_mod
-    from repro.trace.io import streaming_digest
-
     t = _fixed_trace()
     assert t.digest() == FIXED_DIGEST
+    assert t.digest() == FIXED_DIGEST  # the memoised answer
     path = tmp_path / "fixed.jsonl.gz"
     write_trace(t, path)
     assert streaming_digest(path) == FIXED_DIGEST
     # Hashing chunk boundaries must not show in the digest.
     monkeypatch.setattr(trace_mod, "DIGEST_CHUNK", 3)
-    assert t.digest() == FIXED_DIGEST
+    assert _fixed_trace().digest() == FIXED_DIGEST
     assert streaming_digest(path) == FIXED_DIGEST
+
+
+# -- the digest memo ---------------------------------------------------------
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """Records every ``digest_events`` call ``Trace.digest`` makes."""
+    calls = []
+    real = trace_mod.digest_events
+
+    def counting(meta, events):
+        calls.append(len(events))
+        return real(meta, events)
+
+    monkeypatch.setattr(trace_mod, "digest_events", counting)
+    return calls
+
+
+def test_unchanged_trace_is_hashed_once(hashes):
+    t = _fixed_trace()
+    assert t.digest() == t.digest() == FIXED_DIGEST
+    assert hashes == [len(t.events)]
+
+
+def _nested_trace():
+    t = _fixed_trace()
+    t.meta.problem["dist"] = {"scheme": ["block"]}
+    return t
+
+
+def _append(t):
+    t.events.append(TraceEvent(3e6, 0, EventKind.MARK, tag="late"))
+    return t.events.pop
+
+
+def _pop(t):
+    ev = t.events.pop()
+    return lambda: t.events.append(ev)
+
+
+def _replace(t):
+    old = t.events[3]
+    t.events[3] = old.shifted(old.time + 1.0)
+
+    def undo():
+        t.events[3] = old
+
+    return undo
+
+
+def _reorder(t):
+    t.events.reverse()
+    return t.events.reverse
+
+
+def _rebind(t):
+    old = t.events
+    t.events = old[:-2]
+
+    def undo():
+        t.events = old
+
+    return undo
+
+
+def _nested_problem(t):
+    scheme = t.meta.problem["dist"]["scheme"]
+    scheme.append("cyclic")
+    return scheme.pop
+
+
+def _n_threads(t):
+    t.meta.n_threads = 3
+
+    def undo():
+        t.meta.n_threads = 2
+
+    return undo
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_append, _pop, _replace, _reorder, _rebind, _nested_problem, _n_threads],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_every_content_change_rehashes(mutate):
+    t = _nested_trace()
+    original = t.digest()
+    undo = mutate(t)
+    changed = t.digest()
+    assert changed == digest_events(t.meta, t.events) != original
+    undo()
+    assert t.digest() == original
+
+
+def _setattr_on_frozen_event(t):
+    object.__setattr__(t.events[1], "nbytes", 65)
+
+
+def _swap_for_equal_event_that_prints_differently(t):
+    ev = t.events[0]
+    assert ev.time == 0.0
+    t.events[0] = ev.shifted(-0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="the memo guard compares events with ==")
+@pytest.mark.parametrize(
+    "mutate",
+    [_setattr_on_frozen_event, _swap_for_equal_event_that_prints_differently],
+    ids=["object-setattr", "negative-zero"],
+)
+def test_changes_the_guard_cannot_see(mutate):
+    """The two blind spots the ``Trace.digest`` docstring names."""
+    t = _fixed_trace()
+    t.digest()
+    mutate(t)
+    assert t.digest() == digest_events(t.meta, t.events)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_keep_the_digest_and_its_memo(clone, hashes):
+    t = _fixed_trace()
+    assert t.digest() == FIXED_DIGEST
+    assert clone(t).digest() == FIXED_DIGEST
+    assert len(hashes) == 1  # the memo travels with the copy
+
+
+# -- oracle (d): formats, compressions and mutations -------------------------
+
+
+#: floats the encodings must carry exactly, plus arbitrary finite ones
+FLOATS = st.sampled_from([0.0, 1e-300, 1e15, 2 / 3]) | st.floats(
+    0.0, 1e7, allow_nan=False
+)
+TEXT = st.sampled_from(["", "grid", "équation", "Δt", "相"]) | st.text(
+    st.characters(codec="utf-8"), max_size=6
+)
+
+
+@st.composite
+def events_for(draw, n_threads):
+    """One event of any kind on one of ``n_threads`` threads."""
+    return TraceEvent(
+        draw(FLOATS),
+        draw(st.integers(0, n_threads - 1)),
+        draw(st.sampled_from(list(EventKind))),
+        barrier_id=draw(st.integers(-1, 64)),
+        owner=draw(st.integers(-1, n_threads - 1)),
+        nbytes=draw(st.integers(0, 1 << 40)),
+        collection=draw(TEXT),
+        tag=draw(TEXT),
+    )
+
+
+@st.composite
+def traces(draw):
+    n = draw(st.integers(1, 6))
+    meta = TraceMeta(
+        program=draw(TEXT),
+        n_threads=n,
+        trace_mflops=draw(FLOATS),
+        problem={"n": draw(st.integers(0, 99)), "label": draw(TEXT)},
+    )
+    return Trace(meta, draw(st.lists(events_for(n), max_size=24)))
+
+
+#: (op, argument strategy) for the drawn mutations
+MUTATIONS = st.one_of(
+    st.tuples(st.just("append"), events_for(6)),
+    st.tuples(st.just("pop"), st.integers(0, 99)),
+    st.tuples(st.just("replace"), st.integers(0, 99), events_for(6)),
+    st.tuples(st.just("swap"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("rebind"), st.integers(0, 99)),
+    st.tuples(st.just("n_threads"), st.integers(1, 6)),
+    st.tuples(st.just("problem"), TEXT),
+)
+
+
+def _mutate(t, op, *args):
+    evs = t.events
+    if op == "append":
+        evs.append(args[0])
+    elif op == "pop" and evs:
+        evs.pop(args[0] % len(evs))
+    elif op == "replace" and evs:
+        evs[args[0] % len(evs)] = args[1]
+    elif op == "swap" and evs:
+        i, j = args[0] % len(evs), args[1] % len(evs)
+        evs[i], evs[j] = evs[j], evs[i]
+    elif op == "rebind":
+        t.events = evs[: args[0] % (len(evs) + 1)]
+    elif op == "n_threads":
+        t.meta.n_threads = args[0]
+    elif op == "problem":
+        t.meta.problem.setdefault("nested", {}).setdefault("tags", []).append(args[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(trace=traces())
+def test_files_digest_like_the_trace(tmp_path_factory, trace):
+    tmp = tmp_path_factory.mktemp("oracle")
+    expected = digest_events(trace.meta, trace.events)
+    assert trace.digest() == expected
+    for fmt in (".jsonl", ".bin"):
+        for compression in ("", ".gz", ".bz2", ".xz"):
+            path = write_trace(trace, tmp / f"t{fmt}{compression}")
+            assert read_trace(path).digest() == expected, path.name
+            assert streaming_digest(path) == expected, path.name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    trace=traces(),
+    steps=st.lists(st.tuples(MUTATIONS, st.booleans()), max_size=8),
+)
+def test_memoised_digest_follows_mutations(trace, steps):
+    trace.digest()
+    for (op, *args), check in steps:
+        _mutate(trace, op, *args)
+        if check:
+            assert trace.digest() == digest_events(trace.meta, trace.events)
+    assert trace.digest() == digest_events(trace.meta, trace.events)
