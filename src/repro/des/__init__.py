@@ -1,9 +1,8 @@
 """A small SimPy-style discrete-event simulation (DES) engine.
 
 This is the substrate underneath the ExtraP trace-driven simulator
-(:mod:`repro.sim`), its multithread model (:mod:`repro.sim.multithread`)
-and the reference target-machine simulator (:mod:`repro.machine`).  It
-provides only what those three use:
+(:mod:`repro.sim`) and the reference target-machine simulator
+(:mod:`repro.machine`).  It provides only what those two use:
 
 * :class:`Environment` — the simulation clock and event loop;
 * generator-based :class:`Process`\\ es that ``yield`` events to wait on;
@@ -11,7 +10,7 @@ provides only what those three use:
   first of several children, e.g. a compute timer against an inbox
   get) and :class:`AllOf` (the every-processor-done sentinel);
 * :class:`Store`, an unbounded FIFO used as a receive queue, and
-  :class:`Resource`, a one-slot FIFO lock (a network port or a CPU).
+  :class:`Resource`, a one-slot FIFO lock (a network port).
 
 The engine is deterministic: simultaneous events fire in FIFO order of
 scheduling (stable tie-break on a monotone sequence number).

@@ -19,12 +19,7 @@ Entry point: :class:`repro.sim.simulator.Simulator` or the convenience
 from repro.sim.actions import Action, ActionKind, actions_from_thread_trace
 from repro.sim.cluster import ClusterNetwork
 from repro.sim.messages import Message, MsgKind
-from repro.sim.multithread import (
-    MultithreadResult,
-    MultithreadSimulator,
-    assign_threads,
-    simulate_multithreaded,
-)
+from repro.sim.multithread import assign_threads, simulate_multithreaded
 from repro.sim.network import Network
 from repro.sim.result import ProcessorStats, SimulationResult
 from repro.sim.simulator import Simulator, simulate
@@ -36,8 +31,6 @@ __all__ = [
     "ClusterNetwork",
     "Message",
     "MsgKind",
-    "MultithreadResult",
-    "MultithreadSimulator",
     "Network",
     "ProcessorStats",
     "SimulationResult",

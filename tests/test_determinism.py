@@ -116,7 +116,7 @@ def test_multithread_bit_stable():
     ra = simulate_multithreaded(tp, params, 4)
     rb = simulate_multithreaded(tp, params, 4)
     assert ra.execution_time == rb.execution_time
-    assert ra.thread_end_times == rb.thread_end_times
+    assert [tt.events for tt in ra.threads] == [tt.events for tt in rb.threads]
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,6 @@ from repro.core.translation import TranslatedProgram, translate
 from repro.des import Deadlock, Environment, SimulationStalled
 from repro.machine import Machine
 from repro.pcxx import Collection, make_distribution
-from repro.sim.multithread import MultithreadSimulator
 from repro.sim.simulator import Simulator
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.trace import ThreadTrace, TraceMeta
@@ -105,9 +104,10 @@ def test_machine_deadlock_names_stuck_nodes():
 
 
 def test_multithread_deadlock_names_stuck_threads():
-    """Only thread 0 enters barrier 0: the multithreaded simulator names
-    the threads that never finished.  ``translate()`` refuses such a
-    trace, so the translated program is built directly."""
+    """Only thread 0 enters barrier 0: with both threads on one
+    processor, the stall diagnosis names the thread that never finished.
+    ``translate()`` refuses such a trace, so the translated program is
+    built directly."""
 
     def thread(tid, *kinds):
         events = [TraceEvent(0.0, tid, EventKind.THREAD_BEGIN)]
@@ -122,8 +122,11 @@ def test_multithread_deadlock_names_stuck_threads():
             thread(1),
         ],
     )
-    sim = MultithreadSimulator(prog, presets.by_name("cm5"), 1)
-    with pytest.raises(RuntimeError, match=r"multithread deadlock; threads \[0\]"):
+    sim = Simulator(prog, presets.by_name("cm5"), assignment=[0, 0])
+    with pytest.raises(
+        SimulationStalled,
+        match=r"blocked processors \[proc 0: thread 0: parked at barrier 0 ",
+    ):
         sim.run()
 
 

@@ -37,6 +37,7 @@ from repro.core import presets
 from repro.core.pipeline import measure
 from repro.core.translation import TranslatedProgram, translate
 from repro.obs.export import chrome_trace_json
+from repro.sim.multithread import simulate_multithreaded
 from repro.sim.result import SimulationResult
 from repro.sim.simulator import simulate
 
@@ -162,6 +163,27 @@ def test_replay_matches_golden(digests):
     golden = json.loads(GOLDEN_PATH.read_text())
     changed = sorted(k for k in golden if digests.get(k) != golden[k])
     assert not changed, f"{len(changed)} configurations changed: {changed[:10]}"
+
+
+@pytest.mark.parametrize("scheme", ("block", "cyclic"))
+def test_one_thread_per_processor_replays_as_simulate(digests, scheme):
+    """n threads on m = n processors is the paper's model: every
+    configuration replays to ``simulate``'s digest under either
+    assignment scheme."""
+    changed = sorted(
+        key
+        for key, tp, preset, policy, alg in _configs()
+        if result_digest(
+            simulate_multithreaded(
+                tp,
+                make_params(preset, policy, alg),
+                tp.n_threads,
+                assignment_scheme=scheme,
+            )
+        )
+        != digests[key]
+    )
+    assert not changed, f"{len(changed)} configurations differ: {changed[:10]}"
 
 
 def test_observed_timeline_matches_golden():
