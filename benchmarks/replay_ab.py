@@ -1,0 +1,134 @@
+"""Interleaved in-process A/B of replay CPU time between two code versions.
+
+Two separate benchmark runs differ by more than the few percent a
+replay-path change moves.  This script loads both versions of the
+``repro`` package into one interpreter and alternates them round by
+round, so host drift cancels in the per-round ratio::
+
+    python benchmarks/replay_ab.py 341328e HEAD --rounds 40
+    python benchmarks/replay_ab.py /path/to/a/src /path/to/b/src
+
+Each version is a git revision (exported with ``git archive``) or a
+directory holding the ``repro`` package.  Each one builds its own
+translated program per workload; each round then times one
+``simulate()`` per version per workload in thread CPU time, after a
+``gc.collect()``, with the version that goes first alternating.  The
+predicted times must agree.  Printed per workload: the median and
+interquartile range of the B/A time ratios and each version's median
+time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import io
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: ``(benchmark, threads, preset)``: the replays of the three e2ebench
+#: workloads, plus grid under flag barriers.
+WORKLOADS = (
+    ("grid", 16, "distributed_memory"),
+    ("matmul", 8, "distributed_memory"),
+    ("sparse", 8, "distributed_memory"),
+    ("grid", 16, "shared_memory"),
+)
+
+
+def _is_repro(name: str) -> bool:
+    return name == "repro" or name.startswith("repro.")
+
+
+def source_dir(version: str, scratch: Path) -> str:
+    """A directory holding the ``repro`` package of ``version``."""
+    path = Path(version)
+    if (path / "repro").is_dir():
+        return str(path.resolve())
+    blob = subprocess.run(
+        ["git", "-C", str(REPO), "archive", version, "src"],
+        check=True,
+        capture_output=True,
+    ).stdout
+    out = scratch / version.replace("/", "_")
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(out)
+    return str(out / "src")
+
+
+class Version:
+    """One imported copy of ``repro`` and its prepared workloads."""
+
+    def __init__(self, src: str):
+        for name in [n for n in sys.modules if _is_repro(n)]:
+            del sys.modules[name]
+        sys.path.insert(0, src)
+        try:
+            from repro.bench.suite import get_benchmark
+            from repro.core import presets
+            from repro.core.pipeline import measure
+            from repro.core.translation import translate
+            from repro.sim.simulator import simulate
+        finally:
+            sys.path.remove(src)
+        self.simulate = simulate
+        self.cases = []
+        for name, n, preset in WORKLOADS:
+            program = get_benchmark(name).make_program()(n)
+            tp = translate(measure(program, n, name=name))
+            self.cases.append((tp, presets.by_name(preset)))
+        self.modules = {n: m for n, m in sys.modules.items() if _is_repro(n)}
+        for name in self.modules:
+            del sys.modules[name]
+
+    def time(self, i: int):
+        """Thread CPU seconds and predicted time of workload ``i``."""
+        sys.modules.update(self.modules)  # lazy imports resolve to this copy
+        tp, params = self.cases[i]
+        gc.collect()
+        t0 = time.thread_time()
+        result = self.simulate(tp, params)
+        return time.thread_time() - t0, result.execution_time
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a", help="baseline: git revision or src directory")
+    ap.add_argument("b", help="candidate: git revision or src directory")
+    ap.add_argument("--rounds", type=int, default=40)
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        a = Version(source_dir(args.a, Path(scratch)))
+        b = Version(source_dir(args.b, Path(scratch)))
+    ratios = [[] for _ in WORKLOADS]
+    times = [([], []) for _ in WORKLOADS]
+    for i, workload in enumerate(WORKLOADS):  # warm-up, and same predictions
+        if a.time(i)[1] != b.time(i)[1]:
+            sys.exit(f"{workload}: the two versions predict different times")
+    for r in range(args.rounds):
+        for i in range(len(WORKLOADS)):
+            first, second = (a, b) if r % 2 == 0 else (b, a)
+            t_first, t_second = first.time(i)[0], second.time(i)[0]
+            ta, tb = (t_first, t_second) if first is a else (t_second, t_first)
+            ratios[i].append(tb / ta)
+            times[i][0].append(ta)
+            times[i][1].append(tb)
+    for i, (name, n, preset) in enumerate(WORKLOADS):
+        q1, _, q3 = statistics.quantiles(ratios[i], n=4)
+        print(
+            f"{name}@{n} {preset}: B/A median {statistics.median(ratios[i]):.3f} "
+            f"[{q1:.3f}, {q3:.3f}]  A {statistics.median(times[i][0]) * 1e3:.1f} ms"
+            f"  B {statistics.median(times[i][1]) * 1e3:.1f} ms  ({args.rounds} rounds)"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

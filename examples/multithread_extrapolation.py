@@ -13,7 +13,7 @@ Run:  python examples/multithread_extrapolation.py
 
 from repro import measure, presets, translate
 from repro.bench.grid import GridConfig, make_program
-from repro.sim.multithread import simulate_multithreaded
+from repro.sim import assign_threads, simulate
 from repro.util.tables import format_table
 
 N_THREADS = 16
@@ -30,7 +30,7 @@ def main():
     rows = []
     for m in (1, 2, 4, 8, 16):
         blk, cyc = (
-            simulate_multithreaded(tp, params, m, assignment_scheme=scheme)
+            simulate(tp, params, assignment=assign_threads(N_THREADS, m, scheme))
             for scheme in ("block", "cyclic")
         )
         rows.append(

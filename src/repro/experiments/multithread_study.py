@@ -14,7 +14,7 @@ from repro.core.pipeline import measure
 from repro.core.translation import translate
 from repro.experiments.base import ExperimentResult
 from repro.experiments.paramsets import figure4_params
-from repro.sim.multithread import simulate_multithreaded
+from repro.sim.simulator import assign_threads, simulate
 
 
 def run(
@@ -45,7 +45,9 @@ def run(
         for m in processor_counts:
             if m > n_threads:
                 continue
-            res = simulate_multithreaded(tp, params, m, assignment_scheme=scheme)
+            res = simulate(
+                tp, params, assignment=assign_threads(n_threads, m, scheme)
+            )
             series[m] = res.execution_time
             if scheme == "block":
                 locality[m] = res.local_accesses()

@@ -19,10 +19,9 @@ Entry point: :class:`repro.sim.simulator.Simulator` or the convenience
 from repro.sim.actions import Action, ActionKind, actions_from_thread_trace
 from repro.sim.cluster import ClusterNetwork
 from repro.sim.messages import Message, MsgKind
-from repro.sim.multithread import assign_threads, simulate_multithreaded
 from repro.sim.network import Network
 from repro.sim.result import ProcessorStats, SimulationResult
-from repro.sim.simulator import Simulator, simulate
+from repro.sim.simulator import Simulator, assign_threads, simulate
 from repro.sim.topology import Topology, make_topology
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "assign_threads",
     "make_topology",
     "simulate",
-    "simulate_multithreaded",
 ]

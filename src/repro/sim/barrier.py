@@ -18,8 +18,11 @@ barrier algorithms"):
   after the last arrival, with no message traffic.
 
 Crucially, processors keep servicing remote data requests while they wait
-at a barrier — both here and in the real pC++ runtime system — which is
-why every wait goes through ``SimProcessor._await_serving``.
+at a barrier — both here and in the real pC++ runtime system — so every
+wait serves the inbox: message-mode waits, whose events only the
+processor's own dispatch triggers, through ``SimProcessor._await_own``;
+flag and hardware releases, triggered by another process, through
+``SimProcessor._serve_until``.
 """
 
 from __future__ import annotations
@@ -139,13 +142,11 @@ class BarrierCoordinator:
             if ep.arrived >= self.n - 1 and not ep.master_done.triggered:
                 ep.master_done.resolve()
 
-    def on_release(self, proc: "SimProcessor", msg: Message) -> Generator:
+    def on_release(self, proc: "SimProcessor", msg: Message) -> None:
         """A release message reached slave ``proc``."""
         ev = self._release_event(self._ep(msg.barrier_id), proc.pid)
         if not ev.triggered:
             ev.resolve()
-        return
-        yield  # pragma: no cover - keeps the dispatch interface uniform
 
     # -- the protocol ------------------------------------------------------------
 
@@ -283,7 +284,9 @@ class BarrierCoordinator:
             ep.all_arrived.succeed()
             self.history[bid] = (self.env.now, None)
         if proc.pid == self.MASTER:
-            yield from proc._await_serving(ep.all_arrived)
+            yield from proc._serve_until(
+                lambda: ep.all_arrived.triggered, (ep.all_arrived,)
+            )
             # The successful check, then lowering the barrier.
             yield from proc._busy(
                 b.check_time, _BARRIER_CAT, (b.model_time, _BARRIER_CAT)
@@ -295,7 +298,9 @@ class BarrierCoordinator:
                 self._obs_release(bid)
             yield from proc._busy(b.exit_time, _BARRIER_CAT)
         else:
-            yield from proc._await_serving(ep.released)
+            yield from proc._serve_until(
+                lambda: ep.released.triggered, (ep.released,)
+            )
             # Noticing the release, then leaving.
             yield from proc._busy(
                 b.exit_check_time, _BARRIER_CAT, (b.exit_time, _BARRIER_CAT)
@@ -318,5 +323,5 @@ class BarrierCoordinator:
                         self._obs_release(bid)
 
             self.env.timeout(b.model_time).callbacks.append(fire)
-        yield from proc._await_serving(ep.released)
+        yield from proc._serve_until(lambda: ep.released.triggered, (ep.released,))
         yield from proc._busy(b.exit_time, _BARRIER_CAT)

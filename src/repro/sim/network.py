@@ -7,16 +7,16 @@ Message cost structure:
   :meth:`repro.sim.processor.SimProcessor._send`);
 * the message then travels for::
 
-      wire = (nbytes + header) * ByteTransferTime * contention_multiplier
+      wire = (nbytes + header) * ByteTransferTime * mult
              + hops(src, dst) * hop_time
 
   and is appended to the destination's receive queue (whose serial
   draining *is* the receive-queue contention the paper simulates
   directly).
 
-The contention multiplier is the paper's analytical contention model:
-"analytical expressions of remote access delay involving the contention
-factors calculated from the simulation state".  We use::
+The contention multiplier ``mult`` is the paper's analytical contention
+model: "analytical expressions of remote access delay involving the
+contention factors calculated from the simulation state".  We use::
 
       1 + contention_factor * others_in_flight / bisection_width
 
@@ -81,7 +81,6 @@ class Network:
         params: NetworkParams,
         *,
         placement: List[int] | None = None,
-        record_messages: bool = False,
     ):
         self.env = env
         self.n = n
@@ -104,10 +103,6 @@ class Network:
         self._obs = env.obs
         #: fault injector, or None for an ideal (paper) interconnect
         self._faults = env.faults
-        #: optional message log for network-level debugging: tuples of
-        #: (inject_time, deliver_time, kind, src, dst, nbytes)
-        self.record_messages = record_messages
-        self.message_log: List[tuple] = []
         #: delivery targets, filled by the simulator once processors exist
         self._inboxes: List[Callable[[Message], None]] = []
 
@@ -126,13 +121,6 @@ class Network:
         differently.
         """
         return self.params.comm_startup_time
-
-    def contention_multiplier(self) -> float:
-        """Current analytical contention multiplier (state-dependent)."""
-        if not self.params.contention:
-            return 1.0
-        others = self._in_flight  # messages already in transit
-        return 1.0 + self.params.contention_factor * others / self._bisection
 
     def _route_time(self, src: int, dst: int) -> float:
         """Fixed per-route transit term ``hops(src, dst) * hop_time``."""
@@ -153,7 +141,7 @@ class Network:
             route = self._route_time(msg.src, msg.dst)
         if not p.contention:
             return base + route
-        # contention_multiplier(), inlined: one call per message.
+        # The analytical contention multiplier (module docstring).
         mult = 1.0 + p.contention_factor * self._in_flight / self._bisection
         self.stats.total_contention_delay += base * (mult - 1.0)
         return base * mult + route
@@ -191,10 +179,6 @@ class Network:
         stats.bytes += msg.nbytes
         by_kind = stats.by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        if self.record_messages:
-            self.message_log.append(
-                (msg.inject_time, msg.deliver_time, kind, msg.src, msg.dst, msg.nbytes)
-            )
 
         if dropped:
             # The message vanishes in transit: it never reaches the

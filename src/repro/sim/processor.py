@@ -33,7 +33,9 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.parameters import RemoteServicePolicy, SimulationParameters
 from repro.des import Environment, Event, FirstOf, Store, Timeout
@@ -119,7 +121,6 @@ class SimProcessor:
         ``assignment`` maps every thread to its processor."""
         self.env = env
         self.pid = pid
-        self.params = params
         self.pp = params.processor
         self.np = params.network
         self.network = network
@@ -240,8 +241,10 @@ class SimProcessor:
         yields :data:`_SWITCH`; the next ready thread then runs at the
         same instant.  Threads whose wait is over rejoin the ready queue
         in the order they blocked.  With none ready the processor serves
-        its inbox (:meth:`_await_threads`); that idle time is its
-        ``comm_wait``, since some thread waits on a reply.
+        its inbox until one can run (:meth:`_serve_until`, or
+        :meth:`_await_own` for one thread without a retry timer); that
+        idle time is its ``comm_wait``, since some thread waits on a
+        reply.
         """
         for thread in self.threads:
             thread.gen = self._replay(thread)
@@ -264,12 +267,18 @@ class SimProcessor:
                     value = yield ev
             else:
                 t0, busy0 = self.env.now, self.stats.busy_total
-                # Called from here, not through _await_threads: one
-                # generator frame less on every event of the wait.
                 if len(blocked) == 1 and blocked[0].timer is None:
+                    # Every reply wait of a one-thread processor without
+                    # a retry timer: the hot wait, kept specialised.
                     yield from self._await_own(blocked[0].target)
                 else:
-                    yield from self._await_threads(blocked)
+                    # A blocked thread's target triggers only through
+                    # this processor's dispatch, so only a retry timer
+                    # ends the wait without a message.
+                    yield from self._serve_until(
+                        lambda: any(t.runnable() for t in blocked),
+                        tuple(t.timer for t in blocked if t.timer is not None),
+                    )
                 self.stats.comm_wait += (self.env.now - t0) - (
                     self.stats.busy_total - busy0
                 )
@@ -320,29 +329,6 @@ class SimProcessor:
         thread.finished = True
         if self._obs is not None:
             self._obs.instant(self.pid, "thread_end", self.env.now)
-
-    def _await_threads(self, blocked: List[SimThread]) -> Generator:
-        """Serve the inbox until one of ``blocked`` can run again.
-
-        Reply and barrier-release targets are triggered by this
-        processor's own dispatch or threads, so only an inbox arrival or
-        a retry timer ends the wait (one blocked thread without a timer
-        waits through :meth:`_await_own` instead).  A
-        :class:`~repro.des.events.Timeout` is born TRIGGERED
-        (= scheduled); only ``processed`` says it expired.
-        """
-        env = self.env
-        inbox_get = self.inbox.get
-        while not any(thread.runnable() for thread in blocked):
-            get_ev = inbox_get()
-            yield FirstOf(
-                env,
-                tuple(t.timer for t in blocked if t.timer is not None) + (get_ev,),
-            )
-            if get_ev.triggered:
-                yield from self._dispatch(get_ev.value)
-            else:
-                self.inbox.cancel(get_ev)
 
     def _wait(self, target: Event, timer: Optional[Event] = None) -> Generator:
         """The running thread gives up the CPU until one of this
@@ -422,17 +408,10 @@ class SimProcessor:
                         extra_us=extra,
                     )
         policy = self._policy
-        if policy is _NO_INTERRUPT:
-            # Inlined _busy("compute"): this is the dominant action kind,
-            # so skip the nested generator for it.
-            if scaled > 0:
-                t0 = self.env.now
-                yield self._timeout(scaled)
-                self._stats_add("compute", scaled)
-                if self._obs is not None:
-                    self._obs_span("compute", t0, self.env.now)
-        elif policy is _INTERRUPT:
+        if policy is _INTERRUPT:
             yield from self._compute_interrupt(scaled)
+        elif policy is _NO_INTERRUPT:
+            yield from self._busy(scaled, "compute")
         elif policy is _POLL:
             yield from self._compute_poll(scaled)
         else:  # pragma: no cover - exhaustive
@@ -701,7 +680,7 @@ class SimProcessor:
         elif kind is _MSG_ARRIVE:
             yield from self.coordinator.on_arrive(self, msg)
         elif kind is _MSG_RELEASE:
-            yield from self.coordinator.on_release(self, msg)
+            self.coordinator.on_release(self, msg)
         else:  # pragma: no cover - exhaustive
             raise AssertionError(f"unhandled message kind {kind}")
 
@@ -723,21 +702,28 @@ class SimProcessor:
         while not target.triggered:
             msg = yield FirstOf(env, (inbox_get(),))
             yield from self._dispatch(msg)
-        return target._value
 
-    def _await_serving(self, target: Event) -> Generator:
-        """Wait for ``target`` while servicing any messages that arrive.
+    def _serve_until(
+        self, done: Callable[[], bool], waits: Tuple[Event, ...]
+    ) -> Generator:
+        """Serve the inbox until ``done()`` holds.
 
         This is the "process messages while waiting" behaviour the paper
-        requires of every wait state.  ``target`` is triggered by another
-        process (flag and hardware barriers); waits on this processor's
-        own events use :meth:`_await_own`.
+        requires of every wait state.  Each turn waits for the first of
+        ``waits`` or an inbox arrival; ``waits`` are the events that can
+        end the wait without a message: a flag or hardware barrier
+        release another process triggers, or the blocked threads' retry
+        timers.  A :class:`~repro.des.events.Timeout` is born TRIGGERED
+        (= scheduled), so ``done`` must test ``processed`` for a timer.
+        Waits with nothing but this processor's own events to wait for
+        use :meth:`_await_own`.
         """
-        while not target.triggered:
-            get_ev = self.inbox.get()
-            yield FirstOf(self.env, (target, get_ev))
+        env = self.env
+        inbox_get = self.inbox.get
+        while not done():
+            get_ev = inbox_get()
+            yield FirstOf(env, waits + (get_ev,))
             if get_ev.triggered:
                 yield from self._dispatch(get_ev.value)
             else:
                 self.inbox.cancel(get_ev)
-        return target.value

@@ -276,6 +276,28 @@ class Simulator:
         )
 
 
+def assign_threads(n_threads: int, n_processors: int, scheme: str = "block") -> List[int]:
+    """Thread -> processor map for ``n_threads`` threads on
+    ``n_processors <= n_threads`` processors (the §6 extension).
+
+    ``block`` packs consecutive threads together (good locality for
+    nearest-neighbour codes), ⌊n/m⌋ or ⌈n/m⌉ to a processor; ``cyclic``
+    deals them round-robin.
+    """
+    if n_processors < 1:
+        raise ValueError(f"need at least 1 processor, got {n_processors}")
+    if n_processors > n_threads:
+        raise ValueError(
+            f"{n_processors} processors for {n_threads} threads; the "
+            "multithread model requires m <= n"
+        )
+    if scheme == "block":
+        return [t * n_processors // n_threads for t in range(n_threads)]
+    if scheme == "cyclic":
+        return [t % n_processors for t in range(n_threads)]
+    raise ValueError(f"unknown assignment scheme {scheme!r}")
+
+
 def _check_assignment(assignment: Optional[Sequence[int]], n: int) -> List[int]:
     """The thread -> processor map, validated (identity when None)."""
     if assignment is None:
@@ -305,28 +327,8 @@ def _stuck_threads(proc: SimProcessor) -> str:
 
 
 def simulate(
-    translated: TranslatedProgram,
-    params: SimulationParameters,
-    *,
-    assignment: Optional[Sequence[int]] = None,
-    max_events: Optional[int] = None,
-    placement=None,
-    profile: bool = False,
-    observe: bool = False,
-    wall_clock_budget: Optional[float] = None,
+    translated: TranslatedProgram, params: SimulationParameters, **options
 ) -> SimulationResult:
-    """One-call convenience wrapper around :class:`Simulator`."""
-    kwargs = {}
-    if assignment is not None:
-        kwargs["assignment"] = assignment
-    if max_events is not None:
-        kwargs["max_events"] = max_events
-    if placement is not None:
-        kwargs["placement"] = placement
-    if profile:
-        kwargs["profile"] = True
-    if observe:
-        kwargs["observe"] = True
-    if wall_clock_budget is not None:
-        kwargs["wall_clock_budget"] = wall_clock_budget
-    return Simulator(translated, params, **kwargs).run()
+    """``Simulator(translated, params, **options).run()``; the options
+    and their defaults are :class:`Simulator`'s."""
+    return Simulator(translated, params, **options).run()

@@ -13,8 +13,7 @@ from repro.core.pipeline import measure
 from repro.core.translation import translate
 from repro.machine import run_on_machine
 from repro.pcxx import Collection, make_distribution
-from repro.sim.multithread import simulate_multithreaded
-from repro.sim.simulator import simulate
+from repro.sim.simulator import assign_threads, simulate
 
 
 def program(rt):
@@ -113,8 +112,8 @@ def test_machine_bit_stable():
 def test_multithread_bit_stable():
     tp = translate(measure(program, 8, name="d"))
     params = presets.distributed_memory()
-    ra = simulate_multithreaded(tp, params, 4)
-    rb = simulate_multithreaded(tp, params, 4)
+    ra = simulate(tp, params, assignment=assign_threads(8, 4))
+    rb = simulate(tp, params, assignment=assign_threads(8, 4))
     assert ra.execution_time == rb.execution_time
     assert [tt.events for tt in ra.threads] == [tt.events for tt in rb.threads]
 

@@ -1,5 +1,7 @@
 """Extended property-based tests across subsystems."""
 
+from math import inf
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,12 @@ from hypothesis import strategies as st
 from repro.core import presets
 from repro.core.pipeline import measure
 from repro.core.translation import translate
+from repro.des import engine
+from repro.faults.plan import FaultPlan
 from repro.machine import MachineSpec, run_on_machine
 from repro.pcxx import Collection, make_distribution
-from repro.sim.multithread import assign_threads, simulate_multithreaded
-from repro.sim.simulator import simulate
+from repro.sim.simulator import Simulator, assign_threads, simulate
+from tests.test_replay_golden import result_digest
 
 
 def random_program(n, barriers, reads, work_seed):
@@ -66,7 +70,7 @@ def test_multithread_invariants(
     params = presets.by_name(preset).with_(
         processor={"policy": policy}, barrier={"algorithm": algorithm}
     )
-    res = simulate_multithreaded(tp, params, m, assignment_scheme=scheme)
+    res = simulate(tp, params, assignment=assign_threads(n, m, scheme))
     thread_end_times = [tt.end_time for tt in res.threads]
     assert len(thread_end_times) == n
     assert len(res.processors) == m
@@ -85,6 +89,84 @@ def test_multithread_invariants(
     assert handled == issued
     for p in res.processors:
         assert p.busy_total + p.comm_wait + p.barrier_wait <= p.end_time + 1e-6
+
+
+def _recorded_pops(run):
+    """``run()``'s result and the ``(time, priority, seq, event type)``
+    of every queue entry the engine popped while it ran."""
+    pops = []
+    heappop = engine.heappop
+
+    def recording_heappop(queue):
+        entry = heappop(queue)
+        pops.append(entry[:3] + (type(entry[3]).__name__,))
+        return entry
+
+    engine.heappop = recording_heappop
+    try:
+        result = run()
+    finally:
+        engine.heappop = heappop
+    return result, pops
+
+
+def _stepped(sim: Simulator):
+    """Run ``sim`` as :meth:`Simulator.run` does, every event through
+    ``Environment.step()`` instead of the inlined ``_drain`` loop."""
+    env = sim.env
+    sim._ran = True
+    sim._spawn()
+    # Simulator._replay's completion event: queued when the last
+    # processor finishes, so it takes a sequence number too.
+    env.all_of([p.done for p in sim.processors])
+    while env.peek() < inf:
+        env.step()
+    return sim._collect()
+
+
+#: A retry plan whose 200 us timeout also expires on slow replies.
+RETRY_PLAN = FaultPlan(seed=3, msg_loss_rate=0.1, request_timeout=200.0, max_retries=8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 6),
+    barriers=st.integers(1, 3),
+    reads=st.integers(0, 2),
+    seed=st.integers(0, 100),
+    m=st.integers(1, 6),
+    scheme=st.sampled_from(["block", "cyclic"]),
+    preset=st.sampled_from(["distributed_memory", "shared_memory", "cm5"]),
+    policy=st.sampled_from(["no_interrupt", "interrupt", "poll"]),
+    algorithm=st.sampled_from(["linear", "log", "hardware"]),
+    faults=st.booleans(),
+)
+def test_step_replay_pops_the_drain_order(
+    n, barriers, reads, seed, m, scheme, preset, policy, algorithm,
+    faults,
+):
+    """Oracle (c): a replay driven by repeated ``Environment.step()`` pops
+    the same ``(time, priority, seq, event type)`` sequence as
+    ``Simulator.run()`` (``_drain``), to the same result and event count."""
+    m = min(m, n)
+    tp = translate(measure(random_program(n, barriers, reads, seed), n, name="r"))
+    params = presets.by_name(preset).with_(
+        processor={"policy": policy}, barrier={"algorithm": algorithm}
+    )
+    if faults:
+        params = params.with_faults(RETRY_PLAN)
+    assignment = assign_threads(n, m, scheme)
+    drained = Simulator(tp, params, assignment=assignment)
+    stepped = Simulator(tp, params, assignment=assignment)
+    res_drained, pops_drained = _recorded_pops(drained.run)
+    res_stepped, pops_stepped = _recorded_pops(lambda: _stepped(stepped))
+    assert pops_stepped == pops_drained
+    assert result_digest(res_stepped) == result_digest(res_drained)
+    assert (
+        stepped.env.processed_event_count
+        == drained.env.processed_event_count
+        == len(pops_drained)
+    )
 
 
 @settings(max_examples=15, deadline=None)

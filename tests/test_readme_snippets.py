@@ -66,15 +66,15 @@ def test_tutorial_program_shape():
 def test_tutorial_fewer_processors_than_threads():
     """docs/TUTORIAL.md §6, scaled down: 8 threads on 2 CPUs."""
     from repro import measure, presets, simulate, translate
-    from repro.sim.multithread import simulate_multithreaded
+    from repro.sim import assign_threads
 
     tp = translate(measure(_tutorial_program, 8, name="mine"))
     params = presets.cm5()
-    res = simulate_multithreaded(tp, params, 2)
+    res = simulate(tp, params, assignment=assign_threads(8, 2))
     assert res.n_processors == 2 and len(res.threads) == 8
     assert 0.0 < res.utilization() <= 1.0
     # Block packing: 3 of every 4 neighbour reads stay on one CPU.
     assert res.local_accesses() == 3 * 6
     # As many CPUs as threads is the paper's model itself.
-    full = simulate_multithreaded(tp, params, 8)
+    full = simulate(tp, params, assignment=assign_threads(8, 8))
     assert full.execution_time == simulate(tp, params).execution_time

@@ -6,8 +6,7 @@ from repro.core import presets
 from repro.core.pipeline import measure
 from repro.core.translation import translate
 from repro.pcxx import Collection, make_distribution
-from repro.sim.multithread import assign_threads, simulate_multithreaded
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, assign_threads, simulate
 
 
 def program(rt):
@@ -60,7 +59,7 @@ def test_simulator_rejects_a_bad_assignment():
 
 def test_single_processor_serialises_everything():
     t = tp(4)
-    res = simulate_multithreaded(t, presets.distributed_memory(), 1)
+    res = simulate(t, presets.distributed_memory(), assignment=[0, 0, 0, 0])
     # Everything is local on one processor: no network traffic.
     assert res.network.messages == 0
     # All compute serialised: at least the sum of all compute phases.
@@ -70,10 +69,10 @@ def test_single_processor_serialises_everything():
 def test_full_width_close_to_singlethread_model():
     """m == n is the per-processor simulator itself: one thread on each
     processor replays exactly as the paper's model does."""
-    from repro.sim.simulator import simulate
-
     t = tp(8)
-    mt = simulate_multithreaded(t, presets.distributed_memory(), 8)
+    mt = simulate(
+        t, presets.distributed_memory(), assignment=assign_threads(8, 8)
+    )
     st = simulate(t, presets.distributed_memory())
     assert mt.execution_time == st.execution_time
 
@@ -88,7 +87,9 @@ def test_more_processors_never_lose_big_on_compute_bound():
 
     t = translate(measure(compute_only, 8, name="c"))
     times = {
-        m: simulate_multithreaded(t, presets.distributed_memory(), m).execution_time
+        m: simulate(
+            t, presets.distributed_memory(), assignment=assign_threads(8, m)
+        ).execution_time
         for m in (1, 2, 4, 8)
     }
     assert times[8] < times[4] < times[2] < times[1]
@@ -98,8 +99,8 @@ def test_more_processors_never_lose_big_on_compute_bound():
 
 def test_same_processor_access_is_local():
     t = tp(8)
-    res = simulate_multithreaded(
-        t, presets.distributed_memory(), 4, assignment_scheme="block"
+    res = simulate(
+        t, presets.distributed_memory(), assignment=assign_threads(8, 4, "block")
     )
     # Neighbour reads (tid+1): 3/4 of them stay inside a block of 2...
     local = res.local_accesses()
@@ -110,11 +111,11 @@ def test_same_processor_access_is_local():
 
 def test_cyclic_assignment_changes_locality():
     t = tp(8)
-    block = simulate_multithreaded(
-        t, presets.distributed_memory(), 4, assignment_scheme="block"
+    block = simulate(
+        t, presets.distributed_memory(), assignment=assign_threads(8, 4, "block")
     )
-    cyc = simulate_multithreaded(
-        t, presets.distributed_memory(), 4, assignment_scheme="cyclic"
+    cyc = simulate(
+        t, presets.distributed_memory(), assignment=assign_threads(8, 4, "cyclic")
     )
     # Neighbour communication: block packing keeps some reads local;
     # cyclic assignment makes every (tid+1) read remote.
@@ -142,7 +143,9 @@ def test_cluster_network_in_multithread_model():
     def clustered(env, m, net_params):
         return ClusterNetwork(env, m, net_params, cluster_size=2)
 
-    flat = simulate_multithreaded(t, presets.distributed_memory(), 4)
+    flat = simulate(
+        t, presets.distributed_memory(), assignment=assign_threads(8, 4)
+    )
     clus = Simulator(
         t,
         presets.distributed_memory(),
@@ -154,7 +157,9 @@ def test_cluster_network_in_multithread_model():
 
 
 def test_utilization_bounds():
-    res = simulate_multithreaded(tp(8), presets.distributed_memory(), 4)
+    res = simulate(
+        tp(8), presets.distributed_memory(), assignment=assign_threads(8, 4)
+    )
     assert 0.0 < res.utilization() <= 1.0
     thread_end_times = [tt.end_time for tt in res.threads]
     assert len(thread_end_times) == 8

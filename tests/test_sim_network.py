@@ -50,19 +50,22 @@ def test_contention_multiplier_grows_with_in_flight():
         contention=True,
         contention_factor=1.0,
     )
-    assert net.contention_multiplier() == 1.0
     t1 = net.send(Message(MsgKind.REQUEST, src=0, dst=1, nbytes=1000))
-    # second message while the first is in flight costs more
+    # second message while the first is in flight costs more: multiplier
+    # 1 + 1.0 * 1 / 1 on the wire term (no hop term here)
     t2 = net.send(Message(MsgKind.REQUEST, src=2, dst=3, nbytes=1000))
     assert t2 > t1
+    assert t2 == pytest.approx(2 * t1)
     env.run(None)
-    assert net.contention_multiplier() == 1.0  # drained
+    # drained: nothing in flight, the first message's price again
+    assert net.send(Message(MsgKind.REQUEST, src=0, dst=1, nbytes=1000)) == t1
 
 
 def test_contention_disabled():
     env, net, _ = make_net(contention=False, topology="bus", byte_transfer_time=0.01)
-    net.send(Message(MsgKind.REQUEST, src=0, dst=1, nbytes=1000))
-    assert net.contention_multiplier() == 1.0
+    t1 = net.send(Message(MsgKind.REQUEST, src=0, dst=1, nbytes=1000))
+    # one message in flight, yet the second pays the same transit
+    assert net.send(Message(MsgKind.REQUEST, src=2, dst=3, nbytes=1000)) == t1
 
 
 def test_message_to_self_rejected():

@@ -57,38 +57,3 @@ def test_compute_stats_per_thread():
     assert st.n_threads == 4
     assert st.n_remote_reads == 4
     assert st.n_barriers == 1
-
-
-def test_network_message_log():
-    from repro.core.pipeline import measure
-    from repro.core.translation import translate
-    from repro.sim.network import Network
-    from repro.sim.simulator import Simulator
-
-    def program(rt):
-        n = rt.n_threads
-        coll = Collection("c", make_distribution(n, n, "block"), element_nbytes=64)
-        for i in range(n):
-            coll.poke(i, i)
-
-        def body(ctx):
-            yield from ctx.get(coll, (ctx.tid + 1) % n, nbytes=8)
-            yield from ctx.barrier()
-
-        return body
-
-    tp = translate(measure(program, 4, name="m"))
-    sim = Simulator(
-        tp,
-        presets.cm5(),
-        network_factory=lambda env, n, p: Network(env, n, p, record_messages=True),
-    )
-    res = sim.run()
-    log = sim.network.message_log
-    assert len(log) == res.network.messages
-    # Entries are (inject, deliver, kind, src, dst, nbytes), time-ordered.
-    injects = [row[0] for row in log]
-    assert injects == sorted(injects)
-    assert all(row[1] >= row[0] for row in log)
-    kinds = {row[2] for row in log}
-    assert "request" in kinds and "reply" in kinds
