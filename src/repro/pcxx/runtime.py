@@ -106,7 +106,6 @@ class TracingRuntime:
         flush_overhead: float = 0.0,
         compute_noise: float = 0.0,
         noise_seed: Optional[int] = None,
-        sink: Optional[Callable[[TraceEvent], None]] = None,
         problem: Optional[Dict[str, Any]] = None,
     ):
         if n_threads < 1:
@@ -132,8 +131,6 @@ class TracingRuntime:
         from repro.util.rng import make_rng
 
         self._noise_rng = make_rng(noise_seed) if compute_noise else None
-        #: optional per-event callback (e.g. a streaming trace writer)
-        self._sink = sink
         self.sched = Scheduler(switch_overhead=switch_overhead)
         self.trace = Trace(
             TraceMeta(
@@ -156,8 +153,6 @@ class TracingRuntime:
 
     def _record(self, event: TraceEvent) -> None:
         self.trace.append(event)
-        if self._sink is not None:
-            self._sink(event)
         if self.event_overhead:
             self.sched.advance(self.event_overhead)
         if self.flush_every and len(self.trace.events) % self.flush_every == 0:

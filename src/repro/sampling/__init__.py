@@ -40,7 +40,6 @@ from repro.sampling.estimate import (
 from repro.sampling.intervals import (
     Interval,
     IntervalSplit,
-    split_file,
     split_trace,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "SamplingConfig",
     "Interval",
     "IntervalSplit",
-    "split_file",
     "split_trace",
     "PhaseCluster",
     "SamplingPlan",

@@ -69,10 +69,6 @@ def representative_trace(meta: TraceMeta, interval: Interval) -> Trace:
     with ``THREAD_END``, append one at the slice's last event time.
     Threads absent from the interval get a zero-length begin/end pair.
     """
-    if interval.events is None:
-        raise ValueError(
-            f"interval {interval.index} was split without keep_events"
-        )
     per: List[List[TraceEvent]] = [[] for _ in range(meta.n_threads)]
     for ev in interval.events:
         per[ev.thread].append(ev)
@@ -227,7 +223,7 @@ def prepare_sampling(
     trace = prepared.trace
     if not trace.events:
         raise ValueError("cannot sample an empty trace (no events)")
-    split = split_trace(trace, config, keep_events=True)
+    split = split_trace(trace, config)
     plan = build_plan(split, config)
     representatives = [
         PreparedTrace(

@@ -7,10 +7,9 @@ fixed-event-count chunks for barrier-less traces.  Every interval gets a
 :data:`SIGNATURE_FIELDS` vector summarising what the program did in it;
 clustering (:mod:`repro.sampling.cluster`) runs on those vectors.
 
-Signatures are computed in **one pass** over the event stream, so
-:func:`split_file` can build a sampling plan for a compressed
-million-event trace without materializing the event list (it reads
-events straight off :func:`repro.trace.io.iter_trace_events`).
+Signatures are computed in one pass over the trace's event list, and
+every interval keeps its own events so its representative can be lifted
+into a standalone trace (:func:`repro.sampling.estimate.representative_trace`).
 
 Barrier-mode semantics: a thread's events belong to interval ``k`` until
 (and including) its ``BARRIER_EXIT`` of its ``k``-th barrier episode.
@@ -29,8 +28,7 @@ reconstructed (see :func:`repro.sampling.estimate.representative_trace`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sampling.config import SamplingConfig
 from repro.trace.events import EventKind, TraceEvent
@@ -60,17 +58,20 @@ class Interval:
     vector.  ``prev_times`` maps each thread that appears in the
     interval to the time of its previous event *anywhere* in the trace
     (used to reconstruct the leading compute gap when the interval is
-    simulated standalone).  ``events`` is populated only when the split
-    was asked to keep them.
+    simulated standalone).  ``events`` are the interval's own events,
+    in trace order.
     """
 
     index: int
     first_time: float
     last_time: float
-    n_events: int
     signature: Tuple[float, ...]
     prev_times: Dict[int, float]
-    events: Optional[List[TraceEvent]] = None
+    events: List[TraceEvent]
+
+    @property
+    def n_events(self) -> int:
+        return len(self.events)
 
     @property
     def duration(self) -> float:
@@ -93,11 +94,10 @@ class IntervalSplit:
 
 @dataclass
 class _Bucket:
-    """Accumulator for one interval while streaming."""
+    """Accumulator for one interval during the split."""
 
     first_time: float
     last_time: float = 0.0
-    n_events: int = 0
     counts: List[int] = field(default_factory=lambda: [0] * len(EventKind))
     read_bytes: int = 0
     write_bytes: int = 0
@@ -105,19 +105,16 @@ class _Bucket:
     remote_counts: Dict[int, int] = field(default_factory=dict)
     remote_bytes: Dict[int, int] = field(default_factory=dict)
     prev_times: Dict[int, float] = field(default_factory=dict)
-    events: Optional[List[TraceEvent]] = None
+    events: List[TraceEvent] = field(default_factory=list)
 
 
 class _IntervalBuilder:
-    """One-pass interval accumulator over a time-ordered event stream."""
+    """One-pass interval accumulator over a time-ordered event list."""
 
-    def __init__(
-        self, meta: TraceMeta, mode: str, chunk: int, keep_events: bool
-    ):
+    def __init__(self, meta: TraceMeta, mode: str, chunk: int):
         self.meta = meta
         self.mode = mode  # "barrier" or "events"
         self.chunk = chunk
-        self.keep_events = keep_events
         self.barrier_exits = 0
         self.events_total = 0
         self._buckets: List[_Bucket] = []
@@ -129,10 +126,7 @@ class _IntervalBuilder:
 
     def _bucket(self, epoch: int, ev: TraceEvent) -> _Bucket:
         while len(self._buckets) <= epoch:
-            b = _Bucket(first_time=ev.time)
-            if self.keep_events:
-                b.events = []
-            self._buckets.append(b)
+            self._buckets.append(_Bucket(first_time=ev.time))
         return self._buckets[epoch]
 
     def add(self, ev: TraceEvent) -> None:
@@ -161,10 +155,8 @@ class _IntervalBuilder:
         if ev.kind in (EventKind.REMOTE_READ, EventKind.REMOTE_WRITE):
             bucket.remote_counts[th] = bucket.remote_counts.get(th, 0) + 1
             bucket.remote_bytes[th] = bucket.remote_bytes.get(th, 0) + ev.nbytes
-        bucket.n_events += 1
         bucket.last_time = ev.time
-        if bucket.events is not None:
-            bucket.events.append(ev)
+        bucket.events.append(ev)
 
         self._prev_time[th] = ev.time
         self.events_total += 1
@@ -210,7 +202,6 @@ class _IntervalBuilder:
                     index=i,
                     first_time=b.first_time,
                     last_time=b.last_time,
-                    n_events=b.n_events,
                     signature=signature,
                     prev_times=dict(b.prev_times),
                     events=b.events,
@@ -221,21 +212,19 @@ class _IntervalBuilder:
 
 def compute_intervals(
     meta: TraceMeta,
-    events: Iterable[TraceEvent],
+    events: Sequence[TraceEvent],
     *,
     mode: str,
     interval_events: int,
-    keep_events: bool,
 ) -> IntervalSplit:
-    """Single-pass split of an event stream in a *resolved* mode.
+    """Single-pass split of an event list in a *resolved* mode.
 
     ``mode`` must be ``"barrier"`` or ``"events"`` — ``auto`` resolution
-    (which may need a second pass) lives in :func:`split_trace` /
-    :func:`split_file`.
+    (which may need a second pass) lives in :func:`split_trace`.
     """
     if mode not in ("barrier", "events"):
         raise ValueError(f"unresolved interval mode {mode!r}")
-    builder = _IntervalBuilder(meta, mode, interval_events, keep_events)
+    builder = _IntervalBuilder(meta, mode, interval_events)
     for ev in events:
         builder.add(ev)
     return IntervalSplit(
@@ -246,64 +235,18 @@ def compute_intervals(
     )
 
 
-def _resolve_and_split(
-    meta: TraceMeta,
-    events_factory,
-    config: SamplingConfig,
-    keep_events: bool,
-) -> IntervalSplit:
+def split_trace(trace: Trace, config: SamplingConfig) -> IntervalSplit:
+    """Split a trace into signed intervals, resolving ``auto`` mode."""
+    meta, events = trace.meta, trace.events
     chunk = config.effective_interval_events()
     if config.mode == "events":
         return compute_intervals(
-            meta,
-            events_factory(),
-            mode="events",
-            interval_events=chunk,
-            keep_events=keep_events,
+            meta, events, mode="events", interval_events=chunk
         )
-    split = compute_intervals(
-        meta,
-        events_factory(),
-        mode="barrier",
-        interval_events=0,
-        keep_events=keep_events,
-    )
+    split = compute_intervals(meta, events, mode="barrier", interval_events=0)
     if config.mode == "auto" and split.n_intervals <= 1:
         # No barriers to cut at — fall back to fixed-size chunks.
         return compute_intervals(
-            meta,
-            events_factory(),
-            mode="events",
-            interval_events=chunk,
-            keep_events=keep_events,
+            meta, events, mode="events", interval_events=chunk
         )
     return split
-
-
-def split_trace(
-    trace: Trace, config: SamplingConfig, *, keep_events: bool = True
-) -> IntervalSplit:
-    """Split an in-memory trace into signed intervals."""
-    return _resolve_and_split(
-        trace.meta, lambda: trace.events, config, keep_events
-    )
-
-
-def split_file(
-    path: str | Path, config: SamplingConfig, *, keep_events: bool = False
-) -> Tuple[TraceMeta, IntervalSplit]:
-    """Split a trace *file* without materializing its event list.
-
-    Events stream straight off the (possibly compressed) file; with the
-    default ``keep_events=False`` only signatures are retained, so
-    memory stays O(intervals) however big the trace is.  ``auto`` mode
-    may stream the file twice (once to discover there are no barriers).
-    """
-    from repro.trace.io import iter_trace_events, read_trace_meta
-
-    path = Path(path)
-    meta = read_trace_meta(path)
-    split = _resolve_and_split(
-        meta, lambda: iter_trace_events(path), config, keep_events
-    )
-    return meta, split

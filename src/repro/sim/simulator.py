@@ -46,7 +46,6 @@ class Simulator:
         profile: bool = False,
         observe: bool = False,
         wall_clock_budget: Optional[float] = None,
-        stall_event_window: int = 2_000_000,
     ):
         """``assignment[t]`` is the processor that hosts thread ``t``
         (default: thread ``t`` on processor ``t``, the paper's model).
@@ -81,12 +80,10 @@ class Simulator:
         inherit fault injection too); a null or absent plan attaches
         nothing and stays byte-identical to the ideal machine.
 
-        ``wall_clock_budget`` (real seconds, None = unlimited) and
-        ``stall_event_window`` (events without forward progress before
-        the run is declared stuck) configure the watchdog; either
-        trigger raises :class:`~repro.des.engine.SimulationStalled`
-        naming the blocked processors and pending barriers instead of
-        hanging.
+        ``wall_clock_budget`` (real seconds, None = unlimited) bounds the
+        run; it and the watchdog's fixed no-progress window each raise
+        :class:`~repro.des.engine.SimulationStalled` naming the blocked
+        processors and pending barriers instead of hanging.
         """
         if translated.n_threads < 1:
             raise ValueError("translated program has no threads")
@@ -94,7 +91,6 @@ class Simulator:
         self.params = params
         self.max_events = max_events
         self.wall_clock_budget = wall_clock_budget
-        self.stall_event_window = stall_event_window
         n = translated.n_threads
         self.assignment = _check_assignment(assignment, n)
         m = max(self.assignment) + 1
@@ -186,10 +182,7 @@ class Simulator:
         """
         env = self.env
         all_done = env.all_of([p.done for p in self.processors])
-        watchdog = Watchdog(
-            wall_clock_budget=self.wall_clock_budget,
-            stall_event_window=self.stall_event_window,
-        )
+        watchdog = Watchdog(wall_clock_budget=self.wall_clock_budget)
         while True:
             remaining = self.max_events - env.processed_event_count
             if remaining <= 0:

@@ -20,11 +20,7 @@ from repro.trace.events import EventKind, TraceEvent
 from repro.trace.trace import ThreadTrace, Trace, TraceMeta, digest_events
 from repro.trace.io import (
     TraceReadError,
-    iter_trace_events,
     read_trace,
-    read_trace_meta,
-    stream_trace,
-    streaming_digest,
     write_trace,
 )
 from repro.trace.stats import TraceStats, compute_stats
@@ -38,11 +34,7 @@ __all__ = [
     "TraceMeta",
     "digest_events",
     "TraceReadError",
-    "iter_trace_events",
     "read_trace",
-    "read_trace_meta",
-    "stream_trace",
-    "streaming_digest",
     "write_trace",
     "TraceStats",
     "compute_stats",

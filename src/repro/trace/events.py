@@ -90,12 +90,6 @@ class TraceEvent:
     def is_remote(self) -> bool:
         return self.kind in REMOTE_KINDS
 
-    @property
-    def is_sync(self) -> bool:
-        """Synchronisation events get special timestamp treatment in
-        translation (barrier exits snap to the last entry)."""
-        return self.kind in BARRIER_KINDS
-
     def to_dict(self) -> Mapping[str, Any]:
         """Compact dict for JSONL serialisation (defaults elided)."""
         d: dict[str, Any] = {"t": self.time, "th": self.thread, "k": int(self.kind)}

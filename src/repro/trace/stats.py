@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from repro.trace.events import EventKind, TraceEvent
-from repro.trace.trace import ThreadTrace, Trace
+from repro.trace.events import EventKind
+from repro.trace.trace import Trace
 
 
 @dataclass
@@ -90,15 +90,3 @@ def compute_stats(trace: Trace) -> TraceStats:
         sum(tt.compute_deltas()) for tt in trace.split_by_thread()
     ]
     return s
-
-
-def compute_stats_per_thread(traces: Sequence[ThreadTrace]) -> TraceStats:
-    """Compute stats for a set of per-thread (translated) traces."""
-    merged_events: List[TraceEvent] = []
-    for tt in traces:
-        merged_events.extend(tt.events)
-    merged_events.sort(key=lambda e: (e.time, e.thread))
-    from repro.trace.trace import TraceMeta  # local import to avoid cycle noise
-
-    t = Trace(TraceMeta(n_threads=len(traces)), merged_events)
-    return compute_stats(t)

@@ -78,10 +78,8 @@ def digest_events(meta: TraceMeta, events: Iterable[TraceEvent]) -> str:
     """SHA-256 over trace metadata + an event stream (hex).
 
     The single source of trace content addressing: :meth:`Trace.digest`
-    calls it with the in-memory event list, and the streaming readers
-    (:func:`repro.trace.io.streaming_digest`) call it with a generator,
-    so a million-event compressed file hashes without materializing —
-    and always equals the digest of the fully-loaded trace.
+    calls it with the trace's event list, and any other event iterable
+    with the same content hashes the same.
     """
     h = hashlib.sha256()
     h.update(_meta_json(meta).encode("utf-8"))
@@ -135,10 +133,6 @@ class Trace:
             return 0.0
         return self.events[-1].time - self.events[0].time
 
-    def events_for_thread(self, thread: int) -> List[TraceEvent]:
-        """All events of one thread, in trace order."""
-        return [e for e in self.events if e.thread == thread]
-
     def split_by_thread(self) -> List["ThreadTrace"]:
         """Partition the merged stream into per-thread traces.
 
@@ -164,9 +158,8 @@ class Trace:
         Hashes the metadata (canonical sorted-key JSON) and every event
         field through an encoding independent of the on-disk format, so
         a trace has the same digest whether it was just measured, read
-        from ``.jsonl``, or read from ``.bin`` (compressed or not; see
-        :func:`repro.trace.io.streaming_digest` for the one-pass file
-        form).  Used as the trace part of sweep cache keys
+        from ``.jsonl``, or read from ``.bin`` (compressed or not).
+        Used as the trace part of sweep cache keys
         (:mod:`repro.sweep.cache`) and reported by ``extrap validate``.
         ``race_findings`` are in-memory diagnostics and do not
         participate.

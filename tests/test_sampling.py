@@ -14,11 +14,9 @@ from repro.sampling import (
     build_plan,
     estimate_sampled,
     sample_report,
-    split_file,
     split_trace,
 )
 from repro.trace.events import EventKind, TraceEvent
-from repro.trace.io import write_trace
 from repro.trace.trace import Trace, TraceMeta
 
 
@@ -110,22 +108,6 @@ def test_prev_times_track_leading_gap():
     for thread, prev in later.prev_times.items():
         mine = [e.time for e in later.events if e.thread == thread]
         assert prev < min(mine)
-
-
-def test_split_file_matches_in_memory(tmp_path):
-    tr = matmul_trace(4)
-    cfg = SamplingConfig()
-    in_mem = split_trace(tr, cfg, keep_events=False)
-    path = write_trace(tr, tmp_path / "m.jsonl.gz")
-    meta, streamed = split_file(path, cfg)
-    assert meta.to_dict() == tr.meta.to_dict()
-    assert streamed.mode == in_mem.mode
-    assert [iv.signature for iv in streamed.intervals] == [
-        iv.signature for iv in in_mem.intervals
-    ]
-
-
-# -- clustering --------------------------------------------------------------
 
 
 def test_plan_deterministic_for_seed():

@@ -16,7 +16,7 @@ import repro.trace.trace as trace_mod
 from repro.bench.suite import get_benchmark
 from repro.core.pipeline import measure
 from repro.trace.events import EventKind, TraceEvent
-from repro.trace.io import read_trace, streaming_digest, write_trace
+from repro.trace.io import read_trace, write_trace
 from repro.trace.trace import Trace, TraceMeta, digest_events
 
 
@@ -80,11 +80,11 @@ def test_digest_pinned_and_streaming_equal(tmp_path, monkeypatch):
     assert t.digest() == FIXED_DIGEST  # the memoised answer
     path = tmp_path / "fixed.jsonl.gz"
     write_trace(t, path)
-    assert streaming_digest(path) == FIXED_DIGEST
+    assert read_trace(path).digest() == FIXED_DIGEST
     # Hashing chunk boundaries must not show in the digest.
     monkeypatch.setattr(trace_mod, "DIGEST_CHUNK", 3)
     assert _fixed_trace().digest() == FIXED_DIGEST
-    assert streaming_digest(path) == FIXED_DIGEST
+    assert read_trace(path).digest() == FIXED_DIGEST
 
 
 # -- the digest memo ---------------------------------------------------------
@@ -297,7 +297,6 @@ def test_files_digest_like_the_trace(tmp_path_factory, trace):
         for compression in ("", ".gz", ".bz2", ".xz"):
             path = write_trace(trace, tmp / f"t{fmt}{compression}")
             assert read_trace(path).digest() == expected, path.name
-            assert streaming_digest(path) == expected, path.name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

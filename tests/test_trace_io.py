@@ -54,26 +54,6 @@ def test_suffix_case_insensitive(tmp_path, suffix):
     assert back.events == tr.events
 
 
-def test_streaming_writer_rejects_binary_with_guidance(tmp_path):
-    """Regression: handing TraceFileWriter a .bin path must fail with a
-    message pointing at write_trace, in any suffix case."""
-    from repro.trace.io import TraceFileWriter
-    from repro.trace.trace import TraceMeta
-
-    for name in ("t.bin", "t.BIN"):
-        with pytest.raises(ValueError, match="write_trace"):
-            TraceFileWriter(tmp_path / name, TraceMeta(n_threads=1))
-
-
-def test_streaming_writer_accepts_uppercase_jsonl(tmp_path):
-    from repro.trace.io import TraceFileWriter
-    from repro.trace.trace import TraceMeta
-
-    with TraceFileWriter(tmp_path / "t.JSONL", TraceMeta(n_threads=1)) as w:
-        pass
-    assert w.count == 0
-
-
 def test_binary_magic_check(tmp_path):
     p = tmp_path / "t.bin"
     p.write_bytes(b"NOPE" + b"\0" * 40)
@@ -108,51 +88,6 @@ def test_binary_truncation_detected(tmp_path):
     path.write_bytes(data[:-10])
     with pytest.raises(ValueError, match="truncated"):
         read_trace(path)
-
-
-def test_streaming_writer_matches_in_memory(tmp_path):
-    from repro.pcxx import Collection, TracingRuntime, make_distribution
-    from repro.trace.io import TraceFileWriter
-    from repro.trace.trace import TraceMeta
-
-    n = 4
-    coll = Collection("c", make_distribution(n, n, "block"), element_nbytes=16)
-    for i in range(n):
-        coll.poke(i, i)
-
-    def body(ctx):
-        yield from ctx.compute_us(10.0)
-        yield from ctx.get(coll, (ctx.tid + 1) % n, nbytes=8)
-        yield from ctx.barrier()
-
-    path = tmp_path / "stream.jsonl"
-    meta = TraceMeta(program="s", n_threads=n)
-    with TraceFileWriter(path, meta) as writer:
-        rt = TracingRuntime(n, "s", sink=writer.append)
-        trace = rt.run(body)
-        assert writer.count == len(trace)
-    back = read_trace(path)
-    assert back.events == trace.events
-
-
-def test_streaming_writer_rejects_binary(tmp_path):
-    from repro.trace.io import TraceFileWriter
-    from repro.trace.trace import TraceMeta
-
-    with pytest.raises(ValueError, match="jsonl"):
-        TraceFileWriter(tmp_path / "t.bin", TraceMeta(n_threads=1))
-
-
-def test_streaming_writer_closed(tmp_path):
-    from repro.trace.io import TraceFileWriter
-    from repro.trace.events import EventKind, TraceEvent
-    from repro.trace.trace import TraceMeta
-
-    w = TraceFileWriter(tmp_path / "t.jsonl", TraceMeta(n_threads=1))
-    w.close()
-    w.close()  # idempotent
-    with pytest.raises(ValueError, match="closed"):
-        w.append(TraceEvent(0.0, 0, EventKind.THREAD_BEGIN))
 
 
 events = st.lists(

@@ -53,6 +53,41 @@ def test_valid_json_but_bad_event_line(tmp_path):
         read_trace(path)
 
 
+def test_invalid_utf8_names_file_and_line(tmp_path):
+    path = write_trace(sample_trace(), tmp_path / "t.jsonl")
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"t"', b'"\xff"')
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(TraceReadError, match=r"t\.jsonl:2: invalid UTF-8"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_other_line_endings_read_like_newline(tmp_path, newline):
+    plain = write_trace(sample_trace(), tmp_path / "t.jsonl")
+    other = tmp_path / "crlf.jsonl"
+    other.write_bytes(plain.read_bytes().replace(b"\n", newline.encode()))
+    assert read_trace(other).events == read_trace(plain).events
+    assert read_trace(other).digest() == read_trace(plain).digest()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_bad_event_reports_its_line(tmp_path, newline, k):
+    """Line numbers count only \\n, \\r\\n and \\r breaks: a raw U+2028
+    or U+0085 inside a tag (both legal in a JSON string) shifts none."""
+    trace = sample_trace()
+    trace.events.insert(1, TraceEvent(0.5, 0, EventKind.MARK, tag="a\u2028b\x85c"))
+    path = write_trace(trace, tmp_path / "t.jsonl")
+    text = path.read_text(encoding="utf-8")
+    lines = text.replace("\\u2028", "\u2028").replace("\\u0085", "\x85").split("\n")
+    assert "\u2028" in lines[2]
+    lines[k - 1] = '{"t": 1.0, "th": 0}'  # no kind
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    with pytest.raises(TraceReadError, match=rf"t\.jsonl:{k}: bad trace event"):
+        read_trace(path)
+
+
 def test_empty_file(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text("")

@@ -5,7 +5,6 @@ import pytest
 from repro.core import presets
 from repro.core.pipeline import measure_and_extrapolate
 from repro.pcxx import Collection, make_distribution
-from repro.trace.stats import compute_stats_per_thread
 from repro.trace.trace import Trace, TraceMeta
 from repro.trace.validate import validate_trace
 
@@ -51,9 +50,3 @@ def test_merge_thread_count_mismatch():
         Trace.from_thread_traces(TraceMeta(n_threads=7), o.result.threads)
 
 
-def test_compute_stats_per_thread():
-    o = outcome()
-    st = compute_stats_per_thread(o.result.threads)
-    assert st.n_threads == 4
-    assert st.n_remote_reads == 4
-    assert st.n_barriers == 1
