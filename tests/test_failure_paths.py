@@ -12,7 +12,8 @@ from repro.core.translation import TranslatedProgram, translate
 from repro.des import Deadlock, Environment, SimulationStalled
 from repro.machine import Machine
 from repro.pcxx import Collection, make_distribution
-from repro.sim.simulator import Simulator
+from repro.sim.messages import Message, MsgKind
+from repro.sim.simulator import Simulator, simulate
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.trace import ThreadTrace, TraceMeta
 
@@ -128,6 +129,43 @@ def test_multithread_deadlock_names_stuck_threads():
         match=r"blocked processors \[proc 0: thread 0: parked at barrier 0 ",
     ):
         sim.run()
+
+
+def test_remote_access_to_itself_raises_from_simulate():
+    """A trace in which thread 0 reads an element it owns is a model
+    error: ``simulate`` raises it as it is, not as a stall."""
+    prog = TranslatedProgram(
+        TraceMeta(program="self-read", n_threads=2),
+        [
+            ThreadTrace(0, [
+                TraceEvent(0.0, 0, EventKind.THREAD_BEGIN),
+                TraceEvent(1.0, 0, EventKind.REMOTE_READ, owner=0, nbytes=8),
+                TraceEvent(2.0, 0, EventKind.THREAD_END),
+            ]),
+            ThreadTrace(1, [
+                TraceEvent(0.0, 1, EventKind.THREAD_BEGIN),
+                TraceEvent(2.0, 1, EventKind.THREAD_END),
+            ]),
+        ],
+    )
+    with pytest.raises(ValueError) as exc_info:
+        simulate(prog, presets.distributed_memory())
+    assert type(exc_info.value) is ValueError
+    assert str(exc_info.value) == "thread 0: remote access to itself in the trace"
+
+
+def test_stray_reply_raises_from_run():
+    """A reply nobody asked for is a model error on an ideal machine:
+    the receiving processor names it and the run raises it."""
+    sim = Simulator(translated(2), presets.distributed_memory())
+    sim.processors[1].deliver(Message(MsgKind.REPLY, 0, 1, 8, 999))
+    with pytest.raises(RuntimeError) as exc_info:
+        sim.run()
+    assert type(exc_info.value) is RuntimeError
+    assert str(exc_info.value) == (
+        "processor 1: unexpected <Msg reply 0->1 8B id=999> "
+        "(no pending request with that id)"
+    )
 
 
 def test_simulation_stalled_carries_structured_diagnosis():

@@ -20,6 +20,13 @@ straggler and barrier-delay plan, each on one thread per processor and
 on two threads per processor.  Retry timers, flag-barrier releases and
 k > 1 threads are the waits these runs add.
 
+The queue order itself is pinned too: for the small grid and matmul
+under every preset, service policy and barrier algorithm, on one thread
+per processor and on two, a sha256 of every popped ``(time, priority,
+seq)`` entry, the processed event count and the result digest.  A result
+digest cannot see a sequence-number shift that leaves results unchanged;
+the pop order can.
+
 The digests were produced by the engine before the replay-path event
 cuts; an engine change must leave all of them unchanged.  To regenerate
 after a deliberate behaviour change::
@@ -42,14 +49,16 @@ from repro.bench.suite import BENCHMARKS
 from repro.core import presets
 from repro.core.pipeline import measure
 from repro.core.translation import TranslatedProgram, translate
+from repro.des import engine
 from repro.faults.plan import FaultPlan
 from repro.obs.export import chrome_trace_json
 from repro.sim.result import SimulationResult
-from repro.sim.simulator import assign_threads, simulate
+from repro.sim.simulator import Simulator, assign_threads, simulate
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "replay_golden.json"
 TIMELINE_GOLDEN_PATH = Path(__file__).parent / "data" / "timeline_golden.json"
 FAULT_GOLDEN_PATH = Path(__file__).parent / "data" / "fault_golden.json"
+POP_GOLDEN_PATH = Path(__file__).parent / "data" / "pop_order_golden.json"
 
 THREADS = 4
 PRESETS = ("distributed_memory", "shared_memory", "cm5", "ideal")
@@ -104,6 +113,10 @@ FAULT_PLANS = {
     ),
 }
 FAULT_ASSIGNMENTS = {"identity": None, "paired": [0, 0, 1, 1]}
+
+#: Pop-order pins: small grid and matmul across the full factor grid,
+#: on the fault pins' two assignments.
+POP_BENCHMARKS = ("grid", "matmul")
 
 
 def result_digest(result: SimulationResult) -> str:
@@ -188,6 +201,49 @@ def compute_fault_digests() -> Dict[str, str]:
     return digests
 
 
+def pop_order(tp: TranslatedProgram, params, assignment) -> Dict[str, object]:
+    """One replay's popped-entry digest, event count and result digest.
+
+    Every ``(time, priority, seq)`` entry the engine pops is captured by
+    replacing ``repro.des.engine.heappop`` while the replay runs.
+    """
+    pops = []
+    heappop = engine.heappop
+
+    def recording_heappop(queue):
+        entry = heappop(queue)
+        pops.append(entry[:3])
+        return entry
+
+    sim = Simulator(tp, params, assignment=assignment)
+    engine.heappop = recording_heappop
+    try:
+        result = sim.run()
+    finally:
+        engine.heappop = heappop
+    blob = json.dumps(pops, separators=(",", ":"))
+    return {
+        "pops": hashlib.sha256(blob.encode()).hexdigest(),
+        "events": sim.env.processed_event_count,
+        "result": result_digest(result),
+    }
+
+
+def compute_pop_orders() -> Dict[str, Dict[str, object]]:
+    """Pop-order pin of every configuration in the pop-order grid."""
+    pins = {}
+    for name in POP_BENCHMARKS:
+        tp = _translated(name, small=True)
+        for preset in PRESETS:
+            for policy in POLICIES:
+                for alg in ALGORITHMS:
+                    params = make_params(preset, policy, alg)
+                    for asg_name, assignment in FAULT_ASSIGNMENTS.items():
+                        key = f"{name}@{THREADS}/{preset}/{policy}/{alg}/{asg_name}"
+                        pins[key] = pop_order(tp, params, assignment)
+    return pins
+
+
 @pytest.fixture(scope="module")
 def digests() -> Dict[str, str]:
     return compute_digests()
@@ -248,6 +304,17 @@ def test_fault_plan_replay_matches_golden():
     assert not changed, f"{len(changed)} fault-plan runs changed: {changed}"
 
 
+def test_pop_order_matches_golden():
+    golden = json.loads(POP_GOLDEN_PATH.read_text())
+    assert len(golden) == len(POP_BENCHMARKS) * len(PRESETS) * len(
+        POLICIES
+    ) * len(ALGORITHMS) * len(FAULT_ASSIGNMENTS)
+    pins = compute_pop_orders()
+    assert sorted(pins) == sorted(golden)
+    changed = sorted(k for k in golden if pins[k] != golden[k])
+    assert not changed, f"{len(changed)} pop orders changed: {changed[:10]}"
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration entry point
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_replay_golden.py --write")
@@ -256,6 +323,7 @@ if __name__ == "__main__":  # pragma: no cover - regeneration entry point
         (GOLDEN_PATH, compute_digests),
         (TIMELINE_GOLDEN_PATH, compute_timeline_digests),
         (FAULT_GOLDEN_PATH, compute_fault_digests),
+        (POP_GOLDEN_PATH, compute_pop_orders),
     ):
         path.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")
