@@ -12,17 +12,23 @@ Each version is a git revision (exported with ``git archive``) or a
 directory holding the ``repro`` package.  Each one builds its own
 translated program per workload; each round then times one
 ``simulate()`` per version per workload in thread CPU time, after a
-``gc.collect()``, with the version that goes first alternating.  The
-predicted times must agree.  Printed per workload: the median and
-interquartile range of the B/A time ratios and each version's median
-time.
+``gc.collect()``, with the version that goes first alternating.  Before
+timing, the two versions' results must agree in everything the replay
+goldens hash: the predicted time, every thread's output events, the
+processor stats and the network stats.  Printed per workload: the
+median and interquartile range of the B/A time ratios and each
+version's median time.  ``python benchmarks/replay_ab.py src src
+--rounds 2`` checks that the tool itself still runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
+import hashlib
 import io
+import json
 import statistics
 import subprocess
 import sys
@@ -33,14 +39,47 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: ``(benchmark, threads, preset)``: the replays of the three e2ebench
-#: workloads, plus grid under flag barriers.
+#: ``(benchmark, threads, preset, processors, policy)``: the replays of
+#: the three e2ebench workloads, then grid under flag barriers, with two
+#: threads per processor (the k > 1 scheduler) and under the ``poll``
+#: policy (``None`` keeps the preset's policy).
 WORKLOADS = (
-    ("grid", 16, "distributed_memory"),
-    ("matmul", 8, "distributed_memory"),
-    ("sparse", 8, "distributed_memory"),
-    ("grid", 16, "shared_memory"),
+    ("grid", 16, "distributed_memory", 16, None),
+    ("matmul", 8, "distributed_memory", 8, None),
+    ("sparse", 8, "distributed_memory", 8, None),
+    ("grid", 16, "shared_memory", 16, None),
+    ("grid", 16, "distributed_memory", 8, None),
+    ("grid", 16, "distributed_memory", 16, "poll"),
 )
+
+
+def label(workload) -> str:
+    name, n, preset, m, policy = workload
+    text = f"{name}@{n} {preset}"
+    if m != n:
+        text += f" on {m} processors"
+    if policy is not None:
+        text += f" policy={policy}"
+    return text
+
+
+def result_digest(result) -> str:
+    """sha256 over what the replay goldens pin of a result."""
+    doc = {
+        "execution_time": result.execution_time,
+        "threads": [
+            [
+                (ev.time, ev.thread, ev.kind.value, ev.barrier_id, ev.owner,
+                 ev.nbytes, ev.collection, ev.tag)
+                for ev in thread.events
+            ]
+            for thread in result.threads
+        ],
+        "processors": [dataclasses.asdict(p) for p in result.processors],
+        "network": dataclasses.asdict(result.network),
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _is_repro(name: str) -> bool:
@@ -75,27 +114,31 @@ class Version:
             from repro.core import presets
             from repro.core.pipeline import measure
             from repro.core.translation import translate
-            from repro.sim.simulator import simulate
+            from repro.sim.simulator import assign_threads, simulate
         finally:
             sys.path.remove(src)
         self.simulate = simulate
         self.cases = []
-        for name, n, preset in WORKLOADS:
+        for name, n, preset, m, policy in WORKLOADS:
             program = get_benchmark(name).make_program()(n)
             tp = translate(measure(program, n, name=name))
-            self.cases.append((tp, presets.by_name(preset)))
+            params = presets.by_name(preset)
+            if policy is not None:
+                params = params.with_(processor={"policy": policy})
+            assignment = assign_threads(n, m) if m != n else None
+            self.cases.append((tp, params, assignment))
         self.modules = {n: m for n, m in sys.modules.items() if _is_repro(n)}
         for name in self.modules:
             del sys.modules[name]
 
     def time(self, i: int):
-        """Thread CPU seconds and predicted time of workload ``i``."""
+        """Thread CPU seconds and result of workload ``i``."""
         sys.modules.update(self.modules)  # lazy imports resolve to this copy
-        tp, params = self.cases[i]
+        tp, params, assignment = self.cases[i]
         gc.collect()
         t0 = time.thread_time()
-        result = self.simulate(tp, params)
-        return time.thread_time() - t0, result.execution_time
+        result = self.simulate(tp, params, assignment=assignment)
+        return time.thread_time() - t0, result
 
 
 def main(argv=None) -> int:
@@ -109,9 +152,9 @@ def main(argv=None) -> int:
         b = Version(source_dir(args.b, Path(scratch)))
     ratios = [[] for _ in WORKLOADS]
     times = [([], []) for _ in WORKLOADS]
-    for i, workload in enumerate(WORKLOADS):  # warm-up, and same predictions
-        if a.time(i)[1] != b.time(i)[1]:
-            sys.exit(f"{workload}: the two versions predict different times")
+    for i, workload in enumerate(WORKLOADS):  # warm-up, and same results
+        if result_digest(a.time(i)[1]) != result_digest(b.time(i)[1]):
+            sys.exit(f"{label(workload)}: the two versions replay differently")
     for r in range(args.rounds):
         for i in range(len(WORKLOADS)):
             first, second = (a, b) if r % 2 == 0 else (b, a)
@@ -120,10 +163,10 @@ def main(argv=None) -> int:
             ratios[i].append(tb / ta)
             times[i][0].append(ta)
             times[i][1].append(tb)
-    for i, (name, n, preset) in enumerate(WORKLOADS):
+    for i, workload in enumerate(WORKLOADS):
         q1, _, q3 = statistics.quantiles(ratios[i], n=4)
         print(
-            f"{name}@{n} {preset}: B/A median {statistics.median(ratios[i]):.3f} "
+            f"{label(workload)}: B/A median {statistics.median(ratios[i]):.3f} "
             f"[{q1:.3f}, {q3:.3f}]  A {statistics.median(times[i][0]) * 1e3:.1f} ms"
             f"  B {statistics.median(times[i][1]) * 1e3:.1f} ms  ({args.rounds} rounds)"
         )
