@@ -258,7 +258,9 @@ class AllOf(Event):
 
 
 class Initialize(Event):
-    """Internal event used to start a new process at the current time."""
+    """Internal event that starts a process, or a callback-driven model
+    component such as a simulated processor, at the current time ahead
+    of same-time ordinary events (priority -1)."""
 
     __slots__ = ()
 
