@@ -12,12 +12,16 @@ Each version is a git revision (exported with ``git archive``) or a
 directory holding the ``repro`` package.  Each one builds its own
 translated program per workload; each round then times one
 ``simulate()`` per version per workload in thread CPU time, after a
-``gc.collect()``, with the version that goes first alternating.  Before
-timing, the two versions' results must agree in everything the replay
-goldens hash: the predicted time, every thread's output events, the
-processor stats and the network stats.  Printed per workload: the
-median and interquartile range of the B/A time ratios and each
-version's median time.  ``python benchmarks/replay_ab.py src src
+``gc.collect()``, with the version that goes first alternating.  One
+more fixed row times the cold front end with the replay: grid@16
+written once as ``.jsonl``, then ``read_trace`` -> ``translate`` ->
+``simulate`` per round, so a change to the reader or to the per-event
+records shows too.  Before timing, the two versions' results must
+agree in everything the replay goldens hash: the predicted time, every
+thread's output events, the processor stats and the network stats,
+and, on the front-end row, every event read from the file.  Printed per
+workload: the median and interquartile range of the B/A time ratios
+and each version's median time.  ``python benchmarks/replay_ab.py src src
 --rounds 2`` checks that the tool itself still runs.
 """
 
@@ -52,10 +56,16 @@ WORKLOADS = (
     ("grid", 16, "distributed_memory", 16, "poll"),
 )
 
+#: The front-end row, timed after ``WORKLOADS``: its trace is read from
+#: a ``.jsonl`` file and translated in every timed call.
+READ_WORKLOAD = ("grid", 16, "distributed_memory", 16, None)
 
-def label(workload) -> str:
+
+def label(workload, i: int) -> str:
     name, n, preset, m, policy = workload
     text = f"{name}@{n} {preset}"
+    if i == len(WORKLOADS):
+        text += " read+translate+simulate (.jsonl)"
     if m != n:
         text += f" on {m} processors"
     if policy is not None:
@@ -63,9 +73,15 @@ def label(workload) -> str:
     return text
 
 
-def result_digest(result) -> str:
-    """sha256 over what the replay goldens pin of a result."""
+def result_digest(result, read_events=()) -> str:
+    """sha256 over what the replay goldens pin of a result, plus the
+    events read from a trace file (front-end row)."""
     doc = {
+        "read": [
+            (ev.time, ev.thread, ev.kind.value, ev.barrier_id, ev.owner,
+             ev.nbytes, ev.collection, ev.tag)
+            for ev in read_events
+        ],
         "execution_time": result.execution_time,
         "threads": [
             [
@@ -103,9 +119,13 @@ def source_dir(version: str, scratch: Path) -> str:
 
 
 class Version:
-    """One imported copy of ``repro`` and its prepared workloads."""
+    """One imported copy of ``repro`` and its prepared workloads.
 
-    def __init__(self, src: str):
+    ``trace_path`` is the front-end row's ``.jsonl`` file; the first
+    version writes it, so every version reads the same bytes.
+    """
+
+    def __init__(self, src: str, trace_path: Path):
         for name in [n for n in sys.modules if _is_repro(n)]:
             del sys.modules[name]
         sys.path.insert(0, src)
@@ -115,9 +135,13 @@ class Version:
             from repro.core.pipeline import measure
             from repro.core.translation import translate
             from repro.sim.simulator import assign_threads, simulate
+            from repro.trace.io import read_trace, write_trace
         finally:
             sys.path.remove(src)
         self.simulate = simulate
+        self.read_trace = read_trace
+        self.translate = translate
+        self.trace_path = trace_path
         self.cases = []
         for name, n, preset, m, policy in WORKLOADS:
             program = get_benchmark(name).make_program()(n)
@@ -127,18 +151,28 @@ class Version:
                 params = params.with_(processor={"policy": policy})
             assignment = assign_threads(n, m) if m != n else None
             self.cases.append((tp, params, assignment))
+        name, n, preset, _, _ = READ_WORKLOAD
+        if not trace_path.exists():
+            program = get_benchmark(name).make_program()(n)
+            write_trace(measure(program, n, name=name), trace_path)
+        self.read_params = presets.by_name(preset)
         self.modules = {n: m for n, m in sys.modules.items() if _is_repro(n)}
         for name in self.modules:
             del sys.modules[name]
 
     def time(self, i: int):
-        """Thread CPU seconds and result of workload ``i``."""
+        """Thread CPU seconds, result and read events of row ``i``."""
         sys.modules.update(self.modules)  # lazy imports resolve to this copy
-        tp, params, assignment = self.cases[i]
         gc.collect()
+        if i == len(WORKLOADS):
+            t0 = time.thread_time()
+            trace = self.read_trace(self.trace_path)
+            result = self.simulate(self.translate(trace), self.read_params)
+            return time.thread_time() - t0, result, trace.events
+        tp, params, assignment = self.cases[i]
         t0 = time.thread_time()
         result = self.simulate(tp, params, assignment=assignment)
-        return time.thread_time() - t0, result
+        return time.thread_time() - t0, result, ()
 
 
 def main(argv=None) -> int:
@@ -147,26 +181,28 @@ def main(argv=None) -> int:
     ap.add_argument("b", help="candidate: git revision or src directory")
     ap.add_argument("--rounds", type=int, default=40)
     args = ap.parse_args(argv)
+    rows = WORKLOADS + (READ_WORKLOAD,)
     with tempfile.TemporaryDirectory() as scratch:
-        a = Version(source_dir(args.a, Path(scratch)))
-        b = Version(source_dir(args.b, Path(scratch)))
-    ratios = [[] for _ in WORKLOADS]
-    times = [([], []) for _ in WORKLOADS]
-    for i, workload in enumerate(WORKLOADS):  # warm-up, and same results
-        if result_digest(a.time(i)[1]) != result_digest(b.time(i)[1]):
-            sys.exit(f"{label(workload)}: the two versions replay differently")
-    for r in range(args.rounds):
-        for i in range(len(WORKLOADS)):
-            first, second = (a, b) if r % 2 == 0 else (b, a)
-            t_first, t_second = first.time(i)[0], second.time(i)[0]
-            ta, tb = (t_first, t_second) if first is a else (t_second, t_first)
-            ratios[i].append(tb / ta)
-            times[i][0].append(ta)
-            times[i][1].append(tb)
-    for i, workload in enumerate(WORKLOADS):
+        trace_path = Path(scratch) / "grid16.jsonl"
+        a = Version(source_dir(args.a, Path(scratch)), trace_path)
+        b = Version(source_dir(args.b, Path(scratch)), trace_path)
+        ratios = [[] for _ in rows]
+        times = [([], []) for _ in rows]
+        for i, workload in enumerate(rows):  # warm-up, and same results
+            if result_digest(*a.time(i)[1:]) != result_digest(*b.time(i)[1:]):
+                sys.exit(f"{label(workload, i)}: the two versions replay differently")
+        for r in range(args.rounds):
+            for i in range(len(rows)):
+                first, second = (a, b) if r % 2 == 0 else (b, a)
+                t_first, t_second = first.time(i)[0], second.time(i)[0]
+                ta, tb = (t_first, t_second) if first is a else (t_second, t_first)
+                ratios[i].append(tb / ta)
+                times[i][0].append(ta)
+                times[i][1].append(tb)
+    for i, workload in enumerate(rows):
         q1, _, q3 = statistics.quantiles(ratios[i], n=4)
         print(
-            f"{label(workload)}: B/A median {statistics.median(ratios[i]):.3f} "
+            f"{label(workload, i)}: B/A median {statistics.median(ratios[i]):.3f} "
             f"[{q1:.3f}, {q3:.3f}]  A {statistics.median(times[i][0]) * 1e3:.1f} ms"
             f"  B {statistics.median(times[i][1]) * 1e3:.1f} ms  ({args.rounds} rounds)"
         )

@@ -9,8 +9,7 @@ access protocol in the simulation" (§3.3.2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 
 class MsgKind(enum.Enum):
@@ -28,9 +27,14 @@ class MsgKind(enum.Enum):
     BARRIER_RELEASE = "barrier_release"
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message on the simulated interconnect.
+
+    Slotted: the replay builds one per request, reply, write, ack and
+    barrier message, and the network model writes its two timestamps
+    in place, so a message has no ``__dict__`` and takes no attribute
+    beyond the fields below.
 
     Attributes
     ----------

@@ -6,13 +6,20 @@ only points where pC++ threads interact.  We add thread begin/end
 delimiters (so per-thread lifetimes are explicit), remote *writes* (the
 paper's §5 "trivial extension"), and user phase markers (for richer
 metrics; ignored by the simulator's timing models).
+
+A :class:`TraceEvent` is a :class:`typing.NamedTuple`: every measured,
+translated and replayed event builds one, up to three times per event
+in one prediction, and a tuple is the cheapest immutable record CPython
+builds.  It keeps the field names, order, defaults, ``repr`` and hash
+of a frozen record, and writing a field raises ``AttributeError``.
+Being a tuple, it also compares equal to a plain tuple of its fields
+(``TraceEvent(0.0, 1, k) == (0.0, 1, k, -1, -1, 0, "", "")``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 
 class EventKind(enum.IntEnum):
@@ -41,9 +48,8 @@ BARRIER_KINDS = frozenset({EventKind.BARRIER_ENTER, EventKind.BARRIER_EXIT})
 REMOTE_KINDS = frozenset({EventKind.REMOTE_READ, EventKind.REMOTE_WRITE})
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One high-level event.
+class TraceEvent(NamedTuple):
+    """One high-level event (immutable; equal to the tuple of its fields).
 
     Attributes
     ----------

@@ -30,6 +30,7 @@ import bz2
 import gzip
 import io as _io
 import json
+import json.scanner
 import lzma
 import re
 import struct
@@ -157,6 +158,10 @@ def _jsonl_text(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: ``scan_once(line, idx) -> (value, end)``: the json module's C scanner
+#: with ``json.loads``'s default hooks (no per-line decoder setup).
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+
 #: The line breaks a universal-newlines text reader splits on.
 _NEWLINES = re.compile(rb"\r\n|\r|\n")
 
@@ -207,11 +212,24 @@ def _decode_jsonl(path: Path, data: bytes) -> Tuple[TraceMeta, List[TraceEvent]]
         raise TraceReadError(f"{path}:1: bad trace metadata: {exc}") from None
 
     events: List[TraceEvent] = []
+    append = events.append
+    from_dict = TraceEvent.from_dict
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         try:
-            events.append(TraceEvent.from_dict(json.loads(line)))
+            # One C-scanner call decodes a compact event line.  Only a
+            # value that spans the whole line is taken; anything else
+            # (blank, whitespace-padded, trailing data, malformed) goes
+            # through ``json.loads`` on that same line, which accepts
+            # or rejects it with the usual error text.
+            try:
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(line):
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+            append(from_dict(obj))
         except json.JSONDecodeError as exc:
             raise TraceReadError(
                 f"{path}:{lineno}: malformed event line ({exc.msg}): "

@@ -173,11 +173,11 @@ class Trace:
         events, or editing any meta field down into ``meta.problem``,
         is seen, and a trace is hashed once however often it is asked.
         The snapshot costs one pointer (8 bytes) per event, and keeps
-        the hashed events alive until the next call.  The guard
-        cannot see two kinds of change: a field of a frozen
-        :class:`TraceEvent` written through ``object.__setattr__``, and
-        an event swapped for one that compares equal but prints
-        differently (time ``-0.0`` for ``0.0``, or ``1`` for ``1.0``).
+        the hashed events alive until the next call.  An event is a
+        tuple, so no field of it can be written in place.  The guard
+        cannot see one kind of change: an event swapped for one that
+        compares equal but prints differently (time ``-0.0`` for
+        ``0.0``, or ``1`` for ``1.0``).
         """
         meta_json = _meta_json(self.meta)
         memo = self._digest_memo

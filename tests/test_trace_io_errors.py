@@ -1,5 +1,6 @@
 """Malformed-trace diagnostics: file, line number, offending text."""
 
+import math
 import struct
 
 import pytest
@@ -107,6 +108,52 @@ def test_malformed_header(tmp_path):
     path.write_text("{broken\n")
     with pytest.raises(TraceReadError, match=r"t\.jsonl:1: malformed header"):
         read_trace(path)
+
+
+def _jsonl_with_event_lines(tmp_path, lines):
+    """A one-thread JSONL trace whose event lines are ``lines``."""
+    path = write_trace(Trace(TraceMeta(program="demo", n_threads=1)), tmp_path / "t.jsonl")
+    path.write_text(path.read_text() + "\n".join(lines) + "\n")
+    return path
+
+
+def test_lines_that_only_join_into_json_are_each_malformed(tmp_path):
+    """Each line is decoded on its own: two halves that would form a
+    valid JSON array together still fail at the first half's line."""
+    first = '{"t":0,"th":0,"k":0},{"t":0'
+    path = _jsonl_with_event_lines(tmp_path, [first, '"th":0,"k":0}'])
+    with pytest.raises(TraceReadError) as exc_info:
+        read_trace(path)
+    assert str(exc_info.value) == (
+        f"{path}:2: malformed event line (Extra data): {first!r}"
+    )
+
+
+def test_trailing_data_after_an_event_is_malformed(tmp_path):
+    line = '{"t":0,"th":0,"k":0} {"t":1}'
+    path = _jsonl_with_event_lines(tmp_path, [line])
+    with pytest.raises(TraceReadError) as exc_info:
+        read_trace(path)
+    assert str(exc_info.value) == (
+        f"{path}:2: malformed event line (Extra data): {line!r}"
+    )
+
+
+def test_whitespace_padded_event_line_parses(tmp_path):
+    path = _jsonl_with_event_lines(
+        tmp_path, [' \t{"t":0,"th":0,"k":0}  ', '{"t":1.5,"th":0,"k":1}\t']
+    )
+    assert read_trace(path).events == [
+        TraceEvent(0.0, 0, EventKind.THREAD_BEGIN),
+        TraceEvent(1.5, 0, EventKind.THREAD_END),
+    ]
+
+
+def test_nan_time_parses(tmp_path):
+    path = _jsonl_with_event_lines(tmp_path, ['{"t":NaN,"th":0,"k":0}'])
+    (ev,) = read_trace(path).events
+    assert math.isnan(ev.time)
+    assert (ev.thread, ev.kind) == (0, EventKind.THREAD_BEGIN)
 
 
 # -- binary -----------------------------------------------------------------
