@@ -37,7 +37,6 @@ from repro.core.pipeline import (
 )
 from repro.core.translation import TranslatedProgram, translate
 from repro.metrics import PerformanceMetrics, derive_metrics
-from repro.metrics.scaling import ScalingStudy, run_scaling_study
 from repro.pcxx import Collection, Dist, ThreadCtx, TracingRuntime, make_distribution
 from repro.sim import SimulationResult, simulate
 from repro.trace import Trace, read_trace, write_trace
@@ -54,7 +53,6 @@ __all__ = [
     "PerformanceMetrics",
     "ProcessorParams",
     "RemoteServicePolicy",
-    "ScalingStudy",
     "SimulationParameters",
     "SimulationResult",
     "ThreadCtx",
@@ -69,7 +67,6 @@ __all__ = [
     "measure_and_extrapolate",
     "presets",
     "read_trace",
-    "run_scaling_study",
     "simulate",
     "translate",
     "write_trace",

@@ -41,7 +41,6 @@ from repro.core.predict import PredictMode, predict, predict_report
 from repro.des import SimulationStalled
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.faults import load_fault_plan
-from repro.metrics.scaling import run_scaling_study
 from repro.sweep.cache import DEFAULT_CACHE_DIR
 from repro.trace import read_trace, write_trace
 from repro.util.atomic import atomic_write_text
@@ -448,27 +447,19 @@ def cmd_machine(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from repro.metrics import derive_metrics
+    from repro.sweep.executor import extrapolate_many
     from repro.util.tables import format_table
 
     trace = _load_trace(args.trace)
-    rows = []
-    base_time = None
-    for preset_name in args.presets:
-        outcome = predict(trace, presets.by_name(preset_name))
-        m = derive_metrics(outcome.result)
-        if base_time is None:
-            base_time = m.execution_time
-        rows.append(
-            [
-                preset_name,
-                m.execution_time,
-                m.execution_time / base_time,
-                m.utilization,
-                outcome.result.total_comm_time(),
-                outcome.result.total_barrier_time(),
-            ]
-        )
+    records = extrapolate_many(
+        [(trace, presets.by_name(name)) for name in args.presets], jobs=1
+    )
+    base_time = records[0]["predicted_time_us"]
+    rows = [
+        [name, r["predicted_time_us"], r["predicted_time_us"] / base_time,
+         r["utilization"], r["comm_time_us"], r["barrier_time_us"]]
+        for name, r in zip(args.presets, records)
+    ]
     print(
         format_table(
             [
@@ -499,6 +490,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_study(args) -> int:
+    from repro.metrics import speedups
+    from repro.sweep.executor import extrapolate_many
+    from repro.util.tables import format_table
+
     info = get_benchmark(args.benchmark)
     params = _resolve_params(args)
     counts = _parse_counts(args.processors)
@@ -508,14 +503,21 @@ def cmd_study(args) -> int:
         )
     if info.power_of_two_only:
         counts = [p for p in counts if (p & (p - 1)) == 0]
-    study = run_scaling_study(
-        info.make_program(),
-        params,
-        name=args.benchmark,
-        processor_counts=counts,
-        size_mode=args.size_mode,
-    )
-    print(study.format())
+    maker = info.make_program()
+    counts = sorted(counts)
+    traces = [
+        measure(maker(n), n, name=args.benchmark, size_mode=args.size_mode)
+        for n in counts
+    ]
+    records = extrapolate_many([(t, params) for t in traces], jobs=1)
+    curve = speedups({n: r["predicted_time_us"] for n, r in zip(counts, records)})
+    rows = [
+        [n, r["predicted_time_us"], curve[n], curve[n] / n, r["utilization"],
+         r["barrier_count"], r["message_count"]]
+        for n, r in zip(counts, records)
+    ]
+    headers = ["P", "time_us", "speedup", "efficiency", "util", "barriers", "msgs"]
+    print(format_table(headers, rows, title=f"{args.benchmark} — {params.name}"))
     return 0
 
 
@@ -844,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for experiments with internal grids "
-        "(the ablations); 1 = serial",
+        "(the figures, validation-suite and grid ablations); 1 = serial",
     )
 
     rp = sub.add_parser(

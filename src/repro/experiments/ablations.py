@@ -6,11 +6,14 @@ barrier algorithm, the interconnect topology, the analytical contention
 model, the poll interval, and instrumentation-overhead compensation in
 the translation step.
 
-The grid-shaped ablations (barrier, topology, contention, poll) route
-their extrapolations through the sweep executor
+The grid-shaped ablations (barrier, topology, contention, poll, noise)
+route their extrapolations through the sweep executor
 (:func:`repro.sweep.executor.extrapolate_many`): pass ``jobs=N`` — the
 CLI's ``extrap experiment NAME --jobs N`` does — to fan the grid across
-worker processes with results identical to the serial loop.
+worker processes with results identical to the serial loop.  The fault
+sweep reads fault totals that the result record does not carry, and
+the placement ablation passes a placement to ``simulate``; both stay
+serial loops.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from typing import Dict, Sequence, Tuple
 
 from repro.bench.cyclic import make_program as make_cyclic
 from repro.bench.grid import make_program as make_grid
+from repro.core.parameters import SimulationParameters
 from repro.core.pipeline import extrapolate, measure
 from repro.core.translation import translate
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, predicted_series
 from repro.experiments.paramsets import (
     PROCESSOR_COUNTS,
     cyclic_config,
@@ -30,29 +34,23 @@ from repro.experiments.paramsets import (
 )
 from repro.pcxx.runtime import TracingRuntime
 from repro.sim.topology import available_topologies
-from repro.sweep.executor import extrapolate_many
+from repro.trace.trace import Trace
 
 
 def _grid_series(
-    traces: Dict[int, object],
-    variants: Sequence[Tuple[str, object]],
+    traces: Dict[int, Trace],
+    variants: Sequence[Tuple[str, SimulationParameters]],
     counts: Sequence[int],
     *,
     jobs: int = 1,
 ) -> Dict[str, Dict[int, float]]:
     """Predicted times for every (variant, count) cell of an ablation grid.
 
-    Builds the flat task list in (variant-major, count-minor) order,
-    runs it through the executor, and folds the results back into the
+    Cells run variant-major, count-minor, and come back in the
     ``{variant: {count: time}}`` shape the experiment tables use.
     """
-    tasks = [
-        (traces[p], params) for _, params in variants for p in counts
-    ]
-    times = iter(extrapolate_many(tasks, jobs=jobs))
-    return {
-        label: {p: next(times) for p in counts} for label, _ in variants
-    }
+    cells = ((label, p, traces[p], params) for label, params in variants for p in counts)
+    return predicted_series(cells, jobs=jobs)
 
 
 def barrier_algorithms(
@@ -224,7 +222,7 @@ def placement(
 
 
 def noise_sensitivity(
-    *, quick: bool = True, n_threads: int = 16, trials: int = 5
+    *, quick: bool = True, n_threads: int = 16, trials: int = 5, jobs: int = 1
 ) -> ExperimentResult:
     """Prediction robustness under measurement noise (§2's uncertainty).
 
@@ -234,8 +232,6 @@ def noise_sensitivity(
     jitter would be useless for ranking design alternatives; this
     quantifies how far that is from the case.
     """
-    from repro.sim.simulator import simulate
-
     maker = make_grid(grid_config(quick=quick))
     params = figure4_params()
     result = ExperimentResult(
@@ -243,24 +239,25 @@ def noise_sensitivity(
         title="Prediction spread under measurement noise (Grid)",
         ylabel="predicted execution time (us)",
     )
-    for noise in (0.0, 0.02, 0.05, 0.10, 0.20):
-        times = []
-        for trial in range(1 if noise == 0.0 else trials):
-            trace = measure(
-                maker(n_threads),
-                n_threads,
-                name="grid",
-                size_mode="actual",
-                compute_noise=noise,
-                noise_seed=1000 + trial,
-            )
-            times.append(extrapolate(trace, params).predicted_time)
-        label = f"noise={noise:.0%}"
-        result.series[label] = {
-            i + 1: t for i, t in enumerate(sorted(times))
-        }
+
+    def measured(noise: float, trial: int) -> Trace:
+        return measure(
+            maker(n_threads), n_threads, name="grid", size_mode="actual",
+            compute_noise=noise, noise_seed=1000 + trial,
+        )
+
+    noises = (0.0, 0.02, 0.05, 0.10, 0.20)
+    cells = [
+        (f"noise={noise:.0%}", trial, measured(noise, trial), params)
+        for noise in noises
+        for trial in range(1 if noise == 0.0 else trials)
+    ]
+    predicted = predicted_series(cells, jobs=jobs)
+    for noise, (label, by_trial) in zip(noises, predicted.items()):
+        times = sorted(by_trial.values())
+        result.series[label] = {i + 1: t for i, t in enumerate(times)}
         if noise > 0:
-            spread = (max(times) - min(times)) / min(times)
+            spread = (times[-1] - times[0]) / times[0]
             result.notes.append(
                 f"{label}: prediction spread {spread:.1%} over {trials} trials"
             )

@@ -1,12 +1,34 @@
-"""Common experiment result container."""
+"""Common experiment result container, and the call that runs a grid."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Tuple
 
+from repro.core.parameters import SimulationParameters
+from repro.sweep.executor import extrapolate_many
+from repro.trace.trace import Trace
 from repro.util.asciiplot import ascii_series_plot
 from repro.util.tables import format_table
+
+
+def predicted_series(
+    cells: Iterable[Tuple[str, int, Trace, SimulationParameters]], *, jobs: int = 1
+) -> Dict[str, Dict[int, float]]:
+    """Predicted times of ``(series, x, trace, params)`` grid cells.
+
+    Every cell runs through one :func:`extrapolate_many` call (``jobs``
+    worker processes).  The result is ``{series: {x: time_us}}``, with
+    series and x values in the order of ``cells``.
+    """
+    cells = list(cells)
+    records = extrapolate_many(
+        [(trace, params) for _, _, trace, params in cells], jobs=jobs
+    )
+    series: Dict[str, Dict[int, float]] = {}
+    for (label, x, _, _), record in zip(cells, records):
+        series.setdefault(label, {})[x] = record["predicted_time_us"]
+    return series
 
 
 @dataclass

@@ -11,12 +11,13 @@ distribution idles processors at non-square counts.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.bench.suite import BENCHMARKS
-from repro.experiments.base import ExperimentResult
+from repro.core.pipeline import measure
+from repro.experiments.base import ExperimentResult, predicted_series
 from repro.experiments.paramsets import PROCESSOR_COUNTS, figure4_params, suite_configs
-from repro.metrics.scaling import ScalingStudy, run_scaling_study
+from repro.metrics import speedups
 
 
 def run(
@@ -24,6 +25,7 @@ def run(
     quick: bool = True,
     benchmarks: Sequence[str] | None = None,
     processor_counts: Sequence[int] = PROCESSOR_COUNTS,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate the Figure 4 speedup curves."""
     params = figure4_params()
@@ -34,22 +36,16 @@ def run(
         title="Speedup curves for all Benchmarks (distributed-memory preset)",
         ylabel="speedup",
     )
-    studies: Dict[str, ScalingStudy] = {}
+    cells = []
     for name in names:
         info = BENCHMARKS[name]
-        counts = [
-            p
-            for p in processor_counts
-            if not info.power_of_two_only or (p & (p - 1)) == 0
-        ]
-        study = run_scaling_study(
-            info.make_program(configs[name]),
-            params,
-            name=name,
-            processor_counts=counts,
-        )
-        studies[name] = study
-        result.series[name] = study.speedup_curve
+        maker = info.make_program(configs[name])
+        for p in sorted(processor_counts):
+            if not info.power_of_two_only or (p & (p - 1)) == 0:
+                cells.append((name, p, measure(maker(p), p, name=name), params))
+    times = predicted_series(cells, jobs=jobs)
+    for name in names:
+        result.series[name] = speedups(times.get(name, {}))
 
     # Record the figure's qualitative claims for EXPERIMENTS.md.
     if "embar" in result.series:
@@ -66,5 +62,4 @@ def run(
                     f"{name} speedup 4->8 processors: {s[4]:.2f} -> {s[8]:.2f} "
                     "(the (BLOCK,BLOCK) idle-processor artifact)"
                 )
-    result.studies = studies  # type: ignore[attr-defined]
     return result

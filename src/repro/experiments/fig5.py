@@ -25,9 +25,9 @@ from typing import Sequence
 
 from repro.bench.grid import make_program
 from repro.core import presets
-from repro.core.pipeline import extrapolate, measure
+from repro.core.pipeline import measure
 from repro.core.translation import translate
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import ExperimentResult, predicted_series
 from repro.experiments.paramsets import PROCESSOR_COUNTS, figure4_params, grid_config
 from repro.util.units import mbytes_per_s_to_us_per_byte
 
@@ -36,6 +36,7 @@ def run(
     *,
     quick: bool = True,
     processor_counts: Sequence[int] = PROCESSOR_COUNTS,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate the Figure 5 Grid comparison (execution times in us)."""
     cfg = grid_config(quick=quick)
@@ -67,11 +68,12 @@ def run(
             traces[(p, mode)] = measure(
                 maker(p), p, name="grid", size_mode=mode
             )
-    for label, mode, params in variants:
-        result.series[label] = {
-            p: extrapolate(traces[(p, mode)], params).predicted_time
-            for p in processor_counts
-        }
+    cells = [
+        (label, p, traces[(p, mode)], params)
+        for label, mode, params in variants
+        for p in processor_counts
+    ]
+    result.series = predicted_series(cells, jobs=jobs)
 
     # The trace statistics that drove the §4.1 diagnosis.
     top = max(processor_counts)

@@ -13,12 +13,13 @@ Extrapolating processor speed: MipsRatio 2.0 (target half as fast), 1.0
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.bench.suite import BENCHMARKS
-from repro.experiments.base import ExperimentResult
+from repro.core.pipeline import measure
+from repro.experiments.base import ExperimentResult, predicted_series
 from repro.experiments.paramsets import PROCESSOR_COUNTS, figure4_params, suite_configs
-from repro.metrics.scaling import run_scaling_study
+from repro.metrics import speedups
 
 MIPS_RATIOS = (2.0, 1.0, 0.5)
 
@@ -37,6 +38,7 @@ def run(
     quick: bool = True,
     benchmarks: Sequence[str] | None = None,
     processor_counts: Sequence[int] = PROCESSOR_COUNTS,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 6's panels (series named bench@ratio)."""
     params0 = figure4_params()
@@ -47,24 +49,32 @@ def run(
         title="Execution Time and Speedup Results with Different MipsRatio",
         ylabel="time (us) for embar, speedup otherwise",
     )
+    ratio_params = [
+        (ratio, params0.with_(processor={"mips_ratio": ratio}))
+        for ratio in MIPS_RATIOS
+    ]
+    cells = []
     for name in names:
         info = BENCHMARKS[name]
-        counts = [
-            p
-            for p in processor_counts
-            if not info.power_of_two_only or (p & (p - 1)) == 0
-        ]
         maker = info.make_program(configs[name])
+        traces = {
+            p: measure(maker(p), p, name=name)
+            for p in sorted(processor_counts)
+            if not info.power_of_two_only or (p & (p - 1)) == 0
+        }
+        cells += [
+            (f"{name}@x{ratio}", p, trace, params)
+            for ratio, params in ratio_params
+            for p, trace in traces.items()
+        ]
+    times = predicted_series(cells, jobs=jobs)
+    for name in names:
         for ratio in MIPS_RATIOS:
-            params = params0.with_(processor={"mips_ratio": ratio})
-            study = run_scaling_study(
-                maker, params, name=name, processor_counts=counts
-            )
             key = f"{name}@x{ratio}"
-            if PANELS.get(name) == "time":
-                result.series[key] = study.times
-            else:
-                result.series[key] = study.speedup_curve
+            series = times.get(key, {})
+            if PANELS.get(name) != "time":
+                series = speedups(series)
+            result.series[key] = series
 
     # Qualitative checks the paper calls out.
     def spread(name: str, p: int) -> float:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.bench.mgrid import make_program
-from repro.experiments.base import ExperimentResult
+from repro.core.pipeline import measure
+from repro.experiments.base import ExperimentResult, predicted_series
 from repro.experiments.paramsets import PROCESSOR_COUNTS, figure4_params, mgrid_config
-from repro.metrics.scaling import run_scaling_study
 
 MIPS_RATIOS = (1.0, 0.25)
 STARTUPS = (5.0, 100.0, 200.0)
@@ -24,6 +24,7 @@ def run(
     *,
     quick: bool = True,
     processor_counts: Sequence[int] = PROCESSOR_COUNTS,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 7 (Mgrid execution times in us)."""
     cfg = mgrid_config(quick=quick)
@@ -34,19 +35,26 @@ def run(
         title="Effect of MipsRatio and CommStartupTime on Mgrid",
         ylabel="execution time (us)",
     )
-    best = {}
-    for ratio in MIPS_RATIOS:
-        for startup in STARTUPS:
-            params = base.with_(
-                processor={"mips_ratio": ratio},
-                network={"comm_startup_time": startup},
-            )
-            study = run_scaling_study(
-                maker, params, name="mgrid", processor_counts=processor_counts
-            )
-            key = f"mips={ratio} startup={startup:g}us"
-            result.series[key] = study.times
-            best[(ratio, startup)] = study.best_processor_count()
+    counts = sorted(processor_counts)
+    traces = {p: measure(maker(p), p, name="mgrid") for p in counts}
+    variants = {
+        (ratio, startup): base.with_(
+            processor={"mips_ratio": ratio},
+            network={"comm_startup_time": startup},
+        )
+        for ratio in MIPS_RATIOS
+        for startup in STARTUPS
+    }
+    cells = [
+        (f"mips={ratio} startup={startup:g}us", p, traces[p], params)
+        for (ratio, startup), params in variants.items()
+        for p in counts
+    ]
+    result.series = predicted_series(cells, jobs=jobs)
+    best = {
+        variant: min(times, key=times.get)
+        for variant, times in zip(variants, result.series.values())
+    }
 
     for (ratio, startup), p in sorted(best.items()):
         result.notes.append(

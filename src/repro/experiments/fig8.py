@@ -21,8 +21,8 @@ from typing import Sequence
 
 from repro.bench.cyclic import make_program as make_cyclic
 from repro.bench.grid import make_program as make_grid
-from repro.core.pipeline import extrapolate, measure
-from repro.experiments.base import ExperimentResult
+from repro.core.pipeline import measure
+from repro.experiments.base import ExperimentResult, predicted_series
 from repro.experiments.paramsets import (
     PROCESSOR_COUNTS,
     cyclic_config,
@@ -42,6 +42,7 @@ def run(
     *,
     quick: bool = True,
     processor_counts: Sequence[int] = PROCESSOR_COUNTS,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 8 (execution times in us, series bench/policy)."""
     base = figure8_params()
@@ -54,6 +55,8 @@ def run(
         "cyclic": (make_cyclic(cyclic_config(quick=quick)), True),
         "grid": (make_grid(grid_config(quick=quick)), False),
     }
+    policies = [(label, base.with_(processor=o)) for label, o in POLICIES]
+    cells = []
     for bench, (maker, pow2_only) in programs.items():
         counts = [
             p for p in processor_counts if not pow2_only or (p & (p - 1)) == 0
@@ -62,11 +65,12 @@ def run(
         # whole-element transfers would swamp the policy differences.
         mode = "actual" if bench == "grid" else "compiler"
         traces = {p: measure(maker(p), p, name=bench, size_mode=mode) for p in counts}
-        for label, overrides in POLICIES:
-            params = base.with_(processor=overrides)
-            result.series[f"{bench}/{label}"] = {
-                p: extrapolate(traces[p], params).predicted_time for p in counts
-            }
+        cells += [
+            (f"{bench}/{label}", p, traces[p], params)
+            for label, params in policies
+            for p in counts
+        ]
+    result.series = predicted_series(cells, jobs=jobs)
 
     top = max(p for p in processor_counts)
     for bench in programs:

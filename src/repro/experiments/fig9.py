@@ -23,8 +23,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.bench.matmul import ALL_DISTRIBUTIONS, MatmulConfig, make_program
 from repro.core import presets
-from repro.core.pipeline import measure_and_extrapolate
-from repro.experiments.base import ExperimentResult
+from repro.core.pipeline import measure
+from repro.experiments.base import ExperimentResult, predicted_series
 from repro.machine import CM5_SPEC, run_on_machine
 
 #: Figure 9 plots 4..32 processors (1-processor runs have no comm).
@@ -56,6 +56,7 @@ def run(
     quick: bool = True,
     processor_counts: Sequence[int] = FIG9_COUNTS,
     distributions: Sequence[Tuple[str, str]] | None = None,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Regenerate Figure 9 (times in us; series '<dist> pred|meas')."""
     params = presets.cm5()
@@ -66,22 +67,27 @@ def run(
         title="Results from Matmul program (predicted vs CM-5 reference)",
         ylabel="execution time (us)",
     )
-    predicted: Dict[int, Dict[str, float]] = {p: {} for p in processor_counts}
-    measured: Dict[int, Dict[str, float]] = {p: {} for p in processor_counts}
-    for rd, cd in dists:
-        cfg = MatmulConfig(size=size, row_dist=rd, col_dist=cd)
-        maker = make_program(cfg)
-        label = cfg.dist_label
-        pred_series, meas_series = {}, {}
-        for p in processor_counts:
-            outcome = measure_and_extrapolate(maker(p), p, params, name="matmul")
-            pred_series[p] = outcome.predicted_time
-            mres = run_on_machine(maker(p), p, spec=CM5_SPEC, name="matmul")
-            meas_series[p] = mres.execution_time
-            predicted[p][label] = pred_series[p]
-            measured[p][label] = meas_series[p]
-        result.series[f"{label} pred"] = pred_series
-        result.series[f"{label} meas"] = meas_series
+    cfgs = [MatmulConfig(size=size, row_dist=rd, col_dist=cd) for rd, cd in dists]
+    makers = {cfg.dist_label: make_program(cfg) for cfg in cfgs}
+    cells = [
+        (label, p, measure(maker(p), p, name="matmul"), params)
+        for label, maker in makers.items()
+        for p in processor_counts
+    ]
+    pred = predicted_series(cells, jobs=jobs)
+    # The reference machine runs programs, not traces: a serial loop.
+    meas = {
+        label: {
+            p: run_on_machine(maker(p), p, spec=CM5_SPEC, name="matmul").execution_time
+            for p in processor_counts
+        }
+        for label, maker in makers.items()
+    }
+    for label in makers:
+        result.series[f"{label} pred"] = pred.get(label, {})
+        result.series[f"{label} meas"] = meas[label]
+    predicted = {p: {label: pred[label][p] for label in makers} for p in processor_counts}
+    measured = {p: {label: meas[label][p] for label in makers} for p in processor_counts}
 
     # Validation criteria.
     for p in processor_counts:

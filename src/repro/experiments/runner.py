@@ -48,10 +48,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by registry name.
 
-    ``jobs`` is forwarded to experiments whose run function accepts it
-    (the ablation grids fan their extrapolations across processes via
-    :func:`repro.sweep.executor.extrapolate_many`); experiments without
-    internal parallelism simply run serially.
+    ``jobs`` is forwarded to experiments whose run function accepts it:
+    the figures, ``validation-suite`` and the grid-shaped ablations fan
+    their extrapolations across processes through one
+    :func:`repro.sweep.executor.extrapolate_many` call each.  The other
+    ablations run serially.
     """
     key = name.strip().lower()
     try:

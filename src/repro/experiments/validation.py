@@ -19,8 +19,8 @@ from repro.bench.grid import make_program as make_grid
 from repro.bench.sort import SortConfig
 from repro.bench.sort import make_program as make_sort
 from repro.core import presets
-from repro.core.pipeline import extrapolate, measure
-from repro.experiments.base import ExperimentResult
+from repro.core.pipeline import measure
+from repro.experiments.base import ExperimentResult, predicted_series
 from repro.machine import CM5_SPEC, run_on_machine
 
 
@@ -51,6 +51,7 @@ def run(
     quick: bool = True,
     processor_counts: Sequence[int] = (4, 8, 16),
     benchmarks: Sequence[str] | None = None,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Predicted vs reference-machine times for several benchmarks."""
     params = presets.cm5()
@@ -61,18 +62,27 @@ def run(
         title="Predicted vs reference-machine times (CM-5 parameters)",
         ylabel="execution time (us)",
     )
+    name_counts, cells = {}, []
     for name in names:
         maker, mode = progs[name]
-        counts = [
+        counts = name_counts[name] = [
             p
             for p in processor_counts
             if name not in ("cyclic", "sort") or (p & (p - 1)) == 0
         ]
-        pred, meas = {}, {}
-        for p in counts:
-            trace = measure(maker(p), p, name=name, size_mode=mode)
-            pred[p] = extrapolate(trace, params).predicted_time
-            meas[p] = run_on_machine(maker(p), p, spec=CM5_SPEC, name=name).execution_time
+        cells += [
+            (name, p, measure(maker(p), p, name=name, size_mode=mode), params)
+            for p in counts
+        ]
+    predicted = predicted_series(cells, jobs=jobs)
+    for name in names:
+        maker, counts = progs[name][0], name_counts[name]
+        pred = predicted.get(name, {})
+        # The reference machine runs programs, not traces: a serial loop.
+        meas = {
+            p: run_on_machine(maker(p), p, spec=CM5_SPEC, name=name).execution_time
+            for p in counts
+        }
         result.series[f"{name} pred"] = pred
         result.series[f"{name} meas"] = meas
         ratios = [pred[p] / meas[p] for p in counts if meas[p] > 0]

@@ -77,11 +77,6 @@ def derive_metrics(
     )
 
 
-#: Alias matching the "metrics from a result" naming used elsewhere in
-#: the docs; same callable as :func:`derive_metrics`.
-metrics_from_result = derive_metrics
-
-
 def speedups(times: Mapping[int, float]) -> Dict[int, float]:
     """Speedup curve from a {processors: time} mapping.
 

@@ -109,14 +109,16 @@ class ResultCache:
         entry = {"schema": CACHE_SCHEMA, "key": key, "result": dict(result)}
         text = json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
         # A racing prune() tidies empty fan-out directories with rmdir,
-        # which can land between our mkdir and the temp-file open —
-        # recreate the directory and try again.
-        last_miss: Optional[FileNotFoundError] = None
+        # which can land between our mkdir and the temp-file open, or
+        # inside mkdir itself (it found the directory, which was then
+        # gone when it checked, and raises FileExistsError) — recreate
+        # the directory and try again.
+        last_miss: Optional[OSError] = None
         for _ in range(100):
-            path.parent.mkdir(parents=True, exist_ok=True)
             try:
+                path.parent.mkdir(parents=True, exist_ok=True)
                 return atomic_write_text(path, text)
-            except FileNotFoundError as exc:
+            except (FileNotFoundError, FileExistsError) as exc:
                 last_miss = exc
         raise last_miss
 

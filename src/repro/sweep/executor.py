@@ -1,6 +1,6 @@
-"""Parallel execution of sweep points (and other repo-level task fans).
+"""Parallel execution of sweep points and other grids of extrapolations.
 
-Two layers:
+Three parts:
 
 * :class:`ParallelExecutor` — a generic ordered task fan-out on
   :class:`concurrent.futures.ProcessPoolExecutor` with a serial
@@ -20,6 +20,9 @@ Two layers:
   results round-trip through the same JSON encoding the cache uses
   before they are reported, so a cached and an uncached run of the same
   spec render identically down to float formatting.
+* :func:`extrapolate_many` — the same tasks and worker without a spec
+  or cache: the one way the experiments and ``extrap study`` /
+  ``extrap compare`` run a grid of ``(trace, params)`` points.
 
 Per-point timeouts reuse the simulation watchdog: the wall-clock budget
 is enforced *inside* the point by
@@ -31,13 +34,15 @@ from __future__ import annotations
 
 import contextlib
 import json
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.memo import PREPARED
-from repro.core.pipeline import extrapolate, measure
+from repro.core.parameters import SimulationParameters
+from repro.core.pipeline import measure
 from repro.core.predict import PredictMode, predict
 from repro.metrics import result_record
 from repro.perf import SweepCounters
@@ -250,38 +255,39 @@ class ParallelExecutor:
             )
 
 
-# -- sweep point workers -----------------------------------------------------
+# -- point workers -----------------------------------------------------------
 
 #: Traces shared with worker processes via the pool initializer, keyed
 #: by an opaque ref; avoids re-pickling the (potentially large) trace
-#: into every task.
-_WORKER_TRACES: Dict[str, Trace] = {}
+#: into every task.  Thread-local: the serial path runs the initializer
+#: and its tasks in the calling thread, and serve runs sweeps from
+#: several threads at once.
+_WORKER = threading.local()
 
 
 def _init_worker_traces(traces: Dict[str, Trace]) -> None:
-    _WORKER_TRACES.clear()
-    _WORKER_TRACES.update(traces)
+    _WORKER.traces = traces
 
 
 @dataclass(frozen=True)
 class _PointTask:
-    """Everything one worker needs to run one sweep point."""
+    """Everything one worker needs to run one (trace, params) point."""
 
+    #: key of the point's trace in the traces every worker was sent
     trace_ref: str
     #: the trace's digest: the worker's key into the prepared-trace memo
     digest: str
-    point: SweepPoint
-    base_preset: str
-    wall_budget: Optional[float] = None
+    params: SimulationParameters
     #: when set, the point is answered by a SimPoint-style sampled
     #: estimate instead of a full simulation
     sample: Optional[Any] = None
+    wall_budget: Optional[float] = None
 
 
-def _sweep_point_worker(task: _PointTask) -> Dict[str, Any]:
+def _point_worker(task: _PointTask) -> Dict[str, Any]:
     outcome = predict(
-        PREPARED.prepare(_WORKER_TRACES[task.trace_ref], task.digest),
-        task.point.params(task.base_preset),
+        PREPARED.prepare(_WORKER.traces[task.trace_ref], task.digest),
+        task.params,
         PredictMode(sample=task.sample),
         wall_clock_budget=task.wall_budget,
     )
@@ -439,17 +445,16 @@ def run_sweep(
         ref = trace_for(point)
         # Trace.digest() memoises, so only the first call hashes.
         digest = traces[ref].digest()
+        params = point.params(spec.preset)
         if cache is not None:
-            key = result_key(digest, point.params(spec.preset), extra=key_extra)
+            key = result_key(digest, params, extra=key_extra)
             keys[i] = key
             hit = cache.get(key)
             if hit is not None:
                 records[i].result = hit
                 records[i].cached = True
                 continue
-        tasks.append(
-            _PointTask(ref, digest, point, spec.preset, wall_budget, spec.sample)
-        )
+        tasks.append(_PointTask(ref, digest, params, spec.sample, wall_budget))
         task_indices.append(i)
     if cache is not None:
         counters.cache_hits = cache.hits - hits0
@@ -463,7 +468,7 @@ def run_sweep(
             initargs=(traces,),
             progress_label="point",
         )
-        outcomes = executor.map(_sweep_point_worker, tasks)
+        outcomes = executor.map(_point_worker, tasks)
         counters.retried = executor.retried
         for task_pos, outcome in enumerate(outcomes):
             i = task_indices[task_pos]
@@ -488,29 +493,53 @@ def run_sweep(
     return SweepRun(spec=spec, records=records, counters=counters)
 
 
-# -- shared extrapolation fan-out (experiments / ablations) ------------------
+# -- grid fan-out (experiments, extrap study / compare) ----------------------
 
 
-def _extrapolate_task_worker(task: Tuple[Trace, Any]) -> float:
-    trace_, params = task
-    return extrapolate(trace_, params).predicted_time
+def _grid_point_worker(task: _PointTask) -> Any:
+    """:func:`_point_worker`, returning a rejected trace's ``ValueError``.
+
+    Returned, the rejection is no failure for the executor to log, and
+    :func:`extrapolate_many` raises it as the plain ``ValueError`` that
+    :func:`~repro.core.predict.predict` documents, whatever its subclass.
+    """
+    try:
+        return _point_worker(task)
+    except ValueError as exc:
+        return ValueError(str(exc))
 
 
 def extrapolate_many(
-    tasks: Sequence[Tuple[Trace, Any]], *, jobs: int = 1
-) -> List[float]:
-    """Predicted times for ``(trace, params)`` pairs, in input order.
+    tasks: Sequence[Tuple[Trace, SimulationParameters]], *, jobs: int = 1
+) -> List[Dict[str, Any]]:
+    """The :func:`result_record` of each ``(trace, params)`` pair, in order.
 
-    The shared fan-out for experiment/ablation grids: serial with
-    ``jobs=1`` (bit-identical to a plain loop), a process pool
-    otherwise.  Failures propagate — an ablation with a diverging point
-    is a bug, not a result.
+    The one fan-out for a grid of extrapolations: serial with ``jobs=1``
+    (bit-identical to a plain loop), a process pool otherwise.  Each
+    distinct trace is sent to the workers once, keyed by its digest,
+    and prepared once per process.  A failed point raises, the first in
+    task order: a trace the model cannot run as ``ValueError`` with its
+    message, anything else as ``RuntimeError``.
     """
-    executor = ParallelExecutor(jobs, progress_label="extrapolation")
-    outcomes = executor.map(_extrapolate_task_worker, tasks)
-    failed = [o for o in outcomes if not o.ok]
+    traces: Dict[str, Trace] = {}
+    points: List[_PointTask] = []
+    for trace, params in tasks:
+        # Trace.digest() memoises, so only the first call per trace hashes.
+        digest = trace.digest()
+        traces.setdefault(digest, trace)
+        points.append(_PointTask(digest, digest, params))
+    executor = ParallelExecutor(
+        jobs,
+        initializer=_init_worker_traces,
+        initargs=(traces,),
+        progress_label="extrapolation",
+    )
+    outcomes = executor.map(_grid_point_worker, points)
+    failed = [o for o in outcomes if not o.ok or isinstance(o.value, ValueError)]
     if failed:
         first = failed[0]
+        if first.ok:
+            raise first.value
         raise RuntimeError(
             f"{len(failed)} of {len(tasks)} extrapolations failed; first: "
             f"{first.error_type}: {first.error}"

@@ -69,16 +69,19 @@ def compute_stats(trace: Trace) -> TraceStats:
     sizes: List[int] = []
     by_coll: Counter = Counter()
     reads_per_thread = [0] * trace.meta.n_threads
-    for ev in trace.events:
-        if ev.kind == EventKind.REMOTE_READ:
+    # Unpacking each event, and comparing kinds against locals, is
+    # cheaper than reading fields and enum members by name.
+    read, write = EventKind.REMOTE_READ, EventKind.REMOTE_WRITE
+    for _, thread, kind, _, _, nbytes, collection, _ in trace.events:
+        if kind == read:
             s.n_remote_reads += 1
-            sizes.append(ev.nbytes)
-            by_coll[ev.collection] += 1
-            reads_per_thread[ev.thread] += 1
-        elif ev.kind == EventKind.REMOTE_WRITE:
+            sizes.append(nbytes)
+            by_coll[collection] += 1
+            reads_per_thread[thread] += 1
+        elif kind == write:
             s.n_remote_writes += 1
-            sizes.append(ev.nbytes)
-            by_coll[ev.collection] += 1
+            sizes.append(nbytes)
+            by_coll[collection] += 1
     s.remote_bytes_total = sum(sizes)
     s.remote_bytes_min = min(sizes) if sizes else 0
     s.remote_bytes_max = max(sizes) if sizes else 0

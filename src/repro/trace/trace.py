@@ -88,12 +88,13 @@ def digest_events(meta: TraceMeta, events: Iterable[TraceEvent]) -> str:
         # One line per event, hashed a chunk at a time (sha256 is
         # indifferent to how its input is split).  repr() of a float is
         # exact round-trip text, so equal timestamps always hash equally.
+        # Unpacking each event is several times cheaper than reading its
+        # eight fields by name.
         h.update(
             "".join(
                 [
-                    f"\n{ev.time!r}|{ev.thread}|{int(ev.kind)}|{ev.barrier_id}"
-                    f"|{ev.owner}|{ev.nbytes}|{ev.collection}|{ev.tag}"
-                    for ev in chunk
+                    f"\n{t!r}|{th}|{int(k)}|{b}|{o}|{n}|{c}|{g}"
+                    for t, th, k, b, o, n, c, g in chunk
                 ]
             ).encode("utf-8")
         )

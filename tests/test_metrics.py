@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import presets
+from repro.core.pipeline import measure
+from repro.experiments.paramsets import PROCESSOR_COUNTS
 from repro.metrics import derive_metrics, speedups
-from repro.metrics.scaling import PAPER_PROCESSOR_COUNTS, run_scaling_study
 from repro.pcxx import Collection, make_distribution
+from repro.sweep.executor import extrapolate_many
 
 
 def compute_heavy(n_threads):
@@ -41,7 +43,7 @@ def test_speedups_uses_smallest_count_as_base():
 
 
 def test_paper_processor_counts():
-    assert tuple(PAPER_PROCESSOR_COUNTS) == (1, 2, 4, 8, 16, 32)
+    assert tuple(PROCESSOR_COUNTS) == (1, 2, 4, 8, 16, 32)
 
 
 def _degenerate_result(execution_time=0.0, n_processors=1):
@@ -58,12 +60,6 @@ def _degenerate_result(execution_time=0.0, n_processors=1):
         threads=[],
         network=NetworkStats(),
     )
-
-
-def test_metrics_from_result_is_derive_metrics():
-    from repro.metrics import metrics_from_result
-
-    assert metrics_from_result is derive_metrics
 
 
 def test_derive_metrics_guards_zero_execution_time():
@@ -121,24 +117,21 @@ def test_derive_metrics_with_baseline():
         derive_metrics(out.result, baseline_time=0.0)
 
 
-def test_scaling_study():
-    study = run_scaling_study(
-        compute_heavy,
-        presets.distributed_memory(),
-        name="ch",
-        processor_counts=(1, 2, 4),
+def test_scaling_grid_speedups():
+    """A scaling study is one trace per processor count, one
+    ``extrapolate_many`` call and ``speedups`` of the predicted times."""
+    counts = (1, 2, 4)
+    params = presets.distributed_memory()
+    records = extrapolate_many(
+        [(measure(compute_heavy(n), n, name="ch"), params) for n in counts]
     )
-    assert sorted(study.times) == [1, 2, 4]
-    curve = study.speedup_curve
+    times = {n: r["predicted_time_us"] for n, r in zip(counts, records)}
+    curve = speedups(times)
+    assert sorted(curve) == [1, 2, 4]
     assert curve[1] == 1.0
     assert curve[2] > 1.5  # compute-heavy: near-linear
     assert curve[4] > 2.5
-    assert study.best_processor_count() == 4
-    assert study.point(2).n == 2
-    with pytest.raises(KeyError):
-        study.point(3)
-    text = study.format()
-    assert "speedup" in text and "ch" in text
+    assert min(times, key=times.get) == 4
 
 
 def test_comp_comm_ratio_infinite_without_comm():

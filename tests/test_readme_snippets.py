@@ -78,3 +78,21 @@ def test_tutorial_fewer_processors_than_threads():
     # As many CPUs as threads is the paper's model itself.
     full = simulate(tp, params, assignment=assign_threads(8, 8))
     assert full.execution_time == simulate(tp, params).execution_time
+
+
+def test_tutorial_scaling_study():
+    """docs/TUTORIAL.md §5's scaling study, scaled down."""
+    from repro import measure, presets
+    from repro.metrics import speedups
+    from repro.sweep import extrapolate_many
+
+    params = presets.cm5()
+    counts = (1, 2, 4)
+    traces = [measure(_tutorial_program, n, name="mine") for n in counts]
+    records = extrapolate_many([(t, params) for t in traces], jobs=2)
+    times = {n: r["predicted_time_us"] for n, r in zip(counts, records)}
+    curve = speedups(times)
+    assert list(curve) == [1, 2, 4] and curve[1] == 1.0
+    assert all(v > 0 for v in curve.values())
+    # Fixed work per thread: more processors add messages, not speed.
+    assert records[0]["message_count"] == 0 < records[2]["message_count"]

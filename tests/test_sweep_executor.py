@@ -120,6 +120,39 @@ def test_cached_rerun_identical_json(spec, embar_trace, tmp_path):
     assert warm.counters.executed == 0
 
 
+def test_concurrent_serial_sweeps_keep_their_own_traces(spec, embar_trace, monkeypatch):
+    """Two serial sweeps in two threads, as serve's job workers run them:
+    each extrapolates its own trace even when the other shipped its
+    traces in between."""
+    import threading
+
+    import repro.sweep.executor as executor_mod
+    from repro.core.memo import PREPARED
+
+    traces = [embar_trace, measure(get_benchmark("sort").make_program()(4), 4)]
+    expected = [run_sweep(spec, trace=t).to_json() for t in traces]
+    both_shipped = threading.Barrier(2, timeout=30)
+    real_init = executor_mod._init_worker_traces
+
+    def init_then_wait(shipped):
+        real_init(shipped)
+        both_shipped.wait()
+
+    monkeypatch.setattr(executor_mod, "_init_worker_traces", init_then_wait)
+    PREPARED.clear()  # cold memo: every point reads its shipped trace
+    got = [None, None]
+
+    def sweep(i):
+        got[i] = run_sweep(spec, trace=traces[i]).to_json()
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert got == expected
+
+
 def test_repeated_sweeps_hash_their_trace_once(tmp_path, monkeypatch):
     """The trace's digest memo spares every run_sweep call after the first."""
     info = get_benchmark("matmul")
