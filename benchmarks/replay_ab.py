@@ -16,10 +16,13 @@ translated program per workload; each round then times one
 more fixed row times the cold front end with the replay: grid@16
 written once as ``.jsonl``, then ``read_trace`` -> ``translate`` ->
 ``simulate`` per round, so a change to the reader or to the per-event
-records shows too.  Before timing, the two versions' results must
+records shows too.  A last fixed row, ``machine``, times
+``run_on_machine`` on matmul@16 under ``CM5_SPEC`` (the reference
+machine of Figure 9).  Before timing, the two versions' results must
 agree in everything the replay goldens hash: the predicted time, every
 thread's output events, the processor stats and the network stats,
-and, on the front-end row, every event read from the file.  Printed per
+and, on the front-end row, every event read from the file; on the
+``machine`` row, the whole ``MachineResult``.  Printed per
 workload: the median and interquartile range of the B/A time ratios
 and each version's median time.  ``python benchmarks/replay_ab.py src src
 --rounds 2`` checks that the tool itself still runs.
@@ -59,12 +62,21 @@ WORKLOADS = (
 #: The front-end row, timed after ``WORKLOADS``: its trace is read from
 #: a ``.jsonl`` file and translated in every timed call.
 READ_WORKLOAD = ("grid", 16, "distributed_memory", 16, None)
+READ_ROW = len(WORKLOADS)
+
+#: The ``machine`` row, timed last: ``run_on_machine`` of this
+#: benchmark on this many nodes under ``CM5_SPEC``.
+MACHINE_WORKLOAD = ("matmul", 16)
+MACHINE_ROW = READ_ROW + 1
 
 
 def label(workload, i: int) -> str:
+    if i == MACHINE_ROW:
+        name, n = workload
+        return f"machine: {name}@{n} run_on_machine CM5_SPEC"
     name, n, preset, m, policy = workload
     text = f"{name}@{n} {preset}"
-    if i == len(WORKLOADS):
+    if i == READ_ROW:
         text += " read+translate+simulate (.jsonl)"
     if m != n:
         text += f" on {m} processors"
@@ -96,6 +108,32 @@ def result_digest(result, read_events=()) -> str:
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def machine_digest(result) -> str:
+    """sha256 over everything a ``MachineResult`` measures."""
+    doc = {
+        "execution_time": result.execution_time,
+        "nodes": [dataclasses.asdict(nd) for nd in result.nodes],
+        "threads": [
+            [
+                (ev.time, ev.thread, ev.kind.value, ev.barrier_id, ev.owner,
+                 ev.nbytes, ev.collection, ev.tag)
+                for ev in thread.events
+            ]
+            for thread in result.threads
+        ],
+        "messages": result.messages,
+        "message_bytes": result.message_bytes,
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def row_digest(i: int, result, read_events) -> str:
+    if i == MACHINE_ROW:
+        return machine_digest(result)
+    return result_digest(result, read_events)
 
 
 def _is_repro(name: str) -> bool:
@@ -134,6 +172,7 @@ class Version:
             from repro.core import presets
             from repro.core.pipeline import measure
             from repro.core.translation import translate
+            from repro.machine import CM5_SPEC, run_on_machine
             from repro.sim.simulator import assign_threads, simulate
             from repro.trace.io import read_trace, write_trace
         finally:
@@ -156,6 +195,10 @@ class Version:
             program = get_benchmark(name).make_program()(n)
             write_trace(measure(program, n, name=name), trace_path)
         self.read_params = presets.by_name(preset)
+        name, n = MACHINE_WORKLOAD
+        self.machine_program = get_benchmark(name).make_program()
+        self.run_on_machine = run_on_machine
+        self.cm5_spec = CM5_SPEC
         self.modules = {n: m for n, m in sys.modules.items() if _is_repro(n)}
         for name in self.modules:
             del sys.modules[name]
@@ -164,7 +207,13 @@ class Version:
         """Thread CPU seconds, result and read events of row ``i``."""
         sys.modules.update(self.modules)  # lazy imports resolve to this copy
         gc.collect()
-        if i == len(WORKLOADS):
+        if i == MACHINE_ROW:
+            name, n = MACHINE_WORKLOAD
+            factory = self.machine_program(n)
+            t0 = time.thread_time()
+            result = self.run_on_machine(factory, n, spec=self.cm5_spec, name=name)
+            return time.thread_time() - t0, result, ()
+        if i == READ_ROW:
             t0 = time.thread_time()
             trace = self.read_trace(self.trace_path)
             result = self.simulate(self.translate(trace), self.read_params)
@@ -181,7 +230,7 @@ def main(argv=None) -> int:
     ap.add_argument("b", help="candidate: git revision or src directory")
     ap.add_argument("--rounds", type=int, default=40)
     args = ap.parse_args(argv)
-    rows = WORKLOADS + (READ_WORKLOAD,)
+    rows = WORKLOADS + (READ_WORKLOAD, MACHINE_WORKLOAD)
     with tempfile.TemporaryDirectory() as scratch:
         trace_path = Path(scratch) / "grid16.jsonl"
         a = Version(source_dir(args.a, Path(scratch)), trace_path)
@@ -189,7 +238,7 @@ def main(argv=None) -> int:
         ratios = [[] for _ in rows]
         times = [([], []) for _ in rows]
         for i, workload in enumerate(rows):  # warm-up, and same results
-            if result_digest(*a.time(i)[1:]) != result_digest(*b.time(i)[1:]):
+            if row_digest(i, *a.time(i)[1:]) != row_digest(i, *b.time(i)[1:]):
                 sys.exit(f"{label(workload, i)}: the two versions replay differently")
         for r in range(args.rounds):
             for i in range(len(rows)):

@@ -7,48 +7,21 @@ extrapolation"), so regressions in the substrate show up here.
 
 from repro.core import presets
 from repro.core.pipeline import extrapolate, measure
-from repro.des import Environment, Store
 from repro.experiments.paramsets import suite_configs
 from repro.bench import BENCHMARKS
+from repro.perf.bench import pingpong, timeout_chain
 
 
 def test_event_loop_throughput(benchmark):
-    def run():
-        env = Environment()
-
-        def ping(env, store_in, store_out, rounds):
-            for _ in range(rounds):
-                yield store_in.get()
-                yield env.timeout(1.0)
-                yield store_out.put(None)
-
-        a, b = Store(env), Store(env)
-        env.process(ping(env, a, b, 500))
-        env.process(ping(env, b, a, 500))
-        a.put(None)
-        env.run(None)
-        return env.processed_event_count
-
-    events = benchmark(run)
-    assert events > 1000
+    """Two callback chains bouncing a token through stores."""
+    events = benchmark(pingpong, 500)
+    assert events == 2000  # a get and a timeout per player per round
 
 
 def test_timeout_only_fast_path_throughput(benchmark):
     """The run_batched fast path on the Timeout-only workload."""
-
-    def run():
-        env = Environment()
-
-        def sleeper(env):
-            for _ in range(2000):
-                yield env.timeout(1.0)
-
-        env.process(sleeper(env))
-        env.run_batched()
-        return env.processed_event_count
-
-    events = benchmark(run)
-    assert events > 2000
+    events = benchmark(timeout_chain, 2000)
+    assert events == 2000
 
 
 def test_profiled_run_collects_counters(run_once):

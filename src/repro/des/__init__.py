@@ -5,12 +5,15 @@ This is the substrate underneath the ExtraP trace-driven simulator
 (:mod:`repro.machine`).  It provides only what those two use:
 
 * :class:`Environment` — the simulation clock and event loop;
-* generator-based :class:`Process`\\ es that ``yield`` events to wait on;
 * :class:`Event` / :class:`Timeout` primitives, :class:`FirstOf` (the
   first of several children, e.g. a compute timer against an inbox
   get) and :class:`AllOf` (the every-processor-done sentinel);
-* :class:`Store`, an unbounded FIFO used as a receive queue, and
-  :class:`Resource`, a one-slot FIFO lock (a network port).
+* :class:`Store`, an unbounded FIFO used as a receive queue.
+
+There is one process style: a model waits on an event by appending its
+next step to the event's ``callbacks``, and an
+:class:`~repro.des.events.Initialize` starts a model component at the
+current time.
 
 The engine is deterministic: simultaneous events fire in FIFO order of
 scheduling (stable tie-break on a monotone sequence number).
@@ -24,9 +27,7 @@ from repro.des.engine import (
     StopSimulation,
     Watchdog,
 )
-from repro.des.process import Process
 from repro.des.stores import Store
-from repro.des.resources import Resource
 
 __all__ = [
     "AllOf",
@@ -34,8 +35,6 @@ __all__ = [
     "Environment",
     "Event",
     "FirstOf",
-    "Process",
-    "Resource",
     "SimulationStalled",
     "StopSimulation",
     "Store",

@@ -14,10 +14,9 @@ from __future__ import annotations
 import time
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.des.events import PROCESSED, AllOf, Event, Timeout
-from repro.des.process import Process
 from repro.perf.counters import EngineCounters
 
 
@@ -121,8 +120,10 @@ class Environment:
 
     Events scheduled for the same time fire in FIFO order of scheduling,
     with an integer ``priority`` tie-break below that (lower fires first;
-    process-start events use priority -1 so a freshly spawned process gets
-    its first step before same-time ordinary events).
+    an :class:`~repro.des.events.Initialize` uses priority -1 so a freshly
+    started model component takes its first step before same-time
+    ordinary events).  Models are callback-driven: the step after each
+    wait is a callback appended to the awaited event.
     """
 
     def __init__(self, initial_time: float = 0.0):
@@ -202,12 +203,6 @@ class Environment:
                 f"cannot schedule into the past (at {when}, now {self._now})"
             )
         return Timeout(self, when - self._now, value, when)
-
-    def process(
-        self, generator: Generator[Event, Any, Any], name: str | None = None
-    ) -> Process:
-        """Spawn a new process from a generator."""
-        return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""

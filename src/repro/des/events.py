@@ -1,8 +1,9 @@
 """Event primitives for the DES engine.
 
-An :class:`Event` is a one-shot occurrence with a value.  Processes wait on
-events by ``yield``-ing them; the environment resumes each waiter when the
-event is processed.  Events move through three states::
+An :class:`Event` is a one-shot occurrence with a value.  A model waits on
+an event by appending its next step to the event's ``callbacks``; the
+environment runs each callback when the event is processed.  Events move
+through three states::
 
     PENDING -> TRIGGERED (scheduled on the event queue) -> PROCESSED
 
@@ -26,7 +27,7 @@ PROCESSED = 2
 
 
 class Event:
-    """A one-shot occurrence that processes can wait on.
+    """A one-shot occurrence that callbacks can wait on.
 
     Parameters
     ----------
@@ -102,9 +103,9 @@ class Event:
         ``triggered`` and moves on, so processing the event through the
         queue would run no callback.  The event goes straight to
         PROCESSED, keeping its queue slot (and its sequence number) out
-        of the ``(time, priority, seq)`` order; a process that yields it
-        later is resumed through a fresh queue entry.  With callbacks
-        attached this is :meth:`succeed`.
+        of the ``(time, priority, seq)`` order; a callback appended after
+        that never runs.  With callbacks attached this is
+        :meth:`succeed`.
         """
         if self.callbacks:
             return self.succeed(value)
@@ -258,9 +259,10 @@ class AllOf(Event):
 
 
 class Initialize(Event):
-    """Internal event that starts a process, or a callback-driven model
-    component such as a simulated processor, at the current time ahead
-    of same-time ordinary events (priority -1)."""
+    """Internal event that starts a callback-driven model component (a
+    simulated processor, a reference-machine node or handler, a wire
+    transfer) at the current time ahead of same-time ordinary events
+    (priority -1)."""
 
     __slots__ = ()
 

@@ -1,8 +1,9 @@
 """Message queues for the DES engine.
 
-:class:`Store` is an unbounded FIFO of items with event-returning
-``put``/``get``; it is the processor receive queue in all three
-simulators (which deliver with the event-free ``put_nowait``).
+:class:`Store` is an unbounded FIFO of items: ``put_nowait`` stores an
+item at once and ``get`` returns an event that fires with the oldest
+item.  It is the receive queue of the replay's processors and of the
+reference machine's nodes.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class StoreGet(Event):
 class Store:
     """Unbounded FIFO item store.
 
-    ``put`` stores an item at once; ``get`` returns an event that fires
-    with the oldest item once one is available.  Getters are served in
+    ``put_nowait`` stores an item at once; ``get`` returns an event that
+    fires with the oldest item once one is available.  Getters are served in
     FIFO order, so ``items`` and the blocked getters are never both
     non-empty.
     """
@@ -47,27 +48,9 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def pending_gets(self) -> int:
-        """Number of getters currently blocked."""
-        return len(self._get_waiters)
-
-    def put(self, item: Any) -> Event:
-        """Add ``item``; returns an already-triggered completion event."""
-        ev = Event(self.env)
-        self.items.append(item)
-        ev.succeed()
-        if self._get_waiters:
-            self._get_waiters.pop(0).succeed(self.items.pop(0))
-        return ev
-
     def put_nowait(self, item: Any) -> None:
-        """Add ``item`` at once, creating no put event.
-
-        For producers nobody waits on, such as a network delivering into
-        a receive queue: a waiting getter is served exactly as
-        :meth:`put` would serve it, minus the put event's queue slot.
-        """
+        """Add ``item`` at once; the oldest waiting getter, if any, is
+        served it through the queue.  No put event is created."""
         self.items.append(item)
         if self._get_waiters:
             self._get_waiters.pop(0).succeed(self.items.pop(0))

@@ -8,8 +8,13 @@ operation takes simulated time on a message-level machine model:
 * ``get``/``put`` of a remote element — request/reply (or write/ack)
   messages through the port-based fat-tree network
   (:mod:`repro.machine.network`), serviced by the owner's
-  active-message handler process;
+  active-message handler;
 * ``barrier()`` — the control-network hardware barrier.
+
+Each node runs as callback steps on the DES engine, as the replay's
+processors do: a step resumes the program body (still a generator, the
+pcxx ``ThreadCtx`` API) and acts on what it yields, an event to wait on
+or a message to send.
 
 The result carries the measured execution time and a measured trace
 (barrier/remote events with machine timestamps) so the validation
@@ -20,10 +25,11 @@ information, exactly as Figure 9 does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, List
 
 from repro.des import Deadlock, Environment, Event, Store
+from repro.des.events import Initialize
 from repro.machine.network import PortNetwork, WireMessage
 from repro.machine.spec import CM5_SPEC, MachineSpec
 from repro.pcxx.collection import Collection, Index
@@ -127,8 +133,7 @@ class Machine:
         if len(bodies) != self.n:
             raise ValueError(f"{len(bodies)} bodies for {self.n} nodes")
         for node, body in zip(self.nodes, bodies):
-            self.env.process(node.main(body), name=f"node{node.pid}")
-            self.env.process(node.handler(), name=f"handler{node.pid}")
+            node.start(body)
         done = self.env.all_of([node.done for node in self.nodes])
         try:
             self.env.run_batched(done)
@@ -154,7 +159,8 @@ class MachineNode:
 
     Presents the same generator API as
     :class:`repro.pcxx.runtime.ThreadCtx`, so benchmark bodies run
-    unmodified.
+    unmodified.  ``get`` and ``put`` of a remote element yield the
+    request :class:`WireMessage`, which the node step sends.
     """
 
     def __init__(self, machine: Machine, pid: int):
@@ -168,6 +174,7 @@ class MachineNode:
         self.stats = NodeStats(pid=pid)
         self.out_events: List[TraceEvent] = []
         self.done = Event(self.env)
+        self._body: Generator | None = None
         self._barrier_seq = 0
 
     # -- ThreadCtx-compatible introspection ---------------------------------
@@ -186,58 +193,81 @@ class MachineNode:
     def _record(self, kind: EventKind, **kw) -> None:
         self.out_events.append(TraceEvent(self.env.now, self.pid, kind, **kw))
 
-    # -- processes ------------------------------------------------------------
+    # -- callback steps -------------------------------------------------------
 
-    def main(self, body: Callable) -> Generator:
-        """The program thread."""
+    def start(self, body: Callable) -> None:
+        """Start the program thread, then the handler, at the current time."""
+        Initialize(self.env).callbacks.append(lambda ev: self._begin(body, ev))
+        Initialize(self.env).callbacks.append(self._await_message)
+
+    def _begin(self, body: Callable, ev: Event) -> None:
         self._record(EventKind.THREAD_BEGIN)
-        yield from body(self)
-        self._record(EventKind.THREAD_END)
-        self.stats.end_time = self.env.now
-        self.done.succeed()
+        self._body = body(self)
+        self._resume(ev)
 
-    def handler(self) -> Generator:
-        """Active-message handler: services remote requests concurrently
-        with computation (network-interface work, not node CPU)."""
-        while True:
-            msg: WireMessage = yield self.inbox.get()
-            if msg.kind in ("reply", "write_ack"):
-                ev = self.pending.pop(msg.msg_id, None)
-                if ev is None:
-                    raise RuntimeError(
-                        f"node {self.pid}: unexpected {msg.kind} id={msg.msg_id}"
-                    )
-                ev.succeed(msg)
-                continue
-            yield self.env.timeout(self.spec.service_time)
-            self.stats.requests_served += 1
-            if msg.kind == "request":
-                # Read the element *now* (the program's barrier discipline
-                # guarantees read/write phases do not overlap).
-                value = msg.coll._load(msg.index)
-                yield from self.machine.network.send(
-                    WireMessage(
-                        "reply",
-                        src=self.pid,
-                        dst=msg.src,
-                        nbytes=msg.reply_nbytes,
-                        msg_id=msg.msg_id,
-                        payload=value,
-                    )
+    def _resume(self, ev: Event) -> None:
+        """Send ``ev``'s value into the body and act on what it yields:
+        wait on an event, or send a message and resume once it is
+        injected."""
+        try:
+            target = self._body.send(ev._value)
+        except StopIteration:
+            self._record(EventKind.THREAD_END)
+            self.stats.end_time = self.env.now
+            self.done.succeed()
+            return
+        if type(target) is WireMessage:
+            self.machine.network.send(target, self._resume)
+        elif isinstance(target, Event):
+            target.callbacks.append(self._resume)
+        else:
+            raise RuntimeError(
+                f"node {self.pid}: program yielded {target!r}, "
+                "expected a ThreadCtx operation"
+            )
+
+    # Active-message handler: services remote requests concurrently with
+    # computation (network-interface work, not node CPU).
+
+    def _await_message(self, _ev: Event) -> None:
+        self.inbox.get().callbacks.append(self._on_message)
+
+    def _on_message(self, ev: Event) -> None:
+        msg: WireMessage = ev._value
+        if msg.kind in ("reply", "write_ack"):
+            waiter = self.pending.pop(msg.msg_id, None)
+            if waiter is None:
+                raise RuntimeError(
+                    f"node {self.pid}: unexpected {msg.kind} id={msg.msg_id}"
                 )
-            elif msg.kind == "write":
-                msg.coll._store(msg.index, msg.payload)
-                yield from self.machine.network.send(
-                    WireMessage(
-                        "write_ack",
-                        src=self.pid,
-                        dst=msg.src,
-                        nbytes=0,
-                        msg_id=msg.msg_id,
-                    )
-                )
-            else:  # pragma: no cover - exhaustive
-                raise AssertionError(f"unhandled message kind {msg.kind}")
+            waiter.succeed(msg)
+            self._await_message(ev)
+            return
+        self.env.timeout(self.spec.service_time).callbacks.append(
+            lambda _ev: self._serve(msg)
+        )
+
+    def _serve(self, msg: WireMessage) -> None:
+        self.stats.requests_served += 1
+        if msg.kind == "request":
+            # Read the element *now* (the program's barrier discipline
+            # guarantees read/write phases do not overlap).
+            reply = WireMessage(
+                "reply",
+                src=self.pid,
+                dst=msg.src,
+                nbytes=msg.reply_nbytes,
+                msg_id=msg.msg_id,
+                payload=msg.coll._load(msg.index),
+            )
+        elif msg.kind == "write":
+            msg.coll._store(msg.index, msg.payload)
+            reply = WireMessage(
+                "write_ack", src=self.pid, dst=msg.src, nbytes=0, msg_id=msg.msg_id
+            )
+        else:  # pragma: no cover - exhaustive
+            raise AssertionError(f"unhandled message kind {msg.kind}")
+        self.machine.network.send(reply, self._await_message)
 
     def deliver(self, msg: WireMessage) -> None:
         self.inbox.put_nowait(msg)
@@ -275,17 +305,15 @@ class MachineNode:
         ev = Event(self.env)
         self.pending[mid] = ev
         t0 = self.env.now
-        yield from self.machine.network.send(
-            WireMessage(
-                "request",
-                src=self.pid,
-                dst=owner,
-                nbytes=self.spec.request_nbytes,
-                msg_id=mid,
-                coll=coll,
-                index=index,
-                reply_nbytes=int(reply_nbytes),
-            )
+        yield WireMessage(
+            "request",
+            src=self.pid,
+            dst=owner,
+            nbytes=self.spec.request_nbytes,
+            msg_id=mid,
+            coll=coll,
+            index=index,
+            reply_nbytes=int(reply_nbytes),
         )
         reply = yield ev
         self.stats.remote_accesses += 1
@@ -313,17 +341,15 @@ class MachineNode:
         ev = Event(self.env)
         self.pending[mid] = ev
         t0 = self.env.now
-        yield from self.machine.network.send(
-            WireMessage(
-                "write",
-                src=self.pid,
-                dst=owner,
-                nbytes=int(wire_nbytes),
-                msg_id=mid,
-                coll=coll,
-                index=index,
-                payload=value,
-            )
+        yield WireMessage(
+            "write",
+            src=self.pid,
+            dst=owner,
+            nbytes=int(wire_nbytes),
+            msg_id=mid,
+            coll=coll,
+            index=index,
+            payload=value,
         )
         yield ev
         self.stats.remote_accesses += 1

@@ -5,23 +5,30 @@ every message individually occupies its source node's injection port and
 its destination node's ejection port for ``bytes * byte_time`` each, so
 endpoint contention (the dominant effect on a CM-5-class fat tree, which
 preserves bisection bandwidth) is *simulated*, message by message, with
-FIFO queueing on the :class:`~repro.des.resources.Resource` ports.
+FIFO queueing on each port.
 
-``send`` is a generator: the caller is busy for the software start-up
-and until its injection port accepts the message; the rest of the
-transfer (switch hops, ejection, delivery) proceeds asynchronously.
+``send(msg, then)`` is a chain of callback steps: the sender is busy for
+the software start-up and until its injection port accepts the message,
+and ``then`` runs once injection finishes.  The rest of the transfer
+(switch hops, ejection, delivery) is a detached chain that starts from
+an :class:`~repro.des.events.Initialize` event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional
+from collections import deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
-from repro.des import Environment, Resource
+from repro.des import Environment, Event
+from repro.des.events import Initialize
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.spec import MachineSpec
     from repro.pcxx.collection import Collection, Index
+
+#: A step of a callback chain: called with the event that fired.
+Step = Callable[[Event], None]
 
 
 @dataclass
@@ -43,8 +50,40 @@ class WireMessage:
 class PortNetworkStats:
     messages: int = 0
     bytes: int = 0
-    max_inject_queue: int = 0
-    max_eject_queue: int = 0
+
+
+class _Port:
+    """A one-slot FIFO: held by one message, the others wait in order.
+
+    A claim is granted through one event hop, and a release hands the
+    slot straight to the oldest waiter, so a claim made at the same
+    time as a release queues behind it.
+    """
+
+    __slots__ = ("env", "held", "waiters")
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self.held = False
+        self.waiters: deque = deque()
+
+    def claim(self, granted: Step) -> None:
+        if self.held:
+            self.waiters.append(granted)
+        else:
+            self.held = True
+            self._grant(granted)
+
+    def release(self) -> None:
+        if self.waiters:
+            self._grant(self.waiters.popleft())
+        else:
+            self.held = False
+
+    def _grant(self, granted: Step) -> None:
+        ev = Event(self.env)
+        ev.callbacks.append(granted)
+        ev.succeed()
 
 
 class PortNetwork:
@@ -56,8 +95,8 @@ class PortNetwork:
         self.env = env
         self.n = n
         self.spec = spec
-        self.inject = [Resource(env) for _ in range(n)]
-        self.eject = [Resource(env) for _ in range(n)]
+        self.inject = [_Port(env) for _ in range(n)]
+        self.eject = [_Port(env) for _ in range(n)]
         self.stats = PortNetworkStats()
         self._topology = make_topology(spec.topology, n)
         self._inboxes: List[Callable[[WireMessage], None]] = []
@@ -76,47 +115,60 @@ class PortNetwork:
         """
         return self._topology.hops(src, dst)
 
-    def send(self, msg: WireMessage) -> Generator:
-        """Inject ``msg``; the generator returns once injection finishes.
+    def send(self, msg: WireMessage, then: Step) -> None:
+        """Inject ``msg``, then call ``then`` with the last event waited on.
 
-        The caller is busy for ``msg_startup`` plus any wait for its
-        injection port plus the injection occupancy itself; the switch
-        traversal and ejection happen in a detached delivery process.
+        The sender is busy for ``msg_startup`` plus any wait for its
+        injection port plus the injection occupancy itself; ``then``
+        always runs from a later callback, never inside this call.
         """
         if not self._inboxes:
             raise RuntimeError("network not attached to nodes")
         if msg.src == msg.dst:
             raise ValueError(f"message to self: {msg.kind} at node {msg.src}")
+        env = self.env
         spec = self.spec
-        wire_bytes = msg.nbytes + spec.header_nbytes
-        occupancy = wire_bytes * spec.byte_time
+        occupancy = (msg.nbytes + spec.header_nbytes) * spec.byte_time
 
         self.stats.messages += 1
         self.stats.bytes += msg.nbytes
 
-        if spec.msg_startup:
-            yield self.env.timeout(spec.msg_startup)
-        req = self.inject[msg.src].request()
-        self.stats.max_inject_queue = max(
-            self.stats.max_inject_queue, self.inject[msg.src].queue_length
-        )
-        yield req
-        if occupancy:
-            yield self.env.timeout(occupancy)
-        self.inject[msg.src].release(req)
-        self.env.process(self._deliver(msg, occupancy), name=f"wire{msg.msg_id}")
+        def inject(_ev: Optional[Event]) -> None:
+            self._hold(self.inject[msg.src], occupancy, injected)
 
-    def _deliver(self, msg: WireMessage, occupancy: float) -> Generator:
-        """Switch traversal + ejection-port occupancy + delivery."""
-        lat = self.hops(msg.src, msg.dst) * self.spec.hop_time
-        if lat:
-            yield self.env.timeout(lat)
-        req = self.eject[msg.dst].request()
-        self.stats.max_eject_queue = max(
-            self.stats.max_eject_queue, self.eject[msg.dst].queue_length
-        )
-        yield req
-        if occupancy:
-            yield self.env.timeout(occupancy)
-        self.eject[msg.dst].release(req)
-        self._inboxes[msg.dst](msg)
+        def injected(ev: Event) -> None:
+            Initialize(env).callbacks.append(wire)
+            then(ev)
+
+        def wire(ev: Event) -> None:
+            lat = self.hops(msg.src, msg.dst) * spec.hop_time
+            if lat:
+                env.timeout(lat).callbacks.append(eject)
+            else:
+                eject(ev)
+
+        def eject(_ev: Event) -> None:
+            self._hold(self.eject[msg.dst], occupancy, delivered)
+
+        def delivered(_ev: Event) -> None:
+            self._inboxes[msg.dst](msg)
+
+        if spec.msg_startup:
+            env.timeout(spec.msg_startup).callbacks.append(inject)
+        else:
+            inject(None)
+
+    def _hold(self, port: _Port, occupancy: float, then: Step) -> None:
+        """Claim ``port``, occupy it for ``occupancy``, release it, then ``then``."""
+
+        def granted(ev: Event) -> None:
+            if occupancy:
+                self.env.timeout(occupancy).callbacks.append(release)
+            else:
+                release(ev)
+
+        def release(ev: Event) -> None:
+            port.release()
+            then(ev)
+
+        port.claim(granted)

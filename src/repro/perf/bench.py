@@ -4,7 +4,7 @@ Six seeded reference workloads exercise the layers of the hot path:
 
 * ``timeout_chain`` — the pure event loop (Timeout-only, the
   ``run_batched`` fast-path case);
-* ``pingpong`` — processes + stores (get/put/timeout churn);
+* ``pingpong`` — callback chains + stores (get/put/timeout churn);
 * ``simulator`` — a full trace-driven replay (8 processors, the
   distributed-memory preset) through :class:`repro.sim.Simulator`;
 * ``sweep`` — a cold-then-warm design-space sweep through
@@ -46,36 +46,49 @@ DEFAULT_BASELINE = "BENCH_engine.json"
 
 
 def timeout_chain(n: int = 20_000) -> int:
-    """One process sleeping ``n`` times: the Timeout-only fast path."""
+    """One callback re-arming itself on ``n`` timeouts: the Timeout-only
+    fast path."""
     from repro.des import Environment
 
     env = Environment()
+    left = n
 
-    def sleeper(env):
-        for _ in range(n):
-            yield env.timeout(1.0)
+    def sleep(_ev) -> None:
+        nonlocal left
+        if left:
+            left -= 1
+            env.timeout(1.0).callbacks.append(sleep)
 
-    env.process(sleeper(env))
+    sleep(None)
     env.run_batched()
     return env.processed_event_count
 
 
 def pingpong(rounds: int = 5_000) -> int:
-    """Two processes bouncing a token through stores."""
+    """Two callback chains bouncing a token through stores."""
     from repro.des import Environment, Store
 
     env = Environment()
 
-    def ping(env, store_in, store_out, n):
-        for _ in range(n):
-            yield store_in.get()
-            yield env.timeout(1.0)
-            yield store_out.put(None)
+    def player(store_in, store_out) -> None:
+        left = rounds
+
+        def got(_ev) -> None:
+            env.timeout(1.0).callbacks.append(passed)
+
+        def passed(_ev) -> None:
+            nonlocal left
+            store_out.put_nowait(None)
+            left -= 1
+            if left:
+                store_in.get().callbacks.append(got)
+
+        store_in.get().callbacks.append(got)
 
     a, b = Store(env), Store(env)
-    env.process(ping(env, a, b, rounds))
-    env.process(ping(env, b, a, rounds))
-    a.put(None)
+    player(a, b)
+    player(b, a)
+    a.put_nowait(None)
     env.run(None)
     return env.processed_event_count
 

@@ -25,7 +25,7 @@ class EngineCounters:
         counted while profiling was enabled).
     events_by_type:
         Processed-event histogram keyed by event class name
-        (``Timeout``, ``StoreGet``, ``Process``, ...).
+        (``Timeout``, ``StoreGet``, ``Initialize``, ...).
     callbacks_fired:
         Total callbacks invoked by event processing.
     scheduled_total:

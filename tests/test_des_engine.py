@@ -5,6 +5,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Deadlock, Environment, StopSimulation
+from repro.des.events import Initialize
+
+
+def sleeper(env, delays, on_wake=lambda: None):
+    """A callback chain started by an ``Initialize``: wait each of
+    ``delays`` in turn and call ``on_wake()`` after each.  Returns an
+    event that fires after the last wake."""
+    delays = iter(delays)
+    done = env.event()
+    start = Initialize(env)
+
+    def step(ev):
+        if ev is not start:
+            on_wake()
+        delay = next(delays, None)
+        if delay is None:
+            done.succeed()
+        else:
+            env.timeout(delay).callbacks.append(step)
+
+    start.callbacks.append(step)
+    return done
 
 
 def test_clock_starts_at_zero():
@@ -19,13 +41,7 @@ def test_timeout_advances_clock():
     env = Environment()
     log = []
 
-    def proc(env):
-        yield env.timeout(5)
-        log.append(env.now)
-        yield env.timeout(2.5)
-        log.append(env.now)
-
-    env.process(proc(env))
+    sleeper(env, (5, 2.5), lambda: log.append(env.now))
     env.run(None)
     assert log == [5.0, 7.5]
 
@@ -33,11 +49,10 @@ def test_timeout_advances_clock():
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 
-    def proc(env):
-        while True:
-            yield env.timeout(10)
+    def tick(_ev):
+        env.timeout(10).callbacks.append(tick)
 
-    env.process(proc(env))
+    tick(None)
     env.run(until=25.0)
     assert env.now == 25.0
 
@@ -45,12 +60,9 @@ def test_run_until_time_stops_clock_exactly():
 def test_run_until_event_returns_value():
     env = Environment()
 
-    def proc(env):
-        yield env.timeout(3)
-        return "answer"
-
-    p = env.process(proc(env))
-    assert env.run(p) == "answer"
+    done = env.event()
+    env.timeout(3).callbacks.append(lambda ev: done.succeed("answer"))
+    assert env.run(done) == "answer"
     assert env.now == 3.0
 
 
@@ -64,12 +76,10 @@ def test_run_until_past_time_rejected():
 def test_run_until_event_deadlock_detected():
     env = Environment()
 
-    def proc(env):
-        yield env.event()  # never fires
-
-    p = env.process(proc(env))
+    done = env.event()
+    env.event().callbacks.append(lambda ev: done.succeed())  # never fires
     with pytest.raises(RuntimeError, match="deadlock"):
-        env.run(p)
+        env.run(done)
 
 
 def test_negative_delay_rejected():
@@ -84,17 +94,12 @@ def test_timeout_at_keys_the_exact_absolute_time():
     when = 0.1 + 0.2 + 0.3
     chain_end = []
 
-    def chain(env):
-        yield env.timeout(0.2)
-        yield env.timeout(0.3)
-        chain_end.append(env.now)
-
-    env.process(chain(env))
+    sleeper(env, (0.2, 0.3), lambda: chain_end.append(env.now))
     ev = env.timeout_at(when, value="v")
     assert env.run(ev) == "v"
     assert env.now == when
     env.run(None)
-    assert chain_end == [when]
+    assert chain_end == [0.1 + 0.2, when]
     with pytest.raises(ValueError):
         env.timeout_at(env.now - 1.0)
 
@@ -108,12 +113,8 @@ def test_fifo_order_at_same_time():
     env = Environment()
     log = []
 
-    def proc(env, tag):
-        yield env.timeout(10)
-        log.append(tag)
-
     for tag in "abcd":
-        env.process(proc(env, tag))
+        sleeper(env, (10,), lambda tag=tag: log.append(tag))
     env.run(None)
     assert log == list("abcd")
 
@@ -148,17 +149,15 @@ def test_events_fire_in_time_order(delays):
 
 
 def test_process_waits_on_process():
+    """A callback chain waits on an event another chain succeeds, and
+    reads its value."""
     env = Environment()
-
-    def inner(env):
-        yield env.timeout(7)
-        return 42
-
-    def outer(env):
-        value = yield env.process(inner(env))
-        return value + 1
-
-    assert env.run(env.process(outer(env))) == 43
+    inner = env.event()
+    env.timeout(7).callbacks.append(lambda ev: inner.succeed(42))
+    outer = env.event()
+    inner.callbacks.append(lambda ev: outer.succeed(ev.value + 1))
+    assert env.run(outer) == 43
+    assert env.now == 7.0
 
 
 # -- same-time ordering contract (pinned before/after the fast path) -----
@@ -191,19 +190,15 @@ def test_same_time_fifo_within_priority():
 
 
 def test_process_start_beats_same_time_events():
-    """A freshly spawned process (priority -1) takes its first step before
-    ordinary events already queued for the same instant."""
+    """A component started by an ``Initialize`` (priority -1) takes its
+    first step before ordinary events already queued for the same
+    instant."""
     env = Environment()
     log = []
     env.timeout(0).callbacks.append(lambda ev: log.append("timeout"))
-
-    def body(env):
-        log.append("process")
-        yield env.timeout(1)
-
-    env.process(body(env))
+    Initialize(env).callbacks.append(lambda ev: log.append("initialize"))
     env.run(None)
-    assert log == ["process", "timeout"]
+    assert log == ["initialize", "timeout"]
 
 
 def test_run_batched_matches_step_ordering():
@@ -213,13 +208,8 @@ def test_run_batched_matches_step_ordering():
         env = Environment()
         log = []
 
-        def worker(env, tag, delay):
-            for _ in range(3):
-                yield env.timeout(delay)
-                log.append((env.now, tag))
-
         for i, d in enumerate([2.0, 1.0, 2.0, 3.0]):
-            env.process(worker(env, i, d))
+            sleeper(env, (d,) * 3, lambda i=i: log.append((env.now, i)))
         return env, log
 
     env_a, log_a = build()
@@ -276,11 +266,7 @@ def test_run_until_event_leaves_no_stale_callback():
         env.run(pending)
     assert pending.callbacks == []
     # ... and the event is still usable afterwards.
-    def trigger(env):
-        yield env.timeout(2)
-        pending.succeed("late")
-
-    env.process(trigger(env))
+    env.timeout(2).callbacks.append(lambda ev: pending.succeed("late"))
     assert env.run(pending) == "late"
 
 
@@ -298,11 +284,7 @@ def test_profiling_counters():
     counters = env.enable_profiling()
     assert env.profile is counters
 
-    def worker(env):
-        for _ in range(4):
-            yield env.timeout(1)
-
-    env.process(worker(env))
+    sleeper(env, (1,) * 4)
     env.run(None)
     assert counters.events_total == env.processed_event_count
     assert counters.events_by_type["Timeout"] == 4
@@ -332,12 +314,10 @@ def test_profiled_run_identical_to_fast_path(drain):
         counters = env.enable_profiling() if profiled else None
         log = []
 
-        def worker(env, tag):
-            for _ in range(5):
-                yield env.timeout(1.0 + tag / 4)
-                log.append((env.now, tag))
-
-        procs = [env.process(worker(env, t)) for t in range(3)]
+        procs = [
+            sleeper(env, (1.0 + t / 4,) * 5, lambda t=t: log.append((env.now, t)))
+            for t in range(3)
+        ]
         drain(env, procs)
         if counters is not None:
             assert counters.events_total == env.processed_event_count

@@ -36,18 +36,14 @@ def test_fail_requires_exception():
 
 
 def test_failed_event_thrown_into_waiter():
+    """A failure with a waiter goes to the waiter and is not raised."""
     env = Environment()
-
-    def proc(env, ev):
-        try:
-            yield ev
-        except ValueError as e:
-            return f"caught {e}"
-
     ev = env.event()
-    p = env.process(proc(env, ev))
+    seen = []
+    ev.callbacks.append(lambda e: seen.append((e.ok, f"caught {e.value}")))
     ev.fail(ValueError("boom"))
-    assert env.run(p) == "caught boom"
+    env.run(None)
+    assert seen == [(False, "caught boom")]
 
 
 def test_unhandled_failure_surfaces():
@@ -138,11 +134,7 @@ def test_resolve_with_a_waiter_is_succeed():
     env = Environment()
     ev = env.event()
     got = []
-
-    def waiter(env):
-        got.append((yield ev))
-
-    env.process(waiter(env))
+    ev.callbacks.append(lambda e: got.append(e.value))
     env.run(until=1.0)
     ev.resolve("v")
     assert ev.triggered and not ev.processed
@@ -151,19 +143,23 @@ def test_resolve_with_a_waiter_is_succeed():
 
 
 def test_yielding_a_resolved_event_resumes_now():
+    """A resolved event is already processed: a late waiter reads its
+    value at once, since a callback appended now would never run."""
     env = Environment()
     ev = env.event()
     ev.resolve(7)
     got = []
+    late = []
 
-    def late(env):
-        yield env.timeout(3)
-        got.append((yield ev))
-        got.append(env.now)
+    def step(_ev):
+        ev.callbacks.append(late.append)
+        if ev.processed:
+            got.append((ev.value, env.now))
 
-    env.process(late(env))
+    env.timeout(3).callbacks.append(step)
     env.run(None)
-    assert got == [7, 3.0]
+    assert got == [(7, 3.0)]
+    assert late == []
 
 
 def test_firstof_fires_with_first_child_value():

@@ -6,24 +6,28 @@ from hypothesis import strategies as st
 from repro.des import Environment, Store
 
 
-def run_all(env):
-    env.run(None)
+def consume(store, n, on_item):
+    """A callback chain taking ``n`` items from ``store`` in turn."""
+    left = n
+
+    def got(ev):
+        nonlocal left
+        on_item(ev.value)
+        left -= 1
+        if left:
+            store.get().callbacks.append(got)
+
+    store.get().callbacks.append(got)
 
 
 def test_fifo_order():
     env = Environment()
     store = Store(env)
     got = []
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    env.process(consumer(env))
+    consume(store, 3, got.append)
     for i in range(3):
-        store.put(i)
-    run_all(env)
+        store.put_nowait(i)
+    env.run(None)
     assert got == [0, 1, 2]
 
 
@@ -31,18 +35,9 @@ def test_get_blocks_until_put():
     env = Environment()
     store = Store(env)
     got = []
-
-    def consumer(env):
-        item = yield store.get()
-        got.append((env.now, item))
-
-    def producer(env):
-        yield env.timeout(10)
-        yield store.put("x")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    run_all(env)
+    consume(store, 1, lambda item: got.append((env.now, item)))
+    env.timeout(10).callbacks.append(lambda ev: store.put_nowait("x"))
+    env.run(None)
     assert got == [(10.0, "x")]
 
 
@@ -52,7 +47,7 @@ def test_cancel_get():
     g1 = store.get()
     g2 = store.get()
     store.cancel(g1)
-    store.put("only")
+    store.put_nowait("only")
     env.run(None)
     assert not g1.triggered
     assert g2.value == "only"
@@ -68,39 +63,40 @@ def test_put_nowait_schedules_no_put_event():
 
 
 def test_put_nowait_serves_a_waiting_getter_like_put():
+    """Waiting getters are served in FIFO order, each through one queue
+    hop of its own get event."""
     env = Environment()
+    store = Store(env)
     got = []
-    stores = [Store(env), Store(env)]
-    gets = [s.get() for s in stores]
-    for g, tag in zip(gets, ("nowait", "put")):
+    gets = [store.get(), store.get()]
+    for g, tag in zip(gets, "ab"):
         g.callbacks.append(lambda ev, tag=tag: got.append((tag, ev.value)))
-    stores[0].put_nowait(1)
-    stores[1].put(2)
+    store.put_nowait(1)
+    store.put_nowait(2)
+    assert store.items == []
+    assert all(g.triggered and not g.processed for g in gets)
     env.run(None)
-    # Same getter service; only the put path queued a put event too.
-    assert got == [("nowait", 1), ("put", 2)]
-    assert env.processed_event_count == 3
+    assert got == [("a", 1), ("b", 2)]
+    assert env.processed_event_count == 2
 
 
 def test_pending_gets_count():
+    """Gets on an empty store wait without queueing anything."""
     env = Environment()
     store = Store(env)
-    store.get()
-    store.get()
-    assert store.pending_gets == 2
+    gets = [store.get(), store.get()]
+    assert len(store) == 0
+    assert not any(g.triggered for g in gets)
+    assert env.peek() == float("inf")
 
 
 def test_none_is_a_valid_item():
     """Regression: a stored None must not be mistaken for 'no item'."""
     env = Environment()
     store = Store(env)
-    store.put(None)
+    store.put_nowait(None)
     got = []
-
-    def consumer(env):
-        got.append((yield store.get()))
-
-    env.process(consumer(env))
+    consume(store, 1, got.append)
     env.run(None)
     assert got == [None]
 
@@ -112,18 +108,8 @@ def test_store_preserves_all_items(items):
     env = Environment()
     store = Store(env)
     got = []
-
-    def consumer(env):
-        for _ in items:
-            got.append((yield store.get()))
-
-    env.process(consumer(env))
-
-    def producer(env):
-        for it in items:
-            yield env.timeout(1)
-            yield store.put(it)
-
-    env.process(producer(env))
+    consume(store, len(items), got.append)
+    for i, it in enumerate(items):
+        env.timeout(i + 1).callbacks.append(lambda ev, it=it: store.put_nowait(it))
     env.run(None)
     assert got == items

@@ -46,13 +46,12 @@ def test_des_deadlock_on_unreachable_event():
     """The engine raises Deadlock when the queue drains early."""
     env = Environment()
     never = env.event()
-
-    def proc():
-        yield never
-
-    env.process(proc())
+    woken = []
+    # A chain that runs for a while, then waits on an event nobody fires.
+    env.timeout(1).callbacks.append(lambda ev: never.callbacks.append(woken.append))
     with pytest.raises(Deadlock, match="deadlock"):
         env.run(never)
+    assert env.now == 1.0 and woken == []
 
 
 def test_simulator_max_events_runaway_guard():

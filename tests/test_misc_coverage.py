@@ -45,15 +45,13 @@ def test_cli_override_bad_group():
 
 
 def test_run_until_failed_event_raises():
+    """An event that fails during ``run(until=event)`` is raised by it."""
     env = Environment()
-
-    def boom(env):
-        yield env.timeout(1)
-        raise KeyError("inner")
-
-    p = env.process(boom(env))
+    boom = env.event()
+    env.timeout(1).callbacks.append(lambda ev: boom.fail(KeyError("inner")))
     with pytest.raises(KeyError, match="inner"):
-        env.run(p)
+        env.run(boom)
+    assert env.now == 1.0
 
 
 # -- machine port network directly -----------------------------------------------
@@ -68,12 +66,15 @@ def test_port_network_injection_serialises():
     arrivals = []
     net.attach([lambda m, i=i: arrivals.append((i, env.now)) for i in range(3)])
 
-    def sender(env):
-        yield from net.send(WireMessage("reply", src=0, dst=1, nbytes=100, msg_id=1))
-        yield from net.send(WireMessage("reply", src=0, dst=2, nbytes=100, msg_id=2))
+    injected = []
 
-    env.process(sender(env))
+    def send_second(ev):
+        second = WireMessage("reply", src=0, dst=2, nbytes=100, msg_id=2)
+        net.send(second, then=lambda ev: injected.append(env.now))
+
+    net.send(WireMessage("reply", src=0, dst=1, nbytes=100, msg_id=1), send_second)
     env.run(None)
+    assert injected == [pytest.approx(200.0)]
     # injection 100us each, ejection 100us: first delivered at 200,
     # second injected 100..200, ejected 200..300.
     times = sorted(t for _, t in arrivals)
@@ -84,20 +85,21 @@ def test_port_network_injection_serialises():
 def test_port_network_rejects_self_and_unattached():
     env = Environment()
     net = PortNetwork(env, 2, MachineSpec())
-
-    def sending(env):
-        yield from net.send(WireMessage("reply", src=0, dst=1, nbytes=1, msg_id=1))
+    resumed = []
 
     with pytest.raises(RuntimeError, match="not attached"):
-        env.run(env.process(sending(env)))
+        net.send(
+            WireMessage("reply", src=0, dst=1, nbytes=1, msg_id=1), resumed.append
+        )
 
     net.attach([lambda m: None, lambda m: None])
 
-    def self_send(env):
-        yield from net.send(WireMessage("reply", src=1, dst=1, nbytes=1, msg_id=2))
-
     with pytest.raises(ValueError, match="to self"):
-        env.run(env.process(self_send(env)))
+        net.send(
+            WireMessage("reply", src=1, dst=1, nbytes=1, msg_id=2), resumed.append
+        )
+    env.run(None)
+    assert resumed == [] and net.stats.messages == 0
 
 
 def test_port_network_hops_use_spec_topology():
