@@ -16,13 +16,16 @@ translated program per workload; each round then times one
 more fixed row times the cold front end with the replay: grid@16
 written once as ``.jsonl``, then ``read_trace`` -> ``translate`` ->
 ``simulate`` per round, so a change to the reader or to the per-event
-records shows too.  A last fixed row, ``machine``, times
+records shows too.  A fixed row, ``machine``, times
 ``run_on_machine`` on matmul@16 under ``CM5_SPEC`` (the reference
-machine of Figure 9).  Before timing, the two versions' results must
-agree in everything the replay goldens hash: the predicted time, every
-thread's output events, the processor stats and the network stats,
-and, on the front-end row, every event read from the file; on the
-``machine`` row, the whole ``MachineResult``.  Printed per
+machine of Figure 9), and a last one, ``measure``, times the
+1-processor tracing run of grid@16 (the trace ``predict_full`` sets
+up).  Before timing, the two versions' results must agree in
+everything the replay goldens hash: the predicted time, every thread's
+output events, the processor stats and the network stats, and, on the
+front-end row, every event read from the file; on the ``machine`` row,
+the whole ``MachineResult``; on the ``measure`` row, the trace digest
+and race findings.  Printed per
 workload: the median and interquartile range of the B/A time ratios
 and each version's median time.  ``python benchmarks/replay_ab.py src src
 --rounds 2`` checks that the tool itself still runs.
@@ -69,11 +72,19 @@ READ_ROW = len(WORKLOADS)
 MACHINE_WORKLOAD = ("matmul", 16)
 MACHINE_ROW = READ_ROW + 1
 
+#: The ``measure`` row, timed after it: ``measure`` of this benchmark
+#: on this many threads.
+MEASURE_WORKLOAD = ("grid", 16)
+MEASURE_ROW = MACHINE_ROW + 1
+
 
 def label(workload, i: int) -> str:
     if i == MACHINE_ROW:
         name, n = workload
         return f"machine: {name}@{n} run_on_machine CM5_SPEC"
+    if i == MEASURE_ROW:
+        name, n = workload
+        return f"measure: {name}@{n} 1-processor trace"
     name, n, preset, m, policy = workload
     text = f"{name}@{n} {preset}"
     if i == READ_ROW:
@@ -133,6 +144,8 @@ def machine_digest(result) -> str:
 def row_digest(i: int, result, read_events) -> str:
     if i == MACHINE_ROW:
         return machine_digest(result)
+    if i == MEASURE_ROW:
+        return result.digest() + repr(result.race_findings)
     return result_digest(result, read_events)
 
 
@@ -199,6 +212,9 @@ class Version:
         self.machine_program = get_benchmark(name).make_program()
         self.run_on_machine = run_on_machine
         self.cm5_spec = CM5_SPEC
+        self.measure = measure
+        name, n = MEASURE_WORKLOAD
+        self.measure_program = get_benchmark(name).make_program()
         self.modules = {n: m for n, m in sys.modules.items() if _is_repro(n)}
         for name in self.modules:
             del sys.modules[name]
@@ -213,6 +229,12 @@ class Version:
             t0 = time.thread_time()
             result = self.run_on_machine(factory, n, spec=self.cm5_spec, name=name)
             return time.thread_time() - t0, result, ()
+        if i == MEASURE_ROW:
+            name, n = MEASURE_WORKLOAD
+            factory = self.measure_program(n)
+            t0 = time.thread_time()
+            trace = self.measure(factory, n, name=name)
+            return time.thread_time() - t0, trace, ()
         if i == READ_ROW:
             t0 = time.thread_time()
             trace = self.read_trace(self.trace_path)
@@ -230,7 +252,7 @@ def main(argv=None) -> int:
     ap.add_argument("b", help="candidate: git revision or src directory")
     ap.add_argument("--rounds", type=int, default=40)
     args = ap.parse_args(argv)
-    rows = WORKLOADS + (READ_WORKLOAD, MACHINE_WORKLOAD)
+    rows = WORKLOADS + (READ_WORKLOAD, MACHINE_WORKLOAD, MEASURE_WORKLOAD)
     with tempfile.TemporaryDirectory() as scratch:
         trace_path = Path(scratch) / "grid16.jsonl"
         a = Version(source_dir(args.a, Path(scratch)), trace_path)

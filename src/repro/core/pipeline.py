@@ -165,7 +165,6 @@ def measure(
     trace_mflops: float = SUN4_MFLOPS,
     size_mode: str = "compiler",
     event_overhead: float = 0.0,
-    switch_overhead: float = 0.0,
     flush_every: int = 0,
     flush_overhead: float = 0.0,
     compute_noise: float = 0.0,
@@ -182,7 +181,6 @@ def measure(
         trace_mflops=trace_mflops,
         size_mode=size_mode,
         event_overhead=event_overhead,
-        switch_overhead=switch_overhead,
         flush_every=flush_every,
         flush_overhead=flush_overhead,
         compute_noise=compute_noise,

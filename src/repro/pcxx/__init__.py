@@ -13,8 +13,11 @@ This package reproduces that model in Python:
   processors explain the Grid/Mgrid 4-to-8 processor plateau (§4.1);
 * :mod:`repro.pcxx.collection` — distributed element containers;
 * :mod:`repro.pcxx.runtime` — the tracing runtime: runs n generator
-  threads on one virtual processor (via :mod:`repro.threads`) and records
-  the high-level event trace;
+  threads on one virtual processor and records the high-level event
+  trace.  :meth:`~repro.pcxx.runtime.TracingRuntime.run` is the analog
+  of the paper's AWESIME threads package: it switches threads only at
+  barriers, and raises :class:`~repro.pcxx.runtime.DeadlockError` when
+  threads are left waiting at one;
 * :mod:`repro.pcxx.patterns` — broadcast / reduction / shift communication
   patterns written against the thread API, shared by the benchmarks.
 """
@@ -27,10 +30,11 @@ from repro.pcxx.distribution import (
 )
 from repro.pcxx.collection import Collection
 from repro.pcxx.invoke import parallel_invoke, parallel_reduce
-from repro.pcxx.runtime import ThreadCtx, TracingRuntime
+from repro.pcxx.runtime import DeadlockError, ThreadCtx, TracingRuntime
 
 __all__ = [
     "Collection",
+    "DeadlockError",
     "Dist",
     "Distribution1D",
     "Distribution2D",

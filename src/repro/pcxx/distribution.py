@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 
@@ -124,9 +125,11 @@ class Distribution2D:
         if self.n_threads < 1:
             raise ValueError(f"need at least 1 thread, got {self.n_threads}")
 
-    @property
+    @cached_property
     def grid_shape(self) -> Tuple[int, int]:
-        """(grid_rows, grid_cols) of the thread grid."""
+        """(grid_rows, grid_cols) of the thread grid (computed once: the
+        instance is frozen, and the cache is not a field, so equality
+        and hash ignore it)."""
         n = self.n_threads
         rw = self.row_attr is Dist.WHOLE
         cw = self.col_attr is Dist.WHOLE

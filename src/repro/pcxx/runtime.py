@@ -2,8 +2,10 @@
 
 This reproduces the paper's modified pC++ runtime system (§3.2):
 
-* all n threads execute on a single processor under a non-preemptive
-  scheduler (:mod:`repro.threads`), switching only at barriers;
+* all n threads execute on a single processor and switch only at
+  barriers: :meth:`TracingRuntime.run` is the analog of the paper's
+  non-preemptive AWESIME threads package, running each thread until it
+  waits at a barrier or ends;
 * elements live in a global space, so remote accesses cost the same as
   local ones and return immediately;
 * the runtime records every inter-thread interaction — barrier entry,
@@ -25,10 +27,10 @@ Thread bodies are generator functions receiving a :class:`ThreadCtx`::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Sequence
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Sequence
 
 from repro.pcxx.collection import Collection, Index
-from repro.threads import Block, Scheduler
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.trace import Trace, TraceMeta
 
@@ -40,15 +42,12 @@ CM5_MFLOPS = 2.7645
 
 ThreadBody = Callable[["ThreadCtx"], Generator[Any, Any, Any]]
 
+#: What :meth:`ThreadCtx.barrier` yields to hand the processor on.
+_WAIT = object()
 
-class _BarrierState:
-    """Book-keeping for one in-flight barrier episode."""
 
-    __slots__ = ("arrived", "waiting")
-
-    def __init__(self):
-        self.arrived = 0
-        self.waiting: List[int] = []
+class DeadlockError(RuntimeError):
+    """The program ended with threads still waiting at a barrier."""
 
 
 class TracingRuntime:
@@ -70,10 +69,6 @@ class TracingRuntime:
     event_overhead:
         Virtual time charged per recorded event — models instrumentation
         intrusion; the translation step can compensate for it.
-    switch_overhead:
-        Virtual time charged per thread switch in the scheduler.
-        (Translation needs no special handling: switches happen at
-        barrier boundaries, where exit-time snapping absorbs them.)
     flush_every / flush_overhead:
         Every ``flush_every`` recorded events the runtime flushes its
         event buffer, charging ``flush_overhead`` — the other
@@ -101,7 +96,6 @@ class TracingRuntime:
         trace_mflops: float = SUN4_MFLOPS,
         size_mode: str = "compiler",
         event_overhead: float = 0.0,
-        switch_overhead: float = 0.0,
         flush_every: int = 0,
         flush_overhead: float = 0.0,
         compute_noise: float = 0.0,
@@ -131,7 +125,8 @@ class TracingRuntime:
         from repro.util.rng import make_rng
 
         self._noise_rng = make_rng(noise_seed) if compute_noise else None
-        self.sched = Scheduler(switch_overhead=switch_overhead)
+        #: virtual time of the 1-processor run (microseconds)
+        self.clock = 0.0
         self.trace = Trace(
             TraceMeta(
                 program=program,
@@ -141,7 +136,10 @@ class TracingRuntime:
                 problem=dict(problem or {}),
             )
         )
-        self._barriers: Dict[int, _BarrierState] = {}
+        #: tids ready to run, in the order they run
+        self._ready: Deque[int] = deque()
+        #: barrier episode -> tids waiting there, in arrival order
+        self._barriers: Dict[int, List[int]] = {}
         self._finished = False
         from repro.pcxx.races import RaceChecker
 
@@ -154,15 +152,10 @@ class TracingRuntime:
     def _record(self, event: TraceEvent) -> None:
         self.trace.append(event)
         if self.event_overhead:
-            self.sched.advance(self.event_overhead)
+            self.clock += self.event_overhead
         if self.flush_every and len(self.trace.events) % self.flush_every == 0:
-            self.sched.advance(self.flush_overhead)
+            self.clock += self.flush_overhead
             self.flush_count += 1
-
-    @property
-    def clock(self) -> float:
-        """Current virtual time of the 1-processor run."""
-        return self.sched.clock
 
     # -- execution ------------------------------------------------------------
 
@@ -170,7 +163,18 @@ class TracingRuntime:
         """Execute thread bodies to completion and return the trace.
 
         ``bodies`` is either one callable applied to every thread or a
-        sequence of ``n_threads`` callables.
+        sequence of ``n_threads`` callables.  Threads start in tid order;
+        each runs until it waits at a barrier or ends.  The last thread
+        to reach a barrier queues the waiting ones in arrival order and
+        runs on.
+
+        Raises
+        ------
+        DeadlockError
+            If threads are still waiting at a barrier when no thread can
+            run (a thread skipped a barrier or took an extra one).
+        RuntimeError
+            If a body yields anything but a :class:`ThreadCtx` operation.
         """
         if self._finished:
             raise RuntimeError("this runtime has already executed a program")
@@ -180,10 +184,31 @@ class TracingRuntime:
             raise ValueError(
                 f"{len(bodies)} thread bodies for {self.n_threads} threads"
             )
-        for tid, body in enumerate(bodies):
-            ctx = ThreadCtx(self, tid)
-            self.sched.spawn(self._wrap(ctx, body))
-        self.sched.run()
+        threads = [
+            self._wrap(ThreadCtx(self, tid), body) for tid, body in enumerate(bodies)
+        ]
+        ready = self._ready
+        ready.extend(range(self.n_threads))
+        while ready:
+            tid = ready.popleft()
+            try:
+                op = threads[tid].send(None)
+            except StopIteration:
+                continue
+            if op is not _WAIT:
+                raise RuntimeError(
+                    f"thread {tid}: program yielded {op!r}, "
+                    "expected a ThreadCtx operation"
+                )
+        if self._barriers:
+            raise DeadlockError(
+                "threads wait at a barrier no other thread reaches: "
+                + ", ".join(
+                    f"thread {tid} at barrier {bid}"
+                    for bid, waiting in sorted(self._barriers.items())
+                    for tid in waiting
+                )
+            )
         self._finished = True
         # Attach the §5 safety findings to the trace (in-memory only; the
         # file formats carry events, not diagnostics).
@@ -192,26 +217,26 @@ class TracingRuntime:
 
     def _wrap(self, ctx: "ThreadCtx", body: ThreadBody) -> Generator[Any, Any, Any]:
         self._record(TraceEvent(self.clock, ctx.tid, EventKind.THREAD_BEGIN))
-        result = yield from body(ctx)
+        yield from body(ctx)
         self._record(TraceEvent(self.clock, ctx.tid, EventKind.THREAD_END))
-        return result
 
     # -- barrier implementation -------------------------------------------------
 
     def _barrier_enter(self, tid: int, bid: int) -> bool:
-        """Record entry; return True if the caller is the last to arrive."""
+        """Record entry; return True if the caller is the last to arrive.
+
+        The last one queues the waiting threads to run after it.
+        """
         self._record(
             TraceEvent(self.clock, tid, EventKind.BARRIER_ENTER, barrier_id=bid)
         )
-        st = self._barriers.setdefault(bid, _BarrierState())
-        st.arrived += 1
-        if st.arrived >= self.n_threads:
-            # Last thread in: release everyone (they resume after we yield).
-            self.sched.unblock_all(st.waiting)
-            del self._barriers[bid]
-            return True
-        st.waiting.append(tid)
-        return False
+        waiting = self._barriers.setdefault(bid, [])
+        if len(waiting) + 1 < self.n_threads:
+            waiting.append(tid)
+            return False
+        self._ready.extend(waiting)
+        del self._barriers[bid]
+        return True
 
     def _barrier_exit(self, tid: int, bid: int) -> None:
         self._record(
@@ -254,7 +279,7 @@ class ThreadCtx:
         """Charge ``flops`` floating-point operations of local computation."""
         if flops < 0:
             raise ValueError(f"negative flop count {flops}")
-        self.rt.sched.advance(self._noisy(flops * self.rt.us_per_flop))
+        self.rt.clock += self._noisy(flops * self.rt.us_per_flop)
         return
         yield  # pragma: no cover - makes this a generator
 
@@ -262,7 +287,7 @@ class ThreadCtx:
         """Charge ``us`` microseconds of local computation directly."""
         if us < 0:
             raise ValueError(f"negative compute time {us}")
-        self.rt.sched.advance(self._noisy(us))
+        self.rt.clock += self._noisy(us)
         return
         yield  # pragma: no cover
 
@@ -340,9 +365,8 @@ class ThreadCtx:
         """
         bid = self._barrier_seq
         self._barrier_seq += 1
-        last = self.rt._barrier_enter(self.tid, bid)
-        if not last:
-            yield Block()
+        if not self.rt._barrier_enter(self.tid, bid):
+            yield _WAIT
         self.rt._barrier_exit(self.tid, bid)
 
     # -- annotations ----------------------------------------------------------

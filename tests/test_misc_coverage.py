@@ -137,14 +137,3 @@ def test_asciiplot_collision_keeps_first_series():
     body = "\n".join(out.splitlines()[1:4])
     assert "o" in body  # first series' mark wins the cell
     assert "x" not in body
-
-
-# -- scheduler current property --------------------------------------------------
-
-
-def test_scheduler_current_requires_running_thread():
-    from repro.threads import Scheduler
-
-    sched = Scheduler()
-    with pytest.raises(RuntimeError, match="no thread"):
-        _ = sched.current

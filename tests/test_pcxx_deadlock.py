@@ -2,20 +2,21 @@
 
 import pytest
 
-from repro.pcxx import TracingRuntime
-from repro.threads import DeadlockError
+from repro.pcxx import DeadlockError, TracingRuntime
 
 
 def test_missing_barrier_participant_deadlocks():
-    """A thread skipping a barrier leaves the others blocked forever —
-    the scheduler detects it instead of hanging."""
+    """A thread skipping a barrier leaves the others waiting forever —
+    the runtime detects it instead of hanging, and names who waits."""
     rt = TracingRuntime(3, "bad")
 
     def body(ctx):
         if ctx.tid != 2:  # thread 2 never joins
             yield from ctx.barrier()
 
-    with pytest.raises(DeadlockError):
+    with pytest.raises(
+        DeadlockError, match=r": thread 0 at barrier 0, thread 1 at barrier 0$"
+    ):
         rt.run(body)
 
 
@@ -27,7 +28,25 @@ def test_unequal_barrier_counts_deadlock():
         if ctx.tid == 0:
             yield from ctx.barrier()  # one extra on thread 0
 
-    with pytest.raises(DeadlockError):
+    with pytest.raises(DeadlockError, match=r": thread 0 at barrier 1$"):
+        rt.run(body)
+
+
+@pytest.mark.parametrize("stray", [None, 5, "barrier"])
+def test_stray_yield_rejected(stray):
+    """A body may only yield from ThreadCtx operations; anything else
+    is reported the way the reference machine reports it."""
+    rt = TracingRuntime(2, "bad")
+
+    def body(ctx):
+        yield from ctx.compute(1)
+        if ctx.tid == 1:
+            yield stray
+
+    with pytest.raises(
+        RuntimeError,
+        match=rf"^thread 1: program yielded {stray!r}, expected a ThreadCtx operation$",
+    ):
         rt.run(body)
 
 
