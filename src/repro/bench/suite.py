@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Iterable, List
 
 from repro.bench.base import ProgramMaker
 
@@ -37,6 +37,15 @@ class BenchmarkInfo:
         elif overrides:
             raise ValueError("pass either a config object or overrides, not both")
         return mod.make_program(cfg)
+
+    def counts(self, processor_counts: Iterable[int]) -> List[int]:
+        """The thread counts of ``processor_counts`` this benchmark runs
+        at, in their order: all of them, or only the powers of two."""
+        return [
+            p
+            for p in processor_counts
+            if not self.power_of_two_only or (p & (p - 1)) == 0
+        ]
 
 
 #: All benchmarks, keyed by name; descriptions are Table 2's.

@@ -501,10 +501,8 @@ def cmd_study(args) -> int:
         return _input_error(
             f"empty processor-count list {args.processors!r}; expected e.g. 1,2,4"
         )
-    if info.power_of_two_only:
-        counts = [p for p in counts if (p & (p - 1)) == 0]
     maker = info.make_program()
-    counts = sorted(counts)
+    counts = sorted(info.counts(counts))
     traces = [
         measure(maker(n), n, name=args.benchmark, size_mode=args.size_mode)
         for n in counts

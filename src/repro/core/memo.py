@@ -13,9 +13,9 @@ do.  An entry larger than the whole bound is handed back but not kept.
 Every process has its own memo; a forked worker starts from a copy of
 its parent's.
 
-Callers that translate differently (``extrapolate(...,
-compensate_overhead=...)``) build their own :class:`PreparedTrace` and
-never come here.
+A trace's events are fixed once it is built and its digest follows
+any meta edit, so ``trace.digest()`` is the only key there is: nothing
+is passed beside the trace that could disagree with it.
 """
 
 from __future__ import annotations
@@ -50,22 +50,12 @@ class PreparedMemo:
                 self._entries.move_to_end(digest)
             return prepared
 
-    def prepare(self, trace: Trace, digest: str) -> PreparedTrace:
-        """The entry for ``digest``, prepared from ``trace`` on a miss.
-
-        ``digest`` must be ``trace.digest()``; callers pass the one they
-        already computed for their cache keys.  A miss checks it (a hit
-        of the trace's own digest memo) and raises ``ValueError`` on a
-        mismatch, so no entry is ever filed under another trace's key.
-        """
+    def prepare(self, trace: Trace) -> PreparedTrace:
+        """The entry for ``trace.digest()``, prepared from ``trace`` on a miss."""
+        digest = trace.digest()
         prepared = self.get(digest)
         if prepared is None:
-            actual = trace.digest()
-            if digest != actual:
-                raise ValueError(
-                    f"digest {digest} given for a trace whose digest is {actual}"
-                )
-            fresh = PreparedTrace(trace, digest=digest)
+            fresh = PreparedTrace(trace)
             fresh.on_grow = self._shrink
             with self._lock:
                 prepared = self._entries.setdefault(digest, fresh)

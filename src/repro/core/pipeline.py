@@ -65,8 +65,9 @@ class PreparedTrace:
     :func:`extrapolate` or :func:`repro.sampling.estimate_sampled` call
     that is handed this object:
 
-    * ``digest`` and ``stats``;
-    * ``translated``: the ideal-parallel program;
+    * ``stats``, and ``digest`` (the trace's own, which it memoises);
+    * ``translated``: the ideal-parallel program, as measured (no
+      instrumentation overhead subtracted);
     * ``sampling(config)``: per config, the interval split, the
       clustering plan, the cluster scales and one prepared
       representative sub-trace per cluster.
@@ -76,17 +77,8 @@ class PreparedTrace:
     without a lock; two threads racing on one build the same value.
     """
 
-    def __init__(
-        self,
-        trace: Trace,
-        *,
-        digest: Optional[str] = None,
-        event_overhead: float = 0.0,
-    ):
+    def __init__(self, trace: Trace):
         self.trace = trace
-        #: per-event instrumentation overhead the translation subtracts
-        self.event_overhead = event_overhead
-        self._digest = digest
         self._stats: Optional[TraceStats] = None
         self._translated: Optional[TranslatedProgram] = None
         self._sampling: Dict["SamplingConfig", "SamplingPrep"] = {}
@@ -94,27 +86,15 @@ class PreparedTrace:
         self.on_grow: Optional[Callable[[], None]] = None
 
     @classmethod
-    def of(
-        cls, trace: "Trace | PreparedTrace", *, event_overhead: float = 0.0
-    ) -> "PreparedTrace":
-        """``trace`` itself if already prepared, else a fresh, cold one.
-
-        A nonzero ``event_overhead`` must match a prepared trace's own.
-        """
+    def of(cls, trace: "Trace | PreparedTrace") -> "PreparedTrace":
+        """``trace`` itself if already prepared, else a fresh, cold one."""
         if isinstance(trace, PreparedTrace):
-            if event_overhead and event_overhead != trace.event_overhead:
-                raise ValueError(
-                    "a prepared trace is already translated; pass the raw "
-                    "trace to translate it with another event overhead"
-                )
             return trace
-        return cls(trace, event_overhead=event_overhead)
+        return cls(trace)
 
     @property
     def digest(self) -> str:
-        if self._digest is None:
-            self._digest = self.trace.digest()
-        return self._digest
+        return self.trace.digest()
 
     @property
     def stats(self) -> TraceStats:
@@ -125,9 +105,7 @@ class PreparedTrace:
     @property
     def translated(self) -> TranslatedProgram:
         if self._translated is None:
-            self._translated = translate(
-                self.trace, event_overhead=self.event_overhead
-            )
+            self._translated = translate(self.trace)
         return self._translated
 
     def sampling(self, config: "SamplingConfig") -> "SamplingPrep":
@@ -195,12 +173,16 @@ def extrapolate(
     trace: "Trace | PreparedTrace",
     params: SimulationParameters,
     *,
-    compensate_overhead: float = 0.0,
     profile: bool = False,
     observe: bool = False,
     wall_clock_budget: Optional[float] = None,
 ) -> ExtrapolationOutcome:
     """Translate a measured trace and simulate it in environment ``params``.
+
+    The trace is translated as measured.  To subtract instrumentation
+    overhead first, translate it with
+    :func:`~repro.core.translation.translate` (``event_overhead``,
+    ``flush_every``, ``flush_overhead``) and simulate that program.
 
     Parameters
     ----------
@@ -212,9 +194,6 @@ def extrapolate(
         When ``params.faults`` is a non-null fault plan, the simulation
         runs on the modelled *unreliable* machine (see
         :mod:`repro.faults`).
-    compensate_overhead:
-        Per-event instrumentation overhead to subtract during translation
-        (a raw ``trace`` only: a prepared one is already translated).
     profile:
         Collect engine counters and phase timers on the simulation; the
         outcome's ``result.profile`` carries them (slower run, identical
@@ -228,7 +207,7 @@ def extrapolate(
         unlimited); exceeded budgets raise
         :class:`~repro.des.engine.SimulationStalled`.
     """
-    prepared = PreparedTrace.of(trace, event_overhead=compensate_overhead)
+    prepared = PreparedTrace.of(trace)
     result = simulate(
         prepared.translated,
         params,

@@ -106,9 +106,11 @@ def translate(
     event_overhead: float = 0.0,
     flush_every: int = 0,
     flush_overhead: float = 0.0,
-    validate: bool = True,
 ) -> TranslatedProgram:
     """Translate a merged 1-processor trace into ideal per-thread traces.
+
+    The trace's structural invariants are checked first
+    (:func:`~repro.trace.validate.validate_trace`).
 
     Parameters
     ----------
@@ -125,16 +127,12 @@ def translate(
         order pinpoints exactly which gap, so it can be subtracted.
         (Flushes right before a barrier-exit are absorbed by exit-time
         snapping and need no correction.)
-    validate:
-        Check trace structural invariants first (disable only for traces
-        already validated).
     """
     if event_overhead < 0:
         raise ValueError(f"negative event overhead {event_overhead}")
     if flush_every < 0 or flush_overhead < 0:
         raise ValueError("flush parameters must be >= 0")
-    if validate:
-        validate_trace(trace)
+    validate_trace(trace)
 
     n = trace.meta.n_threads
     per_thread = trace.split_by_thread()

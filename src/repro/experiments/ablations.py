@@ -22,6 +22,7 @@ from typing import Dict, Sequence, Tuple
 
 from repro.bench.cyclic import make_program as make_cyclic
 from repro.bench.grid import make_program as make_grid
+from repro.bench.suite import BENCHMARKS
 from repro.core.parameters import SimulationParameters
 from repro.core.pipeline import extrapolate, measure
 from repro.core.translation import translate
@@ -64,7 +65,7 @@ def barrier_algorithms(
     The linear master–slave barrier is the paper's upper bound; the tree
     cuts the master's serial arrival processing; hardware is the floor.
     """
-    counts = [p for p in processor_counts if (p & (p - 1)) == 0]
+    counts = BENCHMARKS["cyclic"].counts(processor_counts)
     maker = make_cyclic(cyclic_config(quick=quick))
     base = figure4_params()
     result = ExperimentResult(
@@ -159,7 +160,7 @@ def poll_interval(
 ) -> ExperimentResult:
     """Poll-interval sweep on Cyclic ("an optimal choice of the polling
     interval is certainly system and likely problem specific")."""
-    counts = [p for p in processor_counts if (p & (p - 1)) == 0]
+    counts = BENCHMARKS["cyclic"].counts(processor_counts)
     maker = make_cyclic(cyclic_config(quick=quick))
     base = figure4_params()
     result = ExperimentResult(

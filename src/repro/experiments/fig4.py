@@ -40,9 +40,8 @@ def run(
     for name in names:
         info = BENCHMARKS[name]
         maker = info.make_program(configs[name])
-        for p in sorted(processor_counts):
-            if not info.power_of_two_only or (p & (p - 1)) == 0:
-                cells.append((name, p, measure(maker(p), p, name=name), params))
+        for p in info.counts(sorted(processor_counts)):
+            cells.append((name, p, measure(maker(p), p, name=name), params))
     times = predicted_series(cells, jobs=jobs)
     for name in names:
         result.series[name] = speedups(times.get(name, {}))

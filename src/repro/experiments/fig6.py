@@ -59,8 +59,7 @@ def run(
         maker = info.make_program(configs[name])
         traces = {
             p: measure(maker(p), p, name=name)
-            for p in sorted(processor_counts)
-            if not info.power_of_two_only or (p & (p - 1)) == 0
+            for p in info.counts(sorted(processor_counts))
         }
         cells += [
             (f"{name}@x{ratio}", p, trace, params)

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from repro.bench.cyclic import make_program as make_cyclic
 from repro.bench.grid import make_program as make_grid
+from repro.bench.suite import BENCHMARKS
 from repro.core.pipeline import measure
 from repro.experiments.base import ExperimentResult, predicted_series
 from repro.experiments.paramsets import (
@@ -52,15 +53,13 @@ def run(
         ylabel="execution time (us)",
     )
     programs = {
-        "cyclic": (make_cyclic(cyclic_config(quick=quick)), True),
-        "grid": (make_grid(grid_config(quick=quick)), False),
+        "cyclic": make_cyclic(cyclic_config(quick=quick)),
+        "grid": make_grid(grid_config(quick=quick)),
     }
     policies = [(label, base.with_(processor=o)) for label, o in POLICIES]
     cells = []
-    for bench, (maker, pow2_only) in programs.items():
-        counts = [
-            p for p in processor_counts if not pow2_only or (p & (p - 1)) == 0
-        ]
+    for bench, maker in programs.items():
+        counts = BENCHMARKS[bench].counts(processor_counts)
         # Grid uses actual transfer sizes here (the post-fix traces);
         # whole-element transfers would swamp the policy differences.
         mode = "actual" if bench == "grid" else "compiler"

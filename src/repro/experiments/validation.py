@@ -18,6 +18,7 @@ from repro.bench.grid import GridConfig
 from repro.bench.grid import make_program as make_grid
 from repro.bench.sort import SortConfig
 from repro.bench.sort import make_program as make_sort
+from repro.bench.suite import BENCHMARKS
 from repro.core import presets
 from repro.core.pipeline import measure
 from repro.experiments.base import ExperimentResult, predicted_series
@@ -65,11 +66,7 @@ def run(
     name_counts, cells = {}, []
     for name in names:
         maker, mode = progs[name]
-        counts = name_counts[name] = [
-            p
-            for p in processor_counts
-            if name not in ("cyclic", "sort") or (p & (p - 1)) == 0
-        ]
+        counts = name_counts[name] = BENCHMARKS[name].counts(processor_counts)
         cells += [
             (name, p, measure(maker(p), p, name=name, size_mode=mode), params)
             for p in counts

@@ -127,15 +127,15 @@ class TracingRuntime:
         self._noise_rng = make_rng(noise_seed) if compute_noise else None
         #: virtual time of the 1-processor run (microseconds)
         self.clock = 0.0
-        self.trace = Trace(
-            TraceMeta(
-                program=program,
-                n_threads=n_threads,
-                trace_mflops=trace_mflops,
-                size_mode=size_mode,
-                problem=dict(problem or {}),
-            )
+        self.meta = TraceMeta(
+            program=program,
+            n_threads=n_threads,
+            trace_mflops=trace_mflops,
+            size_mode=size_mode,
+            problem=dict(problem or {}),
         )
+        #: events recorded so far; :meth:`run` builds the trace from them
+        self.events: List[TraceEvent] = []
         #: tids ready to run, in the order they run
         self._ready: Deque[int] = deque()
         #: barrier episode -> tids waiting there, in arrival order
@@ -150,10 +150,10 @@ class TracingRuntime:
     # -- trace recording ------------------------------------------------------
 
     def _record(self, event: TraceEvent) -> None:
-        self.trace.append(event)
+        self.events.append(event)
         if self.event_overhead:
             self.clock += self.event_overhead
-        if self.flush_every and len(self.trace.events) % self.flush_every == 0:
+        if self.flush_every and len(self.events) % self.flush_every == 0:
             self.clock += self.flush_overhead
             self.flush_count += 1
 
@@ -210,10 +210,11 @@ class TracingRuntime:
                 )
             )
         self._finished = True
+        trace = Trace(self.meta, self.events)
         # Attach the §5 safety findings to the trace (in-memory only; the
         # file formats carry events, not diagnostics).
-        self.trace.race_findings = list(self.races.findings)
-        return self.trace
+        trace.race_findings = list(self.races.findings)
+        return trace
 
     def _wrap(self, ctx: "ThreadCtx", body: ThreadBody) -> Generator[Any, Any, Any]:
         self._record(TraceEvent(self.clock, ctx.tid, EventKind.THREAD_BEGIN))

@@ -22,8 +22,7 @@ Six seeded reference workloads exercise the layers of the hot path:
 :func:`run_benchmarks` times each (best of N repeats) and
 :func:`write_baseline` persists the result as ``BENCH_engine.json`` so
 future changes have a committed trajectory to regress against (see
-``tests/test_perf_smoke.py``).  Run it via ``extrap bench`` or
-``python -m repro.perf.bench``.
+``tests/test_perf_smoke.py``).  Run it via ``extrap bench``.
 """
 
 from __future__ import annotations
@@ -433,26 +432,3 @@ def format_results(results: dict, baseline: dict | None = None) -> str:
         lines.append(line)
     return "\n".join(lines)
 
-
-def main(argv=None) -> int:  # pragma: no cover - thin CLI shim
-    import argparse
-
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("-o", "--output", default=None, help="write baseline JSON here")
-    ap.add_argument("--scale", type=float, default=1.0)
-    ap.add_argument("--repeats", type=int, default=3)
-    ap.add_argument("--baseline", default=DEFAULT_BASELINE)
-    args = ap.parse_args(argv)
-    results = run_benchmarks(scale=args.scale, repeats=args.repeats)
-    try:
-        baseline = load_baseline(args.baseline)
-    except (FileNotFoundError, ValueError):
-        baseline = None
-    print(format_results(results, baseline))
-    if args.output:
-        print(f"wrote {write_baseline(results, args.output)}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -215,12 +215,10 @@ def prepare_sampling(
 ) -> SamplingPrep:
     """Split, cluster and lift representatives; no simulation.
 
-    Representatives inherit a prepared trace's event overhead, and are
-    translated on their first simulation.  Raises :class:`ValueError`
-    for an empty trace.
+    Representatives are translated on their first simulation.  Raises
+    :class:`ValueError` for an empty trace.
     """
-    prepared = PreparedTrace.of(trace)
-    trace = prepared.trace
+    trace = PreparedTrace.of(trace).trace
     if not trace.events:
         raise ValueError("cannot sample an empty trace (no events)")
     split = split_trace(trace, config)
@@ -229,8 +227,7 @@ def prepare_sampling(
         PreparedTrace(
             representative_trace(
                 trace.meta, split.intervals[cluster.representative]
-            ),
-            event_overhead=prepared.event_overhead,
+            )
         )
         for cluster in plan.clusters
     ]

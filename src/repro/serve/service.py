@@ -462,7 +462,7 @@ class ExtrapService:
                         path, req.trace_path, stat_id
                     )
                     key = result_key(identity[0], params, extra=extra)
-                prepared = PREPARED.prepare(trace, identity[0])
+                prepared = PREPARED.prepare(trace)
             try:
                 outcome = predict(
                     prepared,

@@ -258,8 +258,8 @@ class ParallelExecutor:
 # -- point workers -----------------------------------------------------------
 
 #: Traces shared with worker processes via the pool initializer, keyed
-#: by an opaque ref; avoids re-pickling the (potentially large) trace
-#: into every task.  Thread-local: the serial path runs the initializer
+#: by digest; avoids re-pickling the (potentially large) trace into
+#: every task.  Thread-local: the serial path runs the initializer
 #: and its tasks in the calling thread, and serve runs sweeps from
 #: several threads at once.
 _WORKER = threading.local()
@@ -273,9 +273,8 @@ def _init_worker_traces(traces: Dict[str, Trace]) -> None:
 class _PointTask:
     """Everything one worker needs to run one (trace, params) point."""
 
-    #: key of the point's trace in the traces every worker was sent
-    trace_ref: str
-    #: the trace's digest: the worker's key into the prepared-trace memo
+    #: the point's trace's digest: its key in the traces every worker
+    #: was sent
     digest: str
     params: SimulationParameters
     #: when set, the point is answered by a SimPoint-style sampled
@@ -286,7 +285,7 @@ class _PointTask:
 
 def _point_worker(task: _PointTask) -> Dict[str, Any]:
     outcome = predict(
-        PREPARED.prepare(_WORKER.traces[task.trace_ref], task.digest),
+        PREPARED.prepare(_WORKER.traces[task.digest]),
         task.params,
         PredictMode(sample=task.sample),
         wall_clock_budget=task.wall_budget,
@@ -409,10 +408,13 @@ def run_sweep(
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
 
+    #: digest -> trace, the traces the workers are sent
     traces: Dict[str, Trace] = {}
+    #: thread count -> its measured trace (benchmark mode)
+    measured: Dict[int, Trace] = {}
 
-    def trace_for(point: SweepPoint) -> str:
-        """Ref of the trace this point runs against (measuring lazily)."""
+    def trace_for(point: SweepPoint) -> Trace:
+        """The trace this point runs against (measuring lazily)."""
         if trace is not None:
             if point.n_threads is not None:
                 raise ValueError(
@@ -420,20 +422,16 @@ def run_sweep(
                     "program; drop the axis or sweep a benchmark instead of "
                     "a fixed trace"
                 )
-            ref = "trace"
-            if ref not in traces:
-                traces[ref] = trace
-        else:
-            if spec.benchmark is None:
-                raise ValueError(
-                    "no trace given and the spec names no 'benchmark'; "
-                    "set one of the two"
-                )
-            n = point.n_threads or spec.n_threads
-            ref = f"bench:{n}"
-            if ref not in traces:
-                traces[ref] = _measure_benchmark_trace(spec, n)
-        return ref
+            return trace
+        if spec.benchmark is None:
+            raise ValueError(
+                "no trace given and the spec names no 'benchmark'; "
+                "set one of the two"
+            )
+        n = point.n_threads or spec.n_threads
+        if n not in measured:
+            measured[n] = _measure_benchmark_trace(spec, n)
+        return measured[n]
 
     # Resolve each point against the cache first; only misses execute.
     records: List[PointRecord] = [PointRecord(p) for p in points]
@@ -442,9 +440,10 @@ def run_sweep(
     task_indices: List[int] = []
     key_extra = PredictMode(sample=spec.sample).cache_extra()
     for i, point in enumerate(points):
-        ref = trace_for(point)
-        # Trace.digest() memoises, so only the first call hashes.
-        digest = traces[ref].digest()
+        point_trace = trace_for(point)
+        # Trace.digest() memoises, so only the first call per trace hashes.
+        digest = point_trace.digest()
+        traces[digest] = point_trace
         params = point.params(spec.preset)
         if cache is not None:
             key = result_key(digest, params, extra=key_extra)
@@ -454,7 +453,7 @@ def run_sweep(
                 records[i].result = hit
                 records[i].cached = True
                 continue
-        tasks.append(_PointTask(ref, digest, params, spec.sample, wall_budget))
+        tasks.append(_PointTask(digest, params, spec.sample, wall_budget))
         task_indices.append(i)
     if cache is not None:
         counters.cache_hits = cache.hits - hits0
@@ -527,7 +526,7 @@ def extrapolate_many(
         # Trace.digest() memoises, so only the first call per trace hashes.
         digest = trace.digest()
         traces.setdefault(digest, trace)
-        points.append(_PointTask(digest, digest, params))
+        points.append(_PointTask(digest, params))
     executor = ParallelExecutor(
         jobs,
         initializer=_init_worker_traces,

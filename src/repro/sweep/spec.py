@@ -80,8 +80,6 @@ def suggest(bad: str, candidates: Sequence[str]) -> str:
     return f"; did you mean {', '.join(repr(c) for c in close)}?" if close else ""
 
 
-_suggest = suggest  # historical internal name
-
 
 def validate_param_key(key: str, *, what: str = "parameter key") -> None:
     """Raise :class:`ValueError` unless ``key`` is a valid ``group.field``.
@@ -149,7 +147,7 @@ def _validate_value(key: str, value: Any) -> None:
         if value not in presets.PRESETS:
             raise ValueError(
                 f"unknown preset {value!r} in sweep"
-                f"{_suggest(str(value), sorted(presets.PRESETS))}; "
+                f"{suggest(str(value), sorted(presets.PRESETS))}; "
                 f"available: {sorted(presets.PRESETS)}"
             )
     elif key == "n_threads":
@@ -256,7 +254,7 @@ class SweepSpec:
         if preset not in presets.PRESETS:
             raise ValueError(
                 f"unknown base preset {preset!r}"
-                f"{_suggest(preset, sorted(presets.PRESETS))}; "
+                f"{suggest(preset, sorted(presets.PRESETS))}; "
                 f"available: {sorted(presets.PRESETS)}"
             )
         if n_threads < 1:
@@ -384,7 +382,7 @@ class SweepSpec:
             first = sorted(unknown)[0]
             raise ValueError(
                 f"unknown sweep spec fields: {sorted(unknown)}"
-                f"{_suggest(first, sorted(known))}; "
+                f"{suggest(first, sorted(known))}; "
                 f"expected a subset of {sorted(known)}"
             )
         return cls(

@@ -102,26 +102,33 @@ def digest_events(meta: TraceMeta, events: Iterable[TraceEvent]) -> str:
 
 
 class Trace:
-    """Merged event stream of one n-thread, 1-processor run."""
+    """Merged event stream of one n-thread, 1-processor run.
+
+    ``events`` is a tuple fixed at construction: a trace is built once,
+    by the tracing runtime, a reader or a merge, and extrapolated many
+    times, so its events never change after it exists.  ``meta`` stays
+    an ordinary (mutable) :class:`TraceMeta`.
+    """
 
     def __init__(self, meta: TraceMeta, events: Iterable[TraceEvent] = ()):
         self.meta = meta
-        self.events: List[TraceEvent] = list(events)
+        self._events: Tuple[TraceEvent, ...] = tuple(events)
         #: §5 extrapolation-safety findings attached by the tracing
         #: runtime (in-memory diagnostic; not serialised to trace files).
         self.race_findings: List[Any] = []
-        #: ``(meta JSON, copy of events, digest)`` of the last
-        #: :meth:`digest` call, or None before the first.
-        self._digest_memo: Optional[Tuple[str, List[TraceEvent], str]] = None
+        #: ``(meta JSON, digest)`` of the last :meth:`digest` call, or
+        #: None before the first.
+        self._digest_memo: Optional[Tuple[str, str]] = None
+
+    @property
+    def events(self) -> Tuple[TraceEvent, ...]:
+        return self._events
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
-
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
+        return iter(self._events)
 
     @property
     def n_threads(self) -> int:
@@ -165,28 +172,17 @@ class Trace:
         ``race_findings`` are in-memory diagnostics and do not
         participate.
 
-        The last result is memoised as the canonical meta JSON, a
-        shallow copy of ``events`` and the digest.  A call whose meta
-        JSON and event list compare *equal* (``==``) to that snapshot
-        returns the stored digest (a few microseconds); any other call
-        rehashes through :func:`digest_events` and refreshes the memo.
-        So appending, popping, replacing, reordering or rebinding
-        events, or editing any meta field down into ``meta.problem``,
-        is seen, and a trace is hashed once however often it is asked.
-        The snapshot costs one pointer (8 bytes) per event, and keeps
-        the hashed events alive until the next call.  An event is a
-        tuple, so no field of it can be written in place.  The guard
-        cannot see one kind of change: an event swapped for one that
-        compares equal but prints differently (time ``-0.0`` for
-        ``0.0``, or ``1`` for ``1.0``).
+        The events are fixed at construction, so the digest is memoised
+        with only the canonical meta JSON it was computed under: a call
+        whose meta JSON equals it returns the stored digest, and an edit
+        of any meta field, down into ``meta.problem``, rehashes.
         """
         meta_json = _meta_json(self.meta)
         memo = self._digest_memo
-        if memo is not None and memo[0] == meta_json and memo[1] == self.events:
-            return memo[2]
-        events = list(self.events)
-        digest = digest_events(self.meta, events)
-        self._digest_memo = (meta_json, events, digest)
+        if memo is not None and memo[0] == meta_json:
+            return memo[1]
+        digest = digest_events(self.meta, self._events)
+        self._digest_memo = (meta_json, digest)
         return digest
 
     @classmethod

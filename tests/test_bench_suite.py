@@ -27,6 +27,13 @@ def test_power_of_two_flags():
     assert not BENCHMARKS["grid"].power_of_two_only
 
 
+def test_counts_keep_order_and_drop_only_what_the_flag_forbids():
+    counts = [16, 3, 1, 6, 8, 2]
+    assert BENCHMARKS["cyclic"].counts(counts) == [16, 1, 8, 2]
+    assert BENCHMARKS["sort"].counts(iter(counts)) == [16, 1, 8, 2]
+    assert BENCHMARKS["grid"].counts(counts) == counts
+
+
 def test_lookup():
     assert get_benchmark(" GRID ").name == "grid"
     with pytest.raises(ValueError):

@@ -79,13 +79,3 @@ def test_same_trace_many_environments():
     # compute-bound program it beats the MipsRatio=1.0 environments.
     assert times["cm5"] < times["distributed_memory"]
 
-
-def test_compensation_path():
-    noisy = measure(program, 4, name="demo", event_overhead=10.0)
-    clean = measure(program, 4, name="demo")
-    raw = extrapolate(noisy, presets.ideal()).predicted_time
-    comp = extrapolate(
-        noisy, presets.ideal(), compensate_overhead=10.0
-    ).predicted_time
-    want = extrapolate(clean, presets.ideal()).predicted_time
-    assert abs(comp - want) < abs(raw - want)

@@ -13,7 +13,6 @@ import threading
 
 import pytest
 
-import repro.core.pipeline as pipeline_mod
 import repro.sampling.estimate as estimate_mod
 from repro import measure
 from repro.bench.suite import get_benchmark
@@ -80,7 +79,7 @@ def test_warm_memo_entry_gives_fresh_bytes(traces, name, sampled, preset):
     fresh = _bytes(params, predict(trace, params, mode))
 
     memo = PreparedMemo()
-    entry = memo.prepare(trace, trace.digest())
+    entry = memo.prepare(trace)
     # Warm the entry at another machine point first: nothing it keeps
     # may depend on the machine parameters.
     other = apply_param_overrides(params, {"network.hop_time": 3.0})
@@ -137,31 +136,6 @@ def test_sampled_sweep_plans_once_then_never(traces, cold_memo, count_plans):
     assert [c.seed for c in count_plans] == [0, 1]
 
 
-def test_compensated_extrapolation_never_touches_the_memo(
-    traces, cold_memo, monkeypatch
-):
-    trace = traces["grid"]
-    params = presets.by_name("cm5")
-    entry = cold_memo.prepare(trace, trace.digest())
-    plain = entry.translated
-    overheads = []
-    real = pipeline_mod.translate
-
-    def counting(trace_, *, event_overhead=0.0, **kw):
-        overheads.append(event_overhead)
-        return real(trace_, event_overhead=event_overhead, **kw)
-
-    monkeypatch.setattr(pipeline_mod, "translate", counting)
-    compensated = extrapolate(trace, params, compensate_overhead=1.0)
-    assert overheads == [1.0]
-    assert len(cold_memo) == 1 and cold_memo.get(trace.digest()) is entry
-    assert entry.translated is plain
-    assert compensated.predicted_time != extrapolate(entry, params).predicted_time
-    assert overheads == [1.0]  # the entry's translation was reused
-    with pytest.raises(ValueError, match="already translated"):
-        extrapolate(entry, params, compensate_overhead=1.0)
-
-
 def test_cold_calls_stay_cold(traces, cold_memo, count_plans):
     """One-shot calls on a plain trace neither read nor fill the memo."""
     trace = traces["matmul"]
@@ -192,7 +166,7 @@ def test_events_held_stay_within_the_bound(traces):
     params = presets.by_name("cm5")
     for name in names + names:
         trace = traces[name]
-        entry = memo.prepare(trace, trace.digest())
+        entry = memo.prepare(trace)
         assert memo.events_held <= bound
         # A built plan adds its representatives to the events held.
         estimate_sampled(entry, params, SAMPLE)
@@ -202,20 +176,10 @@ def test_events_held_stay_within_the_bound(traces):
     assert 0 < len(memo) < len(names)
 
 
-def test_prepare_rejects_a_digest_that_is_not_the_traces(traces):
-    trace, other = traces["embar"], traces["grid"]
-    memo = PreparedMemo()
-    with pytest.raises(ValueError) as info:
-        memo.prepare(trace, other.digest())
-    assert other.digest() in str(info.value)
-    assert trace.digest() in str(info.value)
-    assert len(memo) == 0 and memo.events_held == 0
-
-
 def test_entry_larger_than_the_bound_is_not_kept(traces):
     trace = traces["matmul"]
     memo = PreparedMemo(max_events=len(trace.events) - 1)
-    entry = memo.prepare(trace, trace.digest())
+    entry = memo.prepare(trace)
     assert entry.trace is trace
     assert len(memo) == 0 and memo.events_held == 0
 
@@ -239,7 +203,7 @@ def test_memo_holds_under_thread_contention(traces):
             for i in range(4):
                 name, m = names[(k + i) % len(names)], (k + i) % 2
                 trace = traces[name]
-                entry = memo.prepare(trace, trace.digest())
+                entry = memo.prepare(trace)
                 if _bytes(params, predict(entry, params, modes[m])) != expected[
                     name, m
                 ]:

@@ -10,11 +10,14 @@ from repro.trace.io import TraceReadError, read_trace, write_trace
 from repro.trace.trace import Trace, TraceMeta
 
 
-def sample_trace(n=2):
+def sample_trace(n=2, mark=None):
+    """Three events on thread 0, plus ``mark``'s MARK second if given."""
+    marks = [TraceEvent(0.5, 0, EventKind.MARK, tag=mark)] if mark else []
     return Trace(
         TraceMeta(program="demo", n_threads=n),
         [
             TraceEvent(0.0, 0, EventKind.THREAD_BEGIN),
+            *marks,
             TraceEvent(1.5, 0, EventKind.REMOTE_READ, owner=1, nbytes=128),
             TraceEvent(3.0, 0, EventKind.THREAD_END),
         ],
@@ -77,8 +80,7 @@ def test_other_line_endings_read_like_newline(tmp_path, newline):
 def test_bad_event_reports_its_line(tmp_path, newline, k):
     """Line numbers count only \\n, \\r\\n and \\r breaks: a raw U+2028
     or U+0085 inside a tag (both legal in a JSON string) shifts none."""
-    trace = sample_trace()
-    trace.events.insert(1, TraceEvent(0.5, 0, EventKind.MARK, tag="a\u2028b\x85c"))
+    trace = sample_trace(mark="a\u2028b\x85c")
     path = write_trace(trace, tmp_path / "t.jsonl")
     text = path.read_text(encoding="utf-8")
     lines = text.replace("\\u2028", "\u2028").replace("\\u0085", "\x85").split("\n")
@@ -143,10 +145,10 @@ def test_whitespace_padded_event_line_parses(tmp_path):
     path = _jsonl_with_event_lines(
         tmp_path, [' \t{"t":0,"th":0,"k":0}  ', '{"t":1.5,"th":0,"k":1}\t']
     )
-    assert read_trace(path).events == [
+    assert read_trace(path).events == (
         TraceEvent(0.0, 0, EventKind.THREAD_BEGIN),
         TraceEvent(1.5, 0, EventKind.THREAD_END),
-    ]
+    )
 
 
 def test_nan_time_parses(tmp_path):
