@@ -6,8 +6,11 @@ twice (asserting the second is answered from the cache with an
 identical payload), runs a diagnosed predict, submits a sweep job and
 polls it to completion, scrapes `/v1/metrics`, validating the
 Prometheus text exposition, and checks that a keep-alive connection
-survives an error response.  Exits nonzero on any contract violation,
-which is what lets CI use it as the serve smoke test.
+survives an error response.  Counters are checked as the change since
+the client started, so it also passes against a server that has
+already answered requests (a second run, say).  Exits nonzero on any
+contract violation, which is what lets CI use it as the serve smoke
+test.
 
 Run:  extrap serve --port 8787 --trace-root traces/ &
       python examples/serve_client.py --port 8787 --trace grid.jsonl
@@ -116,6 +119,19 @@ class Client:
         raise SystemExit(f"server on :{self.port} never became healthy")
 
 
+def sample_value(text, name):
+    """The value of the exposition sample ``name`` (labels included),
+    or 0 when the family has no such sample yet."""
+    for line in text.splitlines():
+        if line.startswith(name + " "):
+            return float(line[len(name) + 1:])
+    return 0.0
+
+
+PREDICTS = 'extrap_requests_total{endpoint="predict"}'
+CACHE_HITS = "extrap_cache_hits_total"
+
+
 def check(cond, message):
     if not cond:
         raise SystemExit(f"FAIL: {message}")
@@ -143,6 +159,10 @@ def main(argv=None):
 
     health = client.wait_healthy()
     print(f"server healthy (version {health['version']})")
+    status, _, text = client.request_text("GET", "/v1/metrics")
+    check(status == 200, "metrics endpoint returns 200 before any request")
+    predicts0 = sample_value(text, PREDICTS)
+    hits0 = sample_value(text, CACHE_HITS)
 
     # Predict twice: the second answer must come from the cache, and
     # must be identical to the first.
@@ -227,10 +247,14 @@ def main(argv=None):
             raise SystemExit(f"FAIL: malformed sample line: {line!r}")
     check(helped == typed and helped, "every family has HELP and TYPE")
     check(
-        'extrap_requests_total{endpoint="predict"} 3' in text,
+        sample_value(text, PREDICTS) - predicts0 == 3,
         "request counters survived the projection",
     )
-    check("extrap_cache_hits_total 1" in text, "cache counters exposed")
+    # This run's cache hits: the predicts answered from the cache and
+    # the sweep points found there.
+    hits = sum(r["cached"] for r in (first, second, diagnosed))
+    hits += result["result"]["counters"]["cache_hits"]
+    check(sample_value(text, CACHE_HITS) - hits0 == hits, "cache counters exposed")
     print(f"metrics: {len(helped)} families, exposition valid")
 
     # Keep-alive: an error sent before the request body was read must

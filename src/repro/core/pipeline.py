@@ -65,7 +65,7 @@ class PreparedTrace:
     :func:`extrapolate` or :func:`repro.sampling.estimate_sampled` call
     that is handed this object:
 
-    * ``stats``, and ``digest`` (the trace's own, which it memoises);
+    * ``stats``;
     * ``translated``: the ideal-parallel program, as measured (no
       instrumentation overhead subtracted);
     * ``sampling(config)``: per config, the interval split, the
@@ -91,10 +91,6 @@ class PreparedTrace:
         if isinstance(trace, PreparedTrace):
             return trace
         return cls(trace)
-
-    @property
-    def digest(self) -> str:
-        return self.trace.digest()
 
     @property
     def stats(self) -> TraceStats:

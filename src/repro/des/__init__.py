@@ -4,18 +4,22 @@ This is the substrate underneath the ExtraP trace-driven simulator
 (:mod:`repro.sim`) and the reference target-machine simulator
 (:mod:`repro.machine`).  It provides only what those two use:
 
-* :class:`Environment` — the simulation clock and event loop;
+* :class:`Environment` — the simulation clock and event loop, whose
+  queue also takes plain calls (``call_at`` / ``call_in``) for a
+  wake-up with one waiting step and no event object;
 * :class:`Event` / :class:`Timeout` primitives, :class:`FirstOf` (the
   first of several children, e.g. a compute timer against an inbox
   get) and :class:`AllOf` (the every-processor-done sentinel);
-* :class:`Store`, an unbounded FIFO used as a receive queue.
+* :class:`Store`, an unbounded FIFO used as a receive queue; a getter
+  takes an event (``get``) or a call (``get_then``).
 
 There is one process style: a model waits on an event by appending its
-next step to the event's ``callbacks``, and an
+next step to the event's ``callbacks`` (or, when that step is the only
+waiter, queues the step itself as a call), and an
 :class:`~repro.des.events.Initialize` starts a model component at the
 current time.
 
-The engine is deterministic: simultaneous events fire in FIFO order of
+The engine is deterministic: simultaneous entries fire in FIFO order of
 scheduling (stable tie-break on a monotone sequence number).
 """
 

@@ -1,9 +1,13 @@
 """The simulation environment: clock + event queue + run loop.
 
-One loop, :meth:`Environment._drain`, dispatches events for
+A queue entry is either an :class:`~repro.des.events.Event`,
+``(time, priority, seq, event)``, or a plain call, ``(time, 0, seq, fn,
+arg)`` (:meth:`Environment.call_at` / :meth:`Environment.call_in`): a
+wake-up whose only waiter is one step needs no event object.  One loop,
+:meth:`Environment._drain`, dispatches both kinds for
 :meth:`Environment.run` and :meth:`Environment.run_batched`, in exactly
 the order repeated :meth:`Environment.step` calls would; ``step()``
-stays the readable one-event reference path.  Profiling
+stays the readable one-entry reference path.  Profiling
 (:meth:`Environment.enable_profiling`) attaches an
 :class:`~repro.perf.counters.EngineCounters` block that the loop fills
 in; with profiling off it costs one ``is None`` test per event.
@@ -14,7 +18,7 @@ from __future__ import annotations
 import time
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.des.events import PROCESSED, AllOf, Event, Timeout
 from repro.perf.counters import EngineCounters
@@ -118,17 +122,21 @@ class Environment:
     Time is a float in whatever unit the caller chooses; the rest of this
     library uses microseconds (see :mod:`repro.util.units`).
 
-    Events scheduled for the same time fire in FIFO order of scheduling,
+    Entries scheduled for the same time fire in FIFO order of scheduling,
     with an integer ``priority`` tie-break below that (lower fires first;
     an :class:`~repro.des.events.Initialize` uses priority -1 so a freshly
     started model component takes its first step before same-time
     ordinary events).  Models are callback-driven: the step after each
-    wait is a callback appended to the awaited event.
+    wait is a callback appended to the awaited event, or the queued
+    call itself when nothing else waits (:meth:`call_at`,
+    :meth:`call_in`).
     """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        #: ``(time, priority, seq, event)`` and ``(time, 0, seq, fn, arg)``
+        #: entries, popped in ``(time, priority, seq)`` order
+        self._queue: List[tuple] = []
         self._seq = 0
         self._event_count = 0
         self._profile: Optional[EngineCounters] = None
@@ -158,7 +166,7 @@ class Environment:
 
     @property
     def processed_event_count(self) -> int:
-        """Total number of events processed so far (profiling aid)."""
+        """Queue entries (events and calls) processed so far."""
         return self._event_count
 
     @property
@@ -204,6 +212,35 @@ class Environment:
             )
         return Timeout(self, when - self._now, value, when)
 
+    def call_at(self, when: float, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        """Call ``fn(arg)`` at the absolute time ``when``, as one queue entry.
+
+        The entry takes the place, sequence number and time key a
+        ``timeout_at(when)`` with ``fn`` as its one callback would, but
+        no event object: use it for a wake-up whose only waiter is
+        ``fn``.
+        """
+        if when < self._now:
+            raise ValueError(
+                f"cannot schedule into the past (at {when}, now {self._now})"
+            )
+        self._seq += 1
+        queue = self._queue
+        heappush(queue, (when, 0, self._seq, fn, arg))
+        if self._profile is not None:
+            self._profile.pushed(len(queue))
+
+    def call_in(self, delay: float, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        """Call ``fn(arg)`` ``delay`` after the current time: the queue
+        entry of ``timeout(delay)`` with ``fn`` as its one callback."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self._seq += 1
+        queue = self._queue
+        heappush(queue, (self._now + delay, 0, self._seq, fn, arg))
+        if self._profile is not None:
+            self._profile.pushed(len(queue))
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
@@ -219,22 +256,28 @@ class Environment:
         if self._profile is not None:
             self._profile.pushed(len(queue))
 
-    def step(self) -> Event:
-        """Process exactly one event (advancing the clock to it).
+    def step(self) -> None:
+        """Process exactly one queue entry (advancing the clock to it):
+        run an event's callbacks or make an entry's call.
 
-        Returns the processed event.  This is the reference path; bulk
-        draining goes through :meth:`_drain`, which behaves exactly
-        like repeated ``step()`` calls.
+        This is the reference path; bulk draining goes through
+        :meth:`_drain`, which behaves exactly like repeated ``step()``
+        calls.
         """
         if not self._queue:
             raise StopSimulation("event queue is empty")
-        t, _prio, _seq, event = heappop(self._queue)
-        self._now = t
+        entry = heappop(self._queue)
+        self._now = entry[0]
         self._event_count += 1
+        if len(entry) == 5:
+            if self._profile is not None:
+                self._profile.count_call()
+            entry[3](entry[4])
+            return
+        event = entry[3]
         if self._profile is not None:
             self._profile.count(event)
         event._process()
-        return event
 
     def _drain(
         self, until: Event | None = None, budget: int = -1, horizon: float = inf
@@ -242,8 +285,8 @@ class Environment:
         """The event-dispatch loop: :meth:`step` order, dispatch inlined.
 
         Stops right after ``until`` is processed (``True``), after
-        ``budget`` events (``False``; ``-1`` is unlimited), or before the
-        first event later than ``horizon`` (``True``).  Raises
+        ``budget`` entries (``False``; ``-1`` is unlimited), or before
+        the first entry later than ``horizon`` (``True``).  Raises
         :class:`Deadlock` if the queue drains while ``until`` is pending.
         """
         queue = self._queue
@@ -260,23 +303,30 @@ class Environment:
                 # push new time-t entries; the peek re-checks pick those up
                 # in (priority, seq) order, same as step() would.
                 while queue and queue[0][0] == t:
-                    event = pop(queue)[3]
+                    entry = pop(queue)
                     count += 1
-                    if profile is not None:
-                        profile.count(event)
-                    # Inlined Event._process (do not override _process in
-                    # Event subclasses; the loop bypasses the method).
-                    event._state = PROCESSED
-                    callbacks = event.callbacks
-                    if callbacks:
-                        event.callbacks = []
-                        for cb in callbacks:
-                            cb(event)
-                    elif not event._ok and not event.defused:
-                        # A failure nobody waited on: surface it.
-                        raise event._value
-                    if event is until:
-                        return True
+                    if len(entry) == 5:
+                        # A plain call (call_at / call_in): no event.
+                        if profile is not None:
+                            profile.count_call()
+                        entry[3](entry[4])
+                    else:
+                        event = entry[3]
+                        if profile is not None:
+                            profile.count(event)
+                        # Inlined Event._process (do not override _process
+                        # in Event subclasses; the loop bypasses the method).
+                        event._state = PROCESSED
+                        callbacks = event.callbacks
+                        if callbacks:
+                            event.callbacks = []
+                            for cb in callbacks:
+                                cb(event)
+                        elif not event._ok and not event.defused:
+                            # A failure nobody waited on: surface it.
+                            raise event._value
+                        if event is until:
+                            return True
                     if count == budget:
                         return False
         finally:

@@ -24,10 +24,11 @@ class EngineCounters:
         :attr:`~repro.des.Environment.processed_event_count`, but only
         counted while profiling was enabled).
     events_by_type:
-        Processed-event histogram keyed by event class name
-        (``Timeout``, ``StoreGet``, ``Initialize``, ...).
+        Processed-entry histogram keyed by event class name
+        (``Timeout``, ``StoreGet``, ``Initialize``, ...), with ``Call``
+        for a plain call (:meth:`~repro.des.Environment.call_at`).
     callbacks_fired:
-        Total callbacks invoked by event processing.
+        Total callbacks invoked by event processing, one per call.
     scheduled_total:
         Events pushed onto the heap while profiling was enabled.
     heap_peak:
@@ -47,6 +48,13 @@ class EngineCounters:
         by_type = self.events_by_type
         by_type[name] = by_type.get(name, 0) + 1
         self.callbacks_fired += len(event.callbacks)
+
+    def count_call(self) -> None:
+        """Record one processed plain call (called by the engine loop)."""
+        self.events_total += 1
+        by_type = self.events_by_type
+        by_type["Call"] = by_type.get("Call", 0) + 1
+        self.callbacks_fired += 1
 
     def pushed(self, queue_len: int) -> None:
         """Record one heap push leaving ``queue_len`` entries queued."""

@@ -309,10 +309,10 @@ class _Participant:
 
     def late(self) -> bool:
         """Reach the barrier ``delay`` late (a fault plan's delay)."""
-        self.proc._timeout(self.delay).callbacks.append(self._delayed)
+        self.proc._call_in(self.delay, self._delayed)
         return False
 
-    def _delayed(self, _ev: Event) -> None:
+    def _delayed(self, _arg: None) -> None:
         self.resume()
 
     def entry(self) -> bool:
@@ -455,13 +455,13 @@ class _Participant:
             c.history[bid] = (c.env.now, c.env.now + model_time)
             release = ep.released
 
-            def fire(_ev):
+            def fire(_arg):
                 if not release.triggered:
                     release.succeed()
                     if c._obs is not None:
                         c._obs_release(bid)
 
-            c.env.timeout(model_time).callbacks.append(fire)
+            c.env.call_in(model_time, fire)
         return True
 
     HARDWARE = (entry, count_in_hardware, await_release, exit)

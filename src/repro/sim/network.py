@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.core.parameters import NetworkParams
-from repro.des import Environment, Timeout
+from repro.des import Environment
 from repro.sim.messages import Message, MsgKind
 from repro.sim.topology import Topology, make_topology
 
@@ -204,7 +204,7 @@ class Network:
             self._obs.counter("net.in_flight", now, self._in_flight)
             self._obs.counter("net.bytes_total", now, stats.bytes)
 
-        Timeout(self.env, transit, msg).callbacks.append(self._deliver)
+        self.env.call_in(transit, self._deliver, msg)
 
         if duplicated:
             # A second copy arrives after an independently priced
@@ -214,7 +214,7 @@ class Network:
             self._in_flight += 1
             if self._in_flight > stats.max_in_flight:
                 stats.max_in_flight = self._in_flight
-            Timeout(self.env, dup_transit, msg).callbacks.append(self._deliver)
+            self.env.call_in(dup_transit, self._deliver, msg)
             if self._obs is not None:
                 self._obs.instant(
                     msg.src,
@@ -226,8 +226,7 @@ class Network:
                 )
         return transit
 
-    def _deliver(self, ev) -> None:
-        msg: Message = ev.value
+    def _deliver(self, msg: Message) -> None:
         self._in_flight -= 1
         if self._obs is not None:
             self._obs.counter("net.in_flight", self.env.now, self._in_flight)

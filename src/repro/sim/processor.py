@@ -28,8 +28,14 @@ After its replay finishes, a processor keeps servicing incoming requests
 forever (the pC++ runtime never stops serving remote accesses), so
 threads that finish early still answer the stragglers.
 
-The replay is callback-driven.  A processor waits on one event at a
-time, and the step that follows a wait is that event's callback.  A
+The replay is callback-driven.  A processor waits on one queue entry
+at a time, and the step that follows a wait is that entry's callback.
+A wait that nothing else can end (busy time, a message in transit, an
+inbox get that races nothing) queues the step itself as a plain call
+(:meth:`~repro.des.Environment.call_in`,
+:meth:`~repro.des.stores.Store.get_then`); a raced wait (a compute
+slice against an arrival, a retry timer, a barrier release) keeps its
+events.  A
 thread's state is its action index and, while it is blocked, the step
 that resumes it (:attr:`SimThread.resume`).  The other steps keep what
 they carry across their one wait in the processor's own slots, one set
@@ -51,7 +57,7 @@ from typing import (
 )
 
 from repro.core.parameters import RemoteServicePolicy, SimulationParameters
-from repro.des import Environment, Event, FirstOf, Store, Timeout
+from repro.des import Environment, Event, FirstOf, Store
 from repro.des.events import PENDING, PROCESSED
 from repro.sim.actions import Action, ActionKind
 from repro.sim.messages import Message, MsgKind
@@ -130,8 +136,8 @@ class SimProcessor:
         "env", "pid", "pp", "np", "network", "coordinator", "threads",
         "_assignment", "_msg_ids", "_parked", "inbox", "pending_replies",
         "stats", "_thread", "_tid", "out_events", "_ready", "_blocked",
-        "_in_next", "_cpu_free", "done", "actions_done", "_timeout",
-        "_timeout_at", "_stats_add", "_mips_ratio", "_policy", "_obs",
+        "_in_next", "_cpu_free", "done", "actions_done", "_call_in",
+        "_call_at", "_stats_add", "_mips_ratio", "_policy", "_obs",
         "_rxq_counter", "_faults", "_fault_plan",
         # What the steps that wait carry across their wait (see the
         # module docstring), each set before it is read:
@@ -150,7 +156,8 @@ class SimProcessor:
         "_wait_t0", "_wait_busy0", "_barrier_release",
         # The steps that run once or more per event, bound once.
         "_k_busy_over", "_k_chain_over", "_k_built", "_k_reply_then",
-        "_k_slice_over", "_k_interrupt_resume", "_k_own_arrival", "_k_own_check",
+        "_k_slice_over", "_k_interrupt_resume", "_k_own_relay", "_k_own_arrival",
+        "_k_own_check",
         "_k_idle_over", "_k_await_reply", "_k_access_done", "_k_action_done",
     )
 
@@ -204,8 +211,8 @@ class SimProcessor:
 
         # Pre-bound hot-path helpers: the replay busies/unblocks once per
         # action, so shave the attribute chains off every step.
-        self._timeout = partial(Timeout, env)
-        self._timeout_at = env.timeout_at
+        self._call_in = env.call_in
+        self._call_at = env.call_at
         self._stats_add = self.stats.add
         self._mips_ratio = self.pp.mips_ratio
         self._policy = self.pp.policy
@@ -226,6 +233,7 @@ class SimProcessor:
         self._k_reply_then = self._reply_then
         self._k_slice_over = self._slice_over
         self._k_interrupt_resume = self._interrupt_resume
+        self._k_own_relay = self._own_relay
         self._k_own_arrival = self._own_arrival
         self._k_own_check = self._own_check
         self._k_idle_over = self._idle_over
@@ -272,11 +280,11 @@ class SimProcessor:
             self._busy_d = duration
             self._busy_cat = category
             self._busy_t0 = self.env._now
-            self._timeout(duration).callbacks.append(self._k_busy_over)
+            self._call_in(duration, self._k_busy_over)
             return False
         return True
 
-    def _busy_over(self, _ev: Event) -> None:
+    def _busy_over(self, _arg: None) -> None:
         category, duration = self._busy_cat, self._busy_d
         stats = self.stats
         stats.categories[category] += duration
@@ -289,17 +297,17 @@ class SimProcessor:
         self, k: Callable[[], None], d1: float, cat1: str, d2: float, cat2: str
     ) -> bool:
         """Spend ``d1`` busy on ``cat1`` and then ``d2`` on ``cat2`` as one
-        queued event.
+        queue entry.
 
         The chain ends at ``now + d1 + d2`` summed left to right, the
-        float one timeout per step would reach; a duration <= 0 is
-        skipped as a lone step would be.  After the event each step is
+        float one wake-up per step would reach; a duration <= 0 is
+        skipped as a lone step would be.  After the entry each step is
         charged in order and, when observing, recorded as its own span
         with its ``busy_us`` sample at the step's own end.  Fold only
         steps between which this processor waits on nothing but its own
         busy time and does nothing another process can see (send,
-        record, succeed).  The folded event takes its queue sequence
-        number when the chain starts, so an event another process queues
+        record, succeed).  The folded entry takes its queue sequence
+        number when the chain starts, so an entry another process queues
         mid-chain for exactly the chain's end now fires after it, not
         before: keep a fold only where the replay goldens and the paper
         tables stay byte-identical (docs/ARCHITECTURE.md).
@@ -314,10 +322,10 @@ class SimProcessor:
         self._busy_d, self._busy_cat = d1, cat1
         self._busy_d2, self._busy_cat2 = d2, cat2
         self._busy_t0 = t0
-        self._timeout_at(t0 + d1 + d2).callbacks.append(self._k_chain_over)
+        self._call_at(t0 + d1 + d2, self._k_chain_over)
         return False
 
-    def _chain_over(self, _ev: Event) -> None:
+    def _chain_over(self, _arg: None) -> None:
         d1, cat1, d2, cat2 = self._busy_d, self._busy_cat, self._busy_d2, self._busy_cat2
         stats = self.stats
         stats.categories[cat1] += d1
@@ -427,10 +435,10 @@ class SimProcessor:
         self._give_up_cpu()
 
     def _serve_forever(self) -> None:
-        self.inbox.get().callbacks.append(self._serve_one)
+        self.inbox.get_then(self._serve_one)
 
-    def _serve_one(self, ev: Event) -> None:
-        if self._dispatch(self._serve_forever, ev._value):
+    def _serve_one(self, msg: Message) -> None:
+        if self._dispatch(self._serve_forever, msg):
             self._serve_forever()
 
     # -- the replay of one thread -------------------------------------------------
@@ -590,16 +598,16 @@ class SimProcessor:
         """Compute what is left until done or a message interrupts."""
         if self.inbox.items:
             # Anything already queued interrupts immediately.
-            self.inbox.get().callbacks.append(self._interrupted_by_queued)
+            self.inbox.get_then(self._interrupted_by_queued)
             return
         self._compute_t0 = self.env._now
-        finish = self._timeout(self._compute_left)
+        finish = self.env.timeout(self._compute_left)
         get_ev = self._compute_get = self.inbox.get()
         FirstOf(self.env, (finish, get_ev)).callbacks.append(self._k_slice_over)
 
-    def _interrupted_by_queued(self, ev: Event) -> None:
+    def _interrupted_by_queued(self, msg: Message) -> None:
         self.stats.interrupts += 1
-        if self._dispatch(self._k_interrupt_resume, ev._value, True):
+        if self._dispatch(self._k_interrupt_resume, msg, True):
             self._interrupt_resume()
 
     def _slice_over(self, _ev: Event) -> None:
@@ -645,14 +653,14 @@ class SimProcessor:
 
     def _poll_drain(self) -> None:
         if self.inbox.items:
-            self.inbox.get().callbacks.append(self._poll_serve)
+            self.inbox.get_then(self._poll_serve)
         elif self._compute_left > self._EPS:
             self._poll_slice()
         else:
             self._action_done()
 
-    def _poll_serve(self, ev: Event) -> None:
-        if self._dispatch(self._poll_drain, ev._value):
+    def _poll_serve(self, msg: Message) -> None:
+        if self._dispatch(self._poll_drain, msg):
             self._poll_drain()
 
     # -- remote access protocol ---------------------------------------------------
@@ -733,7 +741,7 @@ class SimProcessor:
         attempt = 0
 
         def arm() -> None:
-            self._wait(reply_ev, self._timeout(deadline), woken)
+            self._wait(reply_ev, self.env.timeout(deadline), woken)
 
         def woken() -> None:
             nonlocal attempt, deadline
@@ -826,7 +834,7 @@ class SimProcessor:
 
     # -- message handling ------------------------------------------------------------
 
-    def _obs_rxq(self) -> None:
+    def _obs_rxq(self, _arg: None = None) -> None:
         """Sample the receive-queue depth now (observing)."""
         self._obs.counter(self._rxq_counter, self.env._now, len(self.inbox.items))
 
@@ -834,18 +842,12 @@ class SimProcessor:
         """Sample the receive-queue depth ``delay`` from now (observing).
 
         Stands in for the sample a step-by-step chain takes after its
-        leading step: a zero-work timeout pushed where that step's own
-        timeout would be sees the queue at the same ``(time, priority,
+        leading step: a zero-work call queued where that step's own
+        wake-up would be sees the queue at the same ``(time, priority,
         seq)`` position.  It exists only while observing and changes no
-        other event's relative order.
+        other entry's relative order.
         """
-
-        def sample(_ev: Event) -> None:
-            self._obs.counter(
-                self._rxq_counter, self.env._now, len(self.inbox.items)
-            )
-
-        self._timeout(delay).callbacks.append(sample)
+        self._call_in(delay, self._obs_rxq)
 
     def _dispatch(
         self, k: Callable[[], None], msg: Message, interrupted: bool = False
@@ -949,30 +951,31 @@ class SimProcessor:
         triggered by :meth:`_dispatch` running on this processor, with
         :meth:`~repro.des.events.Event.resolve` (never queued), so while
         the processor waits only an inbox arrival can end the wait.
-        The arrival is awaited through a one-child
-        :class:`~repro.des.events.FirstOf` relay: the step after it runs
-        one queue hop after the inbox get, behind any same-time event
-        queued before the get was processed.  Dropping that hop reorders
+        The arrival is awaited through a relay: the inbox get's call
+        (:meth:`_own_relay`) queues the step that dispatches it, which
+        runs one queue hop later, behind any same-time entry queued
+        before the get was served.  Dropping that hop reorders
         same-time ties (the ``ideal`` preset moves most).
         """
         if target._state != PENDING:
             return True
         self._serve_k = k
         self._serve_target = target
-        FirstOf(self.env, (self.inbox.get(),)).callbacks.append(self._k_own_arrival)
+        self.inbox.get_then(self._k_own_relay)
         return False
 
-    def _own_arrival(self, ev: Event) -> None:
-        if self._dispatch(self._k_own_check, ev._value):
+    def _own_relay(self, msg: Message) -> None:
+        self._call_in(0.0, self._k_own_arrival, msg)
+
+    def _own_arrival(self, msg: Message) -> None:
+        if self._dispatch(self._k_own_check, msg):
             self._own_check()
 
     def _own_check(self) -> None:
         if self._serve_target._state != PENDING:
             self._serve_k()
         else:
-            FirstOf(self.env, (self.inbox.get(),)).callbacks.append(
-                self._k_own_arrival
-            )
+            self.inbox.get_then(self._k_own_relay)
 
     def _serve_until(
         self,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Deadlock, Environment, StopSimulation
+from repro.des import Deadlock, Environment, StopSimulation, Store
 from repro.des.events import Initialize
 
 
@@ -324,3 +324,124 @@ def test_profiled_run_identical_to_fast_path(drain):
         return log, env.processed_event_count, env.now
 
     assert run(False) == run(True)
+
+
+# -- oracle: generated schedules of events and calls ---------------------------
+
+#: What a generated operation queues: a plain call, a timeout, a
+#: zero-delay ``succeed``, an ``Initialize`` (priority -1), or a store
+#: put or get (an event getter or a call getter).
+OP_KINDS = (
+    "call_in", "call_at", "timeout", "timeout_at", "succeed", "initialize",
+    "put", "get", "get_then",
+)
+CALL_KINDS = ("call_in", "call_at", "get_then")
+
+_op = st.tuples(st.sampled_from(OP_KINDS), st.sampled_from((0.0, 0.5, 1.0, 2.5)))
+#: Operations done before the run, each with the follow-ups its callback
+#: does when it fires (same-time pushes mid-drain included).
+_schedules = st.lists(
+    st.tuples(_op, st.lists(_op, max_size=3)), min_size=1, max_size=25
+)
+
+
+def _run_schedule(schedule, drive, profiled):
+    """Run ``schedule``; return the fired ops with their queue keys, the
+    processed count and the counters (when ``profiled``).
+
+    Every op that queues an entry is keyed by the ``(time, priority,
+    seq)`` the entry took; a get that waits is keyed when a put serves
+    it, in the FIFO order the store promises.  At each firing, the
+    fired op's key must be the least of the entries then queued.
+    """
+    env = Environment()
+    counters = env.enable_profiling() if profiled else None
+    store = Store(env)
+    keys = {}
+    pending = set()
+    waiting = []
+    fired = []
+    ids = iter(range(1 << 30))
+
+    def queued(op_id, when, priority=0):
+        keys[op_id] = (when, priority, env._seq)
+        pending.add(keys[op_id])
+
+    def start(kind, d, children=()):
+        op_id = next(ids)
+
+        def fire(_arg):
+            key = keys[op_id]
+            assert key == min(pending) and key[0] == env.now
+            pending.remove(key)
+            fired.append((key, kind))
+            for child in children:
+                start(*child)
+
+        now = env.now
+        if kind == "call_in":
+            env.call_in(d, fire)
+        elif kind == "call_at":
+            env.call_at(now + d, fire)
+        elif kind == "timeout":
+            env.timeout(d).callbacks.append(fire)
+        elif kind == "timeout_at":
+            env.timeout_at(now + d).callbacks.append(fire)
+        elif kind == "succeed":
+            ev = env.event()
+            ev.callbacks.append(fire)
+            ev.succeed()
+            d = 0.0
+        elif kind == "initialize":
+            Initialize(env).callbacks.append(fire)
+            queued(op_id, now, -1)
+            return
+        else:
+            seq = env._seq
+            if kind == "put":
+                store.put_nowait(d)
+                if env._seq != seq:
+                    op_id = waiting.pop(0)
+            elif kind == "get":
+                store.get().callbacks.append(fire)
+            else:
+                store.get_then(fire)
+            if env._seq == seq:
+                if kind != "put":
+                    waiting.append(op_id)
+                return
+            d = 0.0
+        queued(op_id, now + d)
+
+    for (kind, d), children in schedule:
+        start(kind, d, children)
+    drive(env)
+    assert not pending
+    return fired, env.processed_event_count, counters
+
+
+def _step_all(env):
+    while env.peek() < float("inf"):
+        env.step()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_schedules)
+def test_generated_schedules_fire_in_queue_key_order(schedule):
+    """Oracle (c) on the engine: calls and events interleave in one
+    ``(time, priority, seq)`` order, the same under ``run()`` and under
+    repeated ``step()``, profiled or not."""
+    ran, count, _ = _run_schedule(schedule, lambda env: env.run(None), False)
+    stepped, step_count, _ = _run_schedule(schedule, _step_all, False)
+    profiled, prof_count, counters = _run_schedule(
+        schedule, lambda env: env.run(None), True
+    )
+    assert ran == stepped == profiled
+    assert count == step_count == prof_count == len(ran)
+    if not any(kind == "initialize" for _, children in schedule for kind, _ in children):
+        # Nothing queued mid-run can sort before the entry that queued
+        # it, so the whole order is one sort of the keys.
+        assert [key for key, _ in ran] == sorted(key for key, _ in ran)
+    assert counters.events_total == prof_count
+    calls = sum(kind in CALL_KINDS for _, kind in ran)
+    assert counters.events_by_type.get("Call", 0) == calls
