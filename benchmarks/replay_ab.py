@@ -18,14 +18,17 @@ written once as ``.jsonl``, then ``read_trace`` -> ``translate`` ->
 ``simulate`` per round, so a change to the reader or to the per-event
 records shows too.  A fixed row, ``machine``, times
 ``run_on_machine`` on matmul@16 under ``CM5_SPEC`` (the reference
-machine of Figure 9), and a last one, ``measure``, times the
-1-processor tracing run of grid@16 (the trace ``predict_full`` sets
-up).  Before timing, the two versions' results must agree in
-everything the replay goldens hash: the predicted time, every thread's
-output events, the processor stats and the network stats, and, on the
-front-end row, every event read from the file; on the ``machine`` row,
-the whole ``MachineResult``; on the ``measure`` row, the trace digest
-and race findings.  Printed per
+machine of Figure 9), ``measure`` times the 1-processor tracing run
+of grid@16 (the trace ``predict_full`` sets up), and a last one,
+``predict``, times the whole ``extrap predict`` of that ``.jsonl`` file
+in-process (``cli.main``, stdout captured): parser, read, translation,
+replay and report.  Before timing, the two versions' results must
+agree in everything the replay goldens hash: the predicted time, every
+thread's output events, the processor stats and the network stats,
+and, on the front-end row, every event read from the file; on the
+``machine`` row, the whole ``MachineResult``; on the ``measure`` row,
+the trace digest and race findings; on the ``predict`` row, stdout
+byte for byte.  Printed per
 workload: the median and interquartile range of the B/A time ratios
 and each version's median time.  ``python benchmarks/replay_ab.py src src
 --rounds 2`` checks that the tool itself still runs.
@@ -34,6 +37,7 @@ and each version's median time.  ``python benchmarks/replay_ab.py src src
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -77,6 +81,11 @@ MACHINE_ROW = READ_ROW + 1
 MEASURE_WORKLOAD = ("grid", 16)
 MEASURE_ROW = MACHINE_ROW + 1
 
+#: The ``predict`` row, timed last: ``extrap predict`` of the front-end
+#: row's ``.jsonl`` file under this preset, run through ``cli.main``.
+PREDICT_WORKLOAD = ("grid", 16, "distributed_memory")
+PREDICT_ROW = MEASURE_ROW + 1
+
 
 def label(workload, i: int) -> str:
     if i == MACHINE_ROW:
@@ -85,6 +94,9 @@ def label(workload, i: int) -> str:
     if i == MEASURE_ROW:
         name, n = workload
         return f"measure: {name}@{n} 1-processor trace"
+    if i == PREDICT_ROW:
+        name, n, preset = workload
+        return f"predict: extrap predict {name}@{n}.jsonl --preset {preset}"
     name, n, preset, m, policy = workload
     text = f"{name}@{n} {preset}"
     if i == READ_ROW:
@@ -146,6 +158,8 @@ def row_digest(i: int, result, read_events) -> str:
         return machine_digest(result)
     if i == MEASURE_ROW:
         return result.digest() + repr(result.race_findings)
+    if i == PREDICT_ROW:
+        return result  # the captured stdout itself
     return result_digest(result, read_events)
 
 
@@ -181,6 +195,7 @@ class Version:
             del sys.modules[name]
         sys.path.insert(0, src)
         try:
+            from repro import cli
             from repro.bench.suite import get_benchmark
             from repro.core import presets
             from repro.core.pipeline import measure
@@ -215,12 +230,14 @@ class Version:
         self.measure = measure
         name, n = MEASURE_WORKLOAD
         self.measure_program = get_benchmark(name).make_program()
+        self.cli_main = cli.main
         self.modules = {n: m for n, m in sys.modules.items() if _is_repro(n)}
         for name in self.modules:
             del sys.modules[name]
 
     def time(self, i: int):
-        """Thread CPU seconds, result and read events of row ``i``."""
+        """Thread CPU seconds, result and read events of row ``i`` (the
+        ``predict`` row's result is its exit code and stdout)."""
         sys.modules.update(self.modules)  # lazy imports resolve to this copy
         gc.collect()
         if i == MACHINE_ROW:
@@ -235,6 +252,14 @@ class Version:
             t0 = time.thread_time()
             trace = self.measure(factory, n, name=name)
             return time.thread_time() - t0, trace, ()
+        if i == PREDICT_ROW:
+            _, _, preset = PREDICT_WORKLOAD
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                t0 = time.thread_time()
+                rc = self.cli_main(["predict", str(self.trace_path), "--preset", preset])
+                elapsed = time.thread_time() - t0
+            return elapsed, f"exit {rc}\n{out.getvalue()}", ()
         if i == READ_ROW:
             t0 = time.thread_time()
             trace = self.read_trace(self.trace_path)
@@ -252,7 +277,9 @@ def main(argv=None) -> int:
     ap.add_argument("b", help="candidate: git revision or src directory")
     ap.add_argument("--rounds", type=int, default=40)
     args = ap.parse_args(argv)
-    rows = WORKLOADS + (READ_WORKLOAD, MACHINE_WORKLOAD, MEASURE_WORKLOAD)
+    rows = WORKLOADS + (
+        READ_WORKLOAD, MACHINE_WORKLOAD, MEASURE_WORKLOAD, PREDICT_WORKLOAD
+    )
     with tempfile.TemporaryDirectory() as scratch:
         trace_path = Path(scratch) / "grid16.jsonl"
         a = Version(source_dir(args.a, Path(scratch)), trace_path)

@@ -198,26 +198,14 @@ class Environment:
         """Create an event that fires ``delay`` after the current time."""
         return Timeout(self, delay, value)
 
-    def timeout_at(self, when: float, value: Any = None) -> Timeout:
-        """Create an event that fires at the absolute time ``when``.
+    def call_at(self, when: float, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        """Call ``fn(arg)`` at the absolute time ``when``, as one queue entry.
 
         The queue entry is keyed by exactly ``when``: a caller that sums
         a chain of delays itself gets the float that one timeout per
         step would reach, where ``now + (when - now)`` may round
-        differently.
-        """
-        if when < self._now:
-            raise ValueError(
-                f"cannot schedule into the past (at {when}, now {self._now})"
-            )
-        return Timeout(self, when - self._now, value, when)
-
-    def call_at(self, when: float, fn: Callable[[Any], Any], arg: Any = None) -> None:
-        """Call ``fn(arg)`` at the absolute time ``when``, as one queue entry.
-
-        The entry takes the place, sequence number and time key a
-        ``timeout_at(when)`` with ``fn`` as its one callback would, but
-        no event object: use it for a wake-up whose only waiter is
+        differently.  Like :meth:`call_in`, it takes a sequence number
+        and no event object: use it for a wake-up whose only waiter is
         ``fn``.
         """
         if when < self._now:

@@ -15,7 +15,7 @@ callback chains.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.des.engine import Environment
@@ -139,21 +139,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation.
-
-    ``when`` (default ``now + delay``) is the queue key; see
-    :meth:`~repro.des.engine.Environment.timeout_at`.
-    """
+    """An event that fires ``delay`` time units after creation."""
 
     __slots__ = ("delay",)
 
-    def __init__(
-        self,
-        env: "Environment",
-        delay: float,
-        value: Any = None,
-        when: Optional[float] = None,
-    ):
+    def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         # Timeouts are the engine's hottest allocation; set every slot
@@ -167,11 +157,9 @@ class Timeout(Event):
         self._ok = True
         self.callbacks = []
         self.defused = False
-        if when is None:
-            when = env._now + delay
         env._seq += 1
         queue = env._queue
-        heappush(queue, (when, 0, env._seq, self))
+        heappush(queue, (env._now + delay, 0, env._seq, self))
         if env._profile is not None:
             env._profile.pushed(len(queue))
 

@@ -28,20 +28,6 @@ class PerformanceMetrics:
     messages: int
     message_bytes: int
 
-    def as_row(self) -> list:
-        """Row for tabular reports."""
-        return [
-            self.n_processors,
-            self.execution_time,
-            self.speedup if self.speedup is not None else float("nan"),
-            self.efficiency if self.efficiency is not None else float("nan"),
-            self.utilization,
-            self.comp_comm_ratio,
-            self.messages,
-        ]
-
-    ROW_HEADERS = ["P", "time_us", "speedup", "efficiency", "util", "comp/comm", "msgs"]
-
 
 def derive_metrics(
     result: SimulationResult, baseline_time: float | None = None

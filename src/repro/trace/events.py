@@ -41,13 +41,6 @@ class EventKind(enum.IntEnum):
     MARK = 6
 
 
-#: Kinds that participate in barrier synchronisation semantics.
-BARRIER_KINDS = frozenset({EventKind.BARRIER_ENTER, EventKind.BARRIER_EXIT})
-
-#: Kinds that generate remote-access message traffic.
-REMOTE_KINDS = frozenset({EventKind.REMOTE_READ, EventKind.REMOTE_WRITE})
-
-
 class TraceEvent(NamedTuple):
     """One high-level event (immutable; equal to the tuple of its fields).
 
@@ -88,14 +81,6 @@ class TraceEvent(NamedTuple):
             self.nbytes, self.collection, self.tag,
         )
 
-    @property
-    def is_barrier(self) -> bool:
-        return self.kind in BARRIER_KINDS
-
-    @property
-    def is_remote(self) -> bool:
-        return self.kind in REMOTE_KINDS
-
     def to_dict(self) -> Mapping[str, Any]:
         """Compact dict for JSONL serialisation (defaults elided)."""
         d: dict[str, Any] = {"t": self.time, "th": self.thread, "k": int(self.kind)}
@@ -118,15 +103,19 @@ class TraceEvent(NamedTuple):
         if kind is None:
             kind = EventKind(int(d["k"]))  # raises the usual ValueError
         get = d.get
-        return cls(
-            float(d["t"]),
-            int(d["th"]),
-            kind,
-            int(get("b", -1)),
-            int(get("o", -1)),
-            int(get("n", 0)),
-            str(get("c", "")),
-            str(get("g", "")),
+        # tuple.__new__ skips the Python-level __new__ a class call runs.
+        return tuple.__new__(
+            cls,
+            (
+                float(d["t"]),
+                int(d["th"]),
+                kind,
+                int(get("b", -1)),
+                int(get("o", -1)),
+                int(get("n", 0)),
+                str(get("c", "")),
+                str(get("g", "")),
+            ),
         )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.trace.events import EventKind
 from repro.trace.trace import Trace
@@ -40,11 +40,6 @@ class TraceStats:
     def total_compute_time(self) -> float:
         return sum(self.compute_time_per_thread)
 
-    @property
-    def mean_remote_bytes(self) -> float:
-        n = self.n_remote_reads + self.n_remote_writes
-        return self.remote_bytes_total / n if n else 0.0
-
     def summary(self) -> str:
         """One-paragraph human-readable summary."""
         return (
@@ -59,20 +54,34 @@ class TraceStats:
 
 
 def compute_stats(trace: Trace) -> TraceStats:
-    """Compute :class:`TraceStats` for a merged trace."""
-    s = TraceStats(n_threads=trace.meta.n_threads, n_events=len(trace.events))
-    if not trace.events:
+    """Compute :class:`TraceStats` for a merged trace, in one pass."""
+    n = trace.meta.n_threads
+    events = trace.events
+    s = TraceStats(n_threads=n, n_events=len(events))
+    if not events:
         return s
-    s.duration = trace.duration
-    s.n_barriers = trace.barrier_count()
+    s.duration = events[-1].time - events[0].time
 
     sizes: List[int] = []
     by_coll: Counter = Counter()
-    reads_per_thread = [0] * trace.meta.n_threads
+    barriers = set()
+    reads_per_thread = [0] * n
+    # Per-thread compute time: the sum of inter-event gaps, less the
+    # wait before each barrier exit.  ``compute`` starts at int 0 like
+    # ``sum`` does, so a thread with one event reports 0.
+    compute: List[float] = [0] * n
+    prev_time: List[Optional[float]] = [None] * n
     # Unpacking each event, and comparing kinds against locals, is
     # cheaper than reading fields and enum members by name.
     read, write = EventKind.REMOTE_READ, EventKind.REMOTE_WRITE
-    for _, thread, kind, _, _, nbytes, collection, _ in trace.events:
+    enter, exit_ = EventKind.BARRIER_ENTER, EventKind.BARRIER_EXIT
+    for time, thread, kind, barrier_id, _, nbytes, collection, _ in events:
+        if not 0 <= thread < n:
+            raise ValueError(f"event thread {thread} out of range 0..{n - 1}")
+        prev = prev_time[thread]
+        if prev is not None:
+            compute[thread] += 0.0 if kind == exit_ else time - prev
+        prev_time[thread] = time
         if kind == read:
             s.n_remote_reads += 1
             sizes.append(nbytes)
@@ -82,14 +91,13 @@ def compute_stats(trace: Trace) -> TraceStats:
             s.n_remote_writes += 1
             sizes.append(nbytes)
             by_coll[collection] += 1
+        elif kind == enter:
+            barriers.add(barrier_id)
+    s.n_barriers = len(barriers)
     s.remote_bytes_total = sum(sizes)
     s.remote_bytes_min = min(sizes) if sizes else 0
     s.remote_bytes_max = max(sizes) if sizes else 0
     s.remote_by_collection = dict(by_coll)
     s.remote_reads_per_thread = reads_per_thread
-
-    # Per-thread compute time: sum of inter-event gaps excluding barrier wait.
-    s.compute_time_per_thread = [
-        sum(tt.compute_deltas()) for tt in trace.split_by_thread()
-    ]
+    s.compute_time_per_thread = compute
     return s

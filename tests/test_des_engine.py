@@ -88,20 +88,20 @@ def test_negative_delay_rejected():
         env.timeout(-1)
 
 
-def test_timeout_at_keys_the_exact_absolute_time():
+def test_call_at_keys_the_exact_absolute_time():
     # 0.1 + 0.2 + 0.3 summed left to right, as a chain of timeouts would.
     env = Environment(0.1)
     when = 0.1 + 0.2 + 0.3
     chain_end = []
+    called = []
 
     sleeper(env, (0.2, 0.3), lambda: chain_end.append(env.now))
-    ev = env.timeout_at(when, value="v")
-    assert env.run(ev) == "v"
-    assert env.now == when
+    env.call_at(when, lambda value: called.append((value, env.now)), "v")
     env.run(None)
+    assert called == [("v", when)]
     assert chain_end == [0.1 + 0.2, when]
     with pytest.raises(ValueError):
-        env.timeout_at(env.now - 1.0)
+        env.call_at(env.now - 1.0, called.append)
 
 
 def test_step_empty_queue():
@@ -332,7 +332,7 @@ def test_profiled_run_identical_to_fast_path(drain):
 #: zero-delay ``succeed``, an ``Initialize`` (priority -1), or a store
 #: put or get (an event getter or a call getter).
 OP_KINDS = (
-    "call_in", "call_at", "timeout", "timeout_at", "succeed", "initialize",
+    "call_in", "call_at", "timeout", "succeed", "initialize",
     "put", "get", "get_then",
 )
 CALL_KINDS = ("call_in", "call_at", "get_then")
@@ -385,8 +385,6 @@ def _run_schedule(schedule, drive, profiled):
             env.call_at(now + d, fire)
         elif kind == "timeout":
             env.timeout(d).callbacks.append(fire)
-        elif kind == "timeout_at":
-            env.timeout_at(now + d).callbacks.append(fire)
         elif kind == "succeed":
             ev = env.event()
             ev.callbacks.append(fire)

@@ -17,15 +17,6 @@ def test_kinds_are_stable():
     assert int(EventKind.MARK) == 6
 
 
-def test_predicates():
-    b = TraceEvent(0.0, 0, EventKind.BARRIER_ENTER, barrier_id=1)
-    r = TraceEvent(0.0, 0, EventKind.REMOTE_READ, owner=1, nbytes=8)
-    m = TraceEvent(0.0, 0, EventKind.MARK, tag="x")
-    assert b.is_barrier and not b.is_remote
-    assert r.is_remote and not r.is_barrier
-    assert not m.is_barrier and not m.is_remote
-
-
 def test_shifted():
     ev = TraceEvent(5.0, 2, EventKind.REMOTE_READ, owner=1, nbytes=8)
     moved = ev.shifted(9.0)
