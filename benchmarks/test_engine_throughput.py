@@ -19,7 +19,7 @@ def test_event_loop_throughput(benchmark):
 
 
 def test_timeout_only_fast_path_throughput(benchmark):
-    """The run_batched fast path on the Timeout-only workload."""
+    """The event loop on the Timeout-only workload."""
     events = benchmark(timeout_chain, 2000)
     assert events == 2000
 

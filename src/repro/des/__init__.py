@@ -6,7 +6,9 @@ This is the substrate underneath the ExtraP trace-driven simulator
 
 * :class:`Environment` — the simulation clock and event loop, whose
   queue also takes plain calls (``call_at`` / ``call_in``) for a
-  wake-up with one waiting step and no event object;
+  wake-up with one waiting step and no event object.  ``run`` is the
+  one way to drive it: drain the queue, optionally until an awaited
+  event fires and at most ``max_events`` entries at a time;
 * :class:`Event` / :class:`Timeout` primitives, :class:`FirstOf` (the
   first of several children, e.g. a compute timer against an inbox
   get) and :class:`AllOf` (the every-processor-done sentinel);
@@ -18,6 +20,10 @@ next step to the event's ``callbacks`` (or, when that step is the only
 waiter, queues the step itself as a call), and an
 :class:`~repro.des.events.Initialize` starts a model component at the
 current time.
+
+Events only succeed: the models need wake-ups delivered in a fixed
+order, never a failed event, so there is no failure protocol.  An
+exception raised inside a callback propagates out of ``run``.
 
 The engine is deterministic: simultaneous entries fire in FIFO order of
 scheduling (stable tie-break on a monotone sequence number).

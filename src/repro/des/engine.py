@@ -5,9 +5,9 @@ A queue entry is either an :class:`~repro.des.events.Event`,
 arg)`` (:meth:`Environment.call_at` / :meth:`Environment.call_in`): a
 wake-up whose only waiter is one step needs no event object.  One loop,
 :meth:`Environment._drain`, dispatches both kinds for
-:meth:`Environment.run` and :meth:`Environment.run_batched`, in exactly
-the order repeated :meth:`Environment.step` calls would; ``step()``
-stays the readable one-entry reference path.  Profiling
+:meth:`Environment.run`, in exactly the order repeated
+:meth:`Environment.step` calls would; ``step()`` stays the readable
+one-entry reference path.  Profiling
 (:meth:`Environment.enable_profiling`) attaches an
 :class:`~repro.perf.counters.EngineCounters` block that the loop fills
 in; with profiling off it costs one ``is None`` test per event.
@@ -25,7 +25,7 @@ from repro.perf.counters import EngineCounters
 
 
 class StopSimulation(Exception):
-    """Raised by :meth:`Environment.run` internals to halt the loop."""
+    """Raised by :meth:`Environment.step` when the queue is empty."""
 
 
 class Deadlock(RuntimeError):
@@ -112,10 +112,6 @@ class Watchdog:
         return None
 
 
-def _noop_callback(_ev: Event) -> None:
-    """Placeholder waiter attached to a ``run(until=event)`` sentinel."""
-
-
 class Environment:
     """Discrete-event simulation environment.
 
@@ -190,10 +186,6 @@ class Environment:
 
     # -- factories ------------------------------------------------------------
 
-    def event(self) -> Event:
-        """Create a new pending event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires ``delay`` after the current time."""
         return Timeout(self, delay, value)
@@ -267,15 +259,13 @@ class Environment:
             self._profile.count(event)
         event._process()
 
-    def _drain(
-        self, until: Event | None = None, budget: int = -1, horizon: float = inf
-    ) -> bool:
+    def _drain(self, until: Event | None = None, budget: int = -1) -> bool:
         """The event-dispatch loop: :meth:`step` order, dispatch inlined.
 
         Stops right after ``until`` is processed (``True``), after
-        ``budget`` entries (``False``; ``-1`` is unlimited), or before
-        the first entry later than ``horizon`` (``True``).  Raises
-        :class:`Deadlock` if the queue drains while ``until`` is pending.
+        ``budget`` entries (``False``; ``-1`` is unlimited), or when the
+        queue drains (``True``).  Raises :class:`Deadlock` if the queue
+        drains while ``until`` is pending.
         """
         queue = self._queue
         pop = heappop
@@ -284,8 +274,6 @@ class Environment:
         try:
             while queue:
                 t = queue[0][0]
-                if t > horizon:
-                    return True
                 self._now = t
                 # Drain everything scheduled for exactly t.  Callbacks may
                 # push new time-t entries; the peek re-checks pick those up
@@ -310,9 +298,6 @@ class Environment:
                             event.callbacks = []
                             for cb in callbacks:
                                 cb(event)
-                        elif not event._ok and not event.defused:
-                            # A failure nobody waited on: surface it.
-                            raise event._value
                         if event is until:
                             return True
                     if count == budget:
@@ -326,7 +311,7 @@ class Environment:
             )
         return True
 
-    def run_batched(
+    def run(
         self, until: Event | None = None, *, max_events: int | None = None
     ) -> bool:
         """Drain the queue (until ``until`` fires), at most ``max_events`` of it.
@@ -340,42 +325,3 @@ class Environment:
         if max_events == 0:
             return until is None and not self._queue
         return self._drain(until, -1 if max_events is None else max_events)
-
-    def run(self, until: float | Event | None = None) -> Any:
-        """Run the simulation.
-
-        ``until`` may be:
-
-        * ``None`` — run until the event queue drains;
-        * a number — run until the clock reaches that time;
-        * an :class:`Event` — run until that event is processed and return
-          its value (raising if it failed).
-        """
-        if until is None:
-            self._drain()
-            return None
-
-        if isinstance(until, Event):
-            if until._state != PROCESSED:
-                # Register as a waiter so a failing sentinel counts as
-                # handled (run() re-raises it below), and detach again on
-                # every exit path — a stale callback must not linger on
-                # the sentinel after the run returns or raises.
-                until.callbacks.append(_noop_callback)
-                try:
-                    self._drain(until)
-                finally:
-                    until._remove_callback(_noop_callback)
-            if not until.ok:
-                until.defused = True
-                raise until.value
-            return until.value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(
-                f"cannot run until {horizon}; clock is already at {self._now}"
-            )
-        self._drain(horizon=horizon)
-        self._now = horizon
-        return None

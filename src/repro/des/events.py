@@ -35,22 +35,19 @@ class Event:
         Owning environment.
     """
 
-    __slots__ = ("env", "_state", "_value", "_ok", "callbacks", "defused")
+    __slots__ = ("env", "_state", "_value", "callbacks")
 
     def __init__(self, env: "Environment"):
         self.env = env
         self._state = PENDING
         self._value: Any = None
-        self._ok = True
         self.callbacks: List[Callable[["Event"], None]] = []
-        #: set by Environment.run when a failed event had no waiters
-        self.defused = False
 
     # -- state inspection -------------------------------------------------
 
     @property
     def triggered(self) -> bool:
-        """True once the event has been scheduled (succeed/fail called)."""
+        """True once the event has been scheduled (``succeed`` called)."""
         return self._state >= TRIGGERED
 
     @property
@@ -59,15 +56,8 @@ class Event:
         return self._state == PROCESSED
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (valid only after triggering)."""
-        if self._state == PENDING:
-            raise RuntimeError("event has not been triggered yet")
-        return self._ok
-
-    @property
     def value(self) -> Any:
-        """The event's payload (or exception if it failed)."""
+        """The event's payload (valid only after triggering)."""
         if self._state == PENDING:
             raise RuntimeError("event has not been triggered yet")
         return self._value
@@ -75,25 +65,12 @@ class Event:
     # -- triggering --------------------------------------------------------
 
     def succeed(self, value: Any = None, *, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire successfully after ``delay``."""
+        """Schedule this event to fire after ``delay``."""
         if self._state != PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = True
         self._value = value
         self._state = TRIGGERED
         self.env._schedule(self, delay)
-        return self
-
-    def fail(self, exception: BaseException, *, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire as a failure carrying ``exception``."""
-        if self._state != PENDING:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"fail() needs an exception, got {exception!r}")
-        self._ok = False
-        self._value = exception
-        self._state = TRIGGERED
-        self.env._schedule(self, 0.0 if delay == 0.0 else delay)
         return self
 
     def resolve(self, value: Any = None) -> "Event":
@@ -123,9 +100,6 @@ class Event:
         callbacks, self.callbacks = self.callbacks, []
         for cb in callbacks:
             cb(self)
-        if not self._ok and not self.defused and not callbacks:
-            # A failure nobody waited on: surface it instead of losing it.
-            raise self._value
 
     def _remove_callback(self, cb: Callable[["Event"], None]) -> None:
         try:
@@ -148,15 +122,13 @@ class Timeout(Event):
             raise ValueError(f"negative delay {delay}")
         # Timeouts are the engine's hottest allocation; set every slot
         # directly instead of chaining through Event.__init__ (which
-        # would store _state/_ok/_value twice), and push the queue entry
+        # would store _state/_value twice), and push the queue entry
         # here instead of through Environment._schedule.
         self.env = env
         self.delay = delay
         self._state = TRIGGERED
         self._value = value
-        self._ok = True
         self.callbacks = []
-        self.defused = False
         env._seq += 1
         queue = env._queue
         heappush(queue, (env._now + delay, 0, env._seq, self))
@@ -174,8 +146,7 @@ class FirstOf(Event):
     FirstOf is scheduled from that child's callback, so it fires one
     queue hop after it.  The losers' callbacks are removed at that
     point, so a waiter that loops on a long-lived child leaves nothing
-    behind on it.  A failing winner fails the FirstOf.  With a single
-    child it is a relay.
+    behind on it.  With a single child it is a relay.
     """
 
     __slots__ = ("children",)
@@ -184,9 +155,7 @@ class FirstOf(Event):
         self.env = env
         self._state = PENDING
         self._value = None
-        self._ok = True
         self.callbacks = []
-        self.defused = False
         self.children = children
         for ev in children:
             if ev._state == PROCESSED:
@@ -202,11 +171,7 @@ class FirstOf(Event):
             for other in self.children:
                 if other is not ev:
                     other._remove_callback(on_child)
-        if ev._ok:
-            self.succeed(ev._value)
-        else:
-            ev.defused = True
-            self.fail(ev._value)
+        self.succeed(ev._value)
 
 
 class AllOf(Event):
@@ -214,8 +179,7 @@ class AllOf(Event):
 
     It is scheduled from the last child's callback, so it fires one
     queue hop after that child; with no children it is triggered at
-    construction.  The first child that fails fails it.  Its value is
-    ``None``.
+    construction.  Its value is ``None``.
     """
 
     __slots__ = ("_pending",)
@@ -237,10 +201,6 @@ class AllOf(Event):
     def _on_child(self, ev: Event) -> None:
         if self._state != PENDING:
             return
-        if not ev._ok:
-            ev.defused = True
-            self.fail(ev._value)
-            return
         self._pending -= 1
         if not self._pending:
             self.succeed()
@@ -258,7 +218,5 @@ class Initialize(Event):
         self.env = env
         self._state = TRIGGERED
         self._value = value
-        self._ok = True
         self.callbacks = []
-        self.defused = False
         env._schedule(self, 0.0, priority=-1)

@@ -27,9 +27,7 @@ class StoreGet(Event):
         self.env = store.env
         self._state = PENDING
         self._value = None
-        self._ok = True
         self.callbacks = []
-        self.defused = False
 
 
 class Store:

@@ -159,9 +159,6 @@ class DiagnosisReport:
         ordered += sorted(present - set(KINDS))
         return ordered
 
-    def worst(self) -> Optional[Finding]:
-        return self.findings[0] if self.findings else None
-
     # -- serialisation -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

@@ -19,12 +19,13 @@ it) at every processor count.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.bench.matmul import ALL_DISTRIBUTIONS, MatmulConfig, make_program
+from repro.bench.matmul import ALL_DISTRIBUTIONS, make_program
 from repro.core import presets
 from repro.core.pipeline import measure
 from repro.experiments.base import ExperimentResult, predicted_series
+from repro.experiments.paramsets import matmul_config
 from repro.machine import CM5_SPEC, run_on_machine
 
 #: Figure 9 plots 4..32 processors (1-processor runs have no comm).
@@ -61,13 +62,12 @@ def run(
     """Regenerate Figure 9 (times in us; series '<dist> pred|meas')."""
     params = presets.cm5()
     dists = list(distributions) if distributions else list(ALL_DISTRIBUTIONS)
-    size = 12 if quick else 16
     result = ExperimentResult(
         name="fig9",
         title="Results from Matmul program (predicted vs CM-5 reference)",
         ylabel="execution time (us)",
     )
-    cfgs = [MatmulConfig(size=size, row_dist=rd, col_dist=cd) for rd, cd in dists]
+    cfgs = [matmul_config(rd, cd, quick=quick) for rd, cd in dists]
     makers = {cfg.dist_label: make_program(cfg) for cfg in cfgs}
     cells = [
         (label, p, measure(maker(p), p, name="matmul"), params)

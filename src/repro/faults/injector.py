@@ -36,15 +36,6 @@ class FaultStats:
     barrier_delay_time: float = 0.0
     dropped_by_kind: Dict[str, int] = field(default_factory=dict)
 
-    def any_injected(self) -> bool:
-        return bool(
-            self.messages_dropped
-            or self.messages_duplicated
-            or self.jitter_messages
-            or self.stragglers
-            or self.barrier_delays
-        )
-
 
 class FaultInjector:
     """Deterministic per-event fault decisions for one simulation run."""

@@ -136,13 +136,13 @@ class Machine:
             node.start(body)
         done = self.env.all_of([node.done for node in self.nodes])
         try:
-            self.env.run_batched(done)
+            self.env.run(done)
         except Deadlock:
             stuck = [nd.pid for nd in self.nodes if not nd.done.triggered]
             raise RuntimeError(
                 f"machine deadlocked; nodes {stuck} never finished"
             ) from None
-        self.env.run(None)
+        self.env.run()
         return MachineResult(
             meta=TraceMeta(program=name, n_threads=self.n, size_mode="actual"),
             spec=self.spec,

@@ -16,7 +16,7 @@ diagnosis granularity performance debugging needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.trace.events import EventKind
 from repro.trace.trace import ThreadTrace
@@ -43,10 +43,6 @@ class PhaseStats:
     @property
     def max_thread(self) -> float:
         return max(self.per_thread.values(), default=0.0)
-
-    @property
-    def min_thread(self) -> float:
-        return min(self.per_thread.values(), default=0.0)
 
     @property
     def imbalance(self) -> float:

@@ -89,15 +89,6 @@ class CounterSeries:
             return
         self.samples.append((t, value))
 
-    def value_at(self, t: float) -> float:
-        """Step-function value at time ``t`` (0.0 before the first sample)."""
-        out = 0.0
-        for st, sv in self.samples:
-            if st > t:
-                break
-            out = sv
-        return out
-
     def __len__(self) -> int:
         return len(self.samples)
 

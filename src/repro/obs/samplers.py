@@ -11,8 +11,8 @@ proportional to activity, not to simulated time.
 :class:`OnChangeSampler` wraps that discipline for callers that want to
 push values unconditionally.  The rest of this module is the *read
 side*: derived series computed from a finalized
-:class:`~repro.obs.recorder.Timeline` (bucketed busy fractions, step
-resampling) used by the ``extrap timeline`` CLI and the docs examples.
+:class:`~repro.obs.recorder.Timeline` (bucketed busy fractions, decimated
+counter points) used by the ``extrap timeline`` CLI and the docs examples.
 """
 
 from __future__ import annotations
@@ -40,20 +40,6 @@ class OnChangeSampler:
 
     def sample(self, t: float, value: float) -> None:
         self._recorder.counter(self.name, t, value)
-
-
-def step_resample(
-    samples: List[Tuple[float, float]], times: List[float]
-) -> List[float]:
-    """Evaluate an on-change (step) series at the given sorted ``times``."""
-    out: List[float] = []
-    idx, value = 0, 0.0
-    for t in times:
-        while idx < len(samples) and samples[idx][0] <= t:
-            value = samples[idx][1]
-            idx += 1
-        out.append(value)
-    return out
 
 
 def busy_fraction_series(

@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 class Dist(enum.Enum):
@@ -97,13 +97,6 @@ class Distribution1D:
             raise IndexError(f"thread {thread} out of range")
         return _dim_local(self.attr, thread, self.size, self.n_threads)
 
-    def threads_used(self) -> int:
-        """Number of threads owning at least one element."""
-        return len({self.owner(i) for i in range(self.size)})
-
-    def indices(self) -> Iterator[int]:
-        return iter(range(self.size))
-
 
 @dataclass(frozen=True)
 class Distribution2D:
@@ -163,13 +156,6 @@ class Distribution2D:
         rows = _dim_local(self.row_attr, pr, self.rows, gr)
         cols = _dim_local(self.col_attr, pc, self.cols, gc)
         return [(r, c) for r in rows for c in cols]
-
-    def threads_used(self) -> int:
-        """Number of threads owning at least one element."""
-        return sum(1 for t in range(self.n_threads) if self.local_indices(t))
-
-    def indices(self) -> Iterator[Tuple[int, int]]:
-        return ((r, c) for r in range(self.rows) for c in range(self.cols))
 
 
 def make_distribution(

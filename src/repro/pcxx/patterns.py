@@ -8,7 +8,7 @@ thread (index == thread id) and is a generator usable from thread bodies.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
 from repro.pcxx.collection import Collection
 from repro.pcxx.runtime import ThreadCtx
@@ -59,47 +59,6 @@ def reduce_tree(
         step *= 2
     yield from ctx.barrier()
     return (yield from ctx.get(coll, ctx.tid))
-
-
-def reduce_linear(
-    ctx: ThreadCtx,
-    coll: Collection,
-    op: Callable[[Any, Any], Any],
-    nbytes: int | None = None,
-) -> Generator[Any, Any, Any]:
-    """Right-to-left linear reduction (as Matmul's row summation, §4.2).
-
-    Thread t combines thread t+1's partial into its own, sweeping from
-    the right end; n-1 serial stages.  The result lands on thread 0.
-    """
-    n = ctx.n_threads
-    for stage in range(n - 1, 0, -1):
-        yield from ctx.barrier()
-        if ctx.tid == stage - 1:
-            mine = yield from ctx.get(coll, ctx.tid)
-            theirs = yield from ctx.get(coll, stage, nbytes=nbytes)
-            yield from ctx.put(coll, ctx.tid, op(mine, theirs))
-    yield from ctx.barrier()
-    return (yield from ctx.get(coll, ctx.tid))
-
-
-def shift(
-    ctx: ThreadCtx,
-    coll: Collection,
-    offset: int,
-    nbytes: int | None = None,
-) -> Generator[Any, Any, Any]:
-    """Read the element of the thread ``offset`` positions away (cyclic).
-
-    A barrier on each side brackets the exchange so all threads read a
-    consistent generation of values.  Returns the neighbour's value.
-    """
-    n = ctx.n_threads
-    partner = (ctx.tid + offset) % n
-    yield from ctx.barrier()
-    value = yield from ctx.get(coll, partner, nbytes=nbytes)
-    yield from ctx.barrier()
-    return value
 
 
 def all_reduce_via_root(

@@ -2,8 +2,7 @@
 
 Six seeded reference workloads exercise the layers of the hot path:
 
-* ``timeout_chain`` — the pure event loop (Timeout-only, the
-  ``run_batched`` fast-path case);
+* ``timeout_chain`` — the pure event loop (Timeout-only);
 * ``pingpong`` — callback chains + stores (get/put/timeout churn);
 * ``simulator`` — a full trace-driven replay (8 processors, the
   distributed-memory preset) through :class:`repro.sim.Simulator`;
@@ -31,7 +30,7 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Dict
 
 from repro.util.atomic import atomic_write_text
 
@@ -45,8 +44,8 @@ DEFAULT_BASELINE = "BENCH_engine.json"
 
 
 def timeout_chain(n: int = 20_000) -> int:
-    """One callback re-arming itself on ``n`` timeouts: the Timeout-only
-    fast path."""
+    """One callback re-arming itself on ``n`` timeouts: the pure event
+    loop."""
     from repro.des import Environment
 
     env = Environment()
@@ -59,7 +58,7 @@ def timeout_chain(n: int = 20_000) -> int:
             env.timeout(1.0).callbacks.append(sleep)
 
     sleep(None)
-    env.run_batched()
+    env.run()
     return env.processed_event_count
 
 
@@ -88,7 +87,7 @@ def pingpong(rounds: int = 5_000) -> int:
     player(a, b)
     player(b, a)
     a.put_nowait(None)
-    env.run(None)
+    env.run()
     return env.processed_event_count
 
 

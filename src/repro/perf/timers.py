@@ -37,7 +37,7 @@ class PhaseTimer:
 
         timer = PhaseTimer(env)
         with timer.phase("replay"):
-            env.run_batched(done)
+            env.run(done)
     """
 
     env: Optional["Environment"] = None
@@ -55,10 +55,6 @@ class PhaseTimer:
             if self.env is not None:
                 rec.sim_us += self.env.now - sim0
             rec.count += 1
-
-    @property
-    def total_wall_s(self) -> float:
-        return sum(rec.wall_s for rec in self.phases.values())
 
     def as_dict(self) -> dict:
         return {name: rec.as_dict() for name, rec in self.phases.items()}

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.core.parameters import NetworkParams
 from repro.des import Environment
-from repro.sim.messages import Message, MsgKind
+from repro.sim.messages import Message
 from repro.sim.topology import Topology, make_topology
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,10 +58,6 @@ class NetworkStats:
     dropped: int = 0
     duplicated: int = 0
     total_jitter: float = 0.0
-
-    @property
-    def mean_wire_time(self) -> float:
-        return self.total_wire_time / self.messages if self.messages else 0.0
 
 
 class Network:

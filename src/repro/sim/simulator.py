@@ -158,7 +158,7 @@ class Simulator:
         # Drain in-flight messages (late replies/releases already en
         # route; finished processors keep serving).
         with phase("drain"):
-            env.run(None)
+            env.run()
         with phase("collect"):
             result = self._collect()
 
@@ -194,7 +194,7 @@ class Simulator:
                     "(runaway or max_events set too low)"
                 )
             try:
-                if env.run_batched(
+                if env.run(
                     all_done,
                     max_events=min(remaining, watchdog.check_interval),
                 ):

@@ -39,23 +39,6 @@ class Topology:
         """Bisection width (>= 1)."""
         raise NotImplementedError
 
-    @property
-    def diameter(self) -> int:
-        """Maximum hops over all processor pairs.
-
-        Node 0's eccentricity is not enough in general (e.g. a truncated
-        hypercube's farthest pair need not involve node 0), so this is
-        the true all-pairs maximum; n is small (<= machine size).
-        """
-        return max(
-            (
-                self.hops(s, d)
-                for s in range(self.n)
-                for d in range(s + 1, self.n)
-            ),
-            default=0,
-        )
-
     def _check(self, src: int, dst: int) -> None:
         if not (0 <= src < self.n and 0 <= dst < self.n):
             raise IndexError(f"processor pair ({src}, {dst}) out of range 0..{self.n - 1}")

@@ -11,9 +11,8 @@ how much interconnect traffic does it buy that speed with).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.experiments.base import ExperimentResult
 from repro.sweep.executor import PointRecord, SweepRun
 from repro.util.tables import format_table
 
@@ -98,35 +97,6 @@ def results_table(run: SweepRun) -> str:
         title=f"sweep {run.spec.name!r} over preset {run.spec.preset!r} "
         f"({len(run.records)} points)",
     )
-
-
-def to_experiment_result(run: SweepRun) -> ExperimentResult:
-    """Adapt a sweep into the experiment-result shape (series over
-    point index) so existing plot/CSV tooling applies unchanged."""
-    series: Dict[str, Dict[int, float]] = {
-        "predicted time (us)": {},
-        "message bytes": {},
-    }
-    for rec in ok_records(run):
-        series["predicted time (us)"][rec.point.index] = rec.result[
-            "predicted_time_us"
-        ]
-        series["message bytes"][rec.point.index] = float(
-            rec.result["message_bytes"]
-        )
-    result = ExperimentResult(
-        name=f"sweep-{run.spec.name}",
-        title=f"Design-space sweep {run.spec.name!r} ({run.spec.preset} base)",
-        series=series,
-        ylabel="value",
-    )
-    for rec in run.records:
-        if not rec.ok:
-            result.notes.append(
-                f"point {rec.point.index} ({rec.point.label()}) failed: "
-                f"{rec.error_type}: {rec.error}"
-            )
-    return result
 
 
 def format_run(run: SweepRun) -> str:

@@ -341,10 +341,6 @@ class SweepSpec:
             return n
         return len(self.points_raw or [])
 
-    def uses_n_threads_axis(self) -> bool:
-        """True when any point re-measures at a different thread count."""
-        return any(p.n_threads is not None for p in self.expand())
-
     # -- (de)serialisation ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

@@ -74,13 +74,6 @@ class TraceEvent(NamedTuple):
     collection: str = ""
     tag: str = ""
 
-    def shifted(self, new_time: float) -> "TraceEvent":
-        """Copy of this event at a different timestamp."""
-        return TraceEvent(
-            new_time, self.thread, self.kind, self.barrier_id, self.owner,
-            self.nbytes, self.collection, self.tag,
-        )
-
     def to_dict(self) -> Mapping[str, Any]:
         """Compact dict for JSONL serialisation (defaults elided)."""
         d: dict[str, Any] = {"t": self.time, "th": self.thread, "k": int(self.kind)}

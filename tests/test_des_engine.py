@@ -1,10 +1,10 @@
-"""The DES engine: clock, ordering, run modes."""
+"""The DES engine: clock, ordering, the one run loop."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Deadlock, Environment, StopSimulation, Store
+from repro.des import Deadlock, Environment, Event, StopSimulation, Store
 from repro.des.events import Initialize
 
 
@@ -13,7 +13,7 @@ def sleeper(env, delays, on_wake=lambda: None):
     ``delays`` in turn and call ``on_wake()`` after each.  Returns an
     event that fires after the last wake."""
     delays = iter(delays)
-    done = env.event()
+    done = Event(env)
     start = Initialize(env)
 
     def step(ev):
@@ -42,42 +42,25 @@ def test_timeout_advances_clock():
     log = []
 
     sleeper(env, (5, 2.5), lambda: log.append(env.now))
-    env.run(None)
+    env.run()
     assert log == [5.0, 7.5]
-
-
-def test_run_until_time_stops_clock_exactly():
-    env = Environment()
-
-    def tick(_ev):
-        env.timeout(10).callbacks.append(tick)
-
-    tick(None)
-    env.run(until=25.0)
-    assert env.now == 25.0
 
 
 def test_run_until_event_returns_value():
     env = Environment()
 
-    done = env.event()
+    done = Event(env)
     env.timeout(3).callbacks.append(lambda ev: done.succeed("answer"))
-    assert env.run(done) == "answer"
+    assert env.run(done) is True
+    assert done.value == "answer"
     assert env.now == 3.0
-
-
-def test_run_until_past_time_rejected():
-    env = Environment()
-    env.run(until=5.0)
-    with pytest.raises(ValueError):
-        env.run(until=1.0)
 
 
 def test_run_until_event_deadlock_detected():
     env = Environment()
 
-    done = env.event()
-    env.event().callbacks.append(lambda ev: done.succeed())  # never fires
+    done = Event(env)
+    Event(env).callbacks.append(lambda ev: done.succeed())  # never fires
     with pytest.raises(RuntimeError, match="deadlock"):
         env.run(done)
 
@@ -97,7 +80,7 @@ def test_call_at_keys_the_exact_absolute_time():
 
     sleeper(env, (0.2, 0.3), lambda: chain_end.append(env.now))
     env.call_at(when, lambda value: called.append((value, env.now)), "v")
-    env.run(None)
+    env.run()
     assert called == [("v", when)]
     assert chain_end == [0.1 + 0.2, when]
     with pytest.raises(ValueError):
@@ -115,7 +98,7 @@ def test_fifo_order_at_same_time():
 
     for tag in "abcd":
         sleeper(env, (10,), lambda tag=tag: log.append(tag))
-    env.run(None)
+    env.run()
     assert log == list("abcd")
 
 
@@ -130,7 +113,7 @@ def test_processed_event_count():
     env = Environment()
     for _ in range(5):
         env.timeout(1)
-    env.run(None)
+    env.run()
     assert env.processed_event_count == 5
 
 
@@ -143,7 +126,7 @@ def test_events_fire_in_time_order(delays):
     seen = []
     for d in delays:
         env.timeout(d).callbacks.append(lambda ev: seen.append(env.now))
-    env.run(None)
+    env.run()
     assert seen == sorted(seen)
     assert len(seen) == len(delays)
 
@@ -152,11 +135,12 @@ def test_process_waits_on_process():
     """A callback chain waits on an event another chain succeeds, and
     reads its value."""
     env = Environment()
-    inner = env.event()
+    inner = Event(env)
     env.timeout(7).callbacks.append(lambda ev: inner.succeed(42))
-    outer = env.event()
+    outer = Event(env)
     inner.callbacks.append(lambda ev: outer.succeed(ev.value + 1))
-    assert env.run(outer) == 43
+    env.run(outer)
+    assert outer.value == 43
     assert env.now == 7.0
 
 
@@ -169,11 +153,11 @@ def test_same_time_priority_beats_fifo():
     env = Environment()
     log = []
     for tag, prio in [("late-low", 1), ("first-normal", 0), ("urgent", -1)]:
-        ev = env.event()
+        ev = Event(env)
         ev.callbacks.append(lambda _e, t=tag: log.append(t))
         env._schedule(ev, 5.0, priority=prio)
         ev._state = 1  # TRIGGERED (scheduled directly, not via succeed)
-    env.run(None)
+    env.run()
     assert log == ["urgent", "first-normal", "late-low"]
 
 
@@ -181,11 +165,11 @@ def test_same_time_fifo_within_priority():
     env = Environment()
     log = []
     for tag in "abcdef":
-        ev = env.event()
+        ev = Event(env)
         ev.callbacks.append(lambda _e, t=tag: log.append(t))
         env._schedule(ev, 1.0, priority=0)
         ev._state = 1
-    env.run(None)
+    env.run()
     assert log == list("abcdef")
 
 
@@ -197,12 +181,12 @@ def test_process_start_beats_same_time_events():
     log = []
     env.timeout(0).callbacks.append(lambda ev: log.append("timeout"))
     Initialize(env).callbacks.append(lambda ev: log.append("initialize"))
-    env.run(None)
+    env.run()
     assert log == ["initialize", "timeout"]
 
 
 def test_run_batched_matches_step_ordering():
-    """run_batched must process events in exactly step() order."""
+    """run must process events in exactly step() order."""
 
     def build():
         env = Environment()
@@ -216,7 +200,7 @@ def test_run_batched_matches_step_ordering():
     while env_a._queue:
         env_a.step()
     env_b, log_b = build()
-    env_b.run_batched()
+    env_b.run()
     assert log_a == log_b
     assert env_a.processed_event_count == env_b.processed_event_count
 
@@ -225,9 +209,9 @@ def test_run_batched_max_events_budget():
     env = Environment()
     for _ in range(10):
         env.timeout(1)
-    assert env.run_batched(max_events=4) is False
+    assert env.run(max_events=4) is False
     assert env.processed_event_count == 4
-    assert env.run_batched() is True
+    assert env.run() is True
     assert env.processed_event_count == 10
 
 
@@ -236,7 +220,7 @@ def test_run_batched_until_event():
     first = env.timeout(1)
     target = env.timeout(5)
     env.timeout(9)
-    assert env.run_batched(target) is True
+    assert env.run(target) is True
     assert target.processed and env.now == 5.0
     assert first.processed
     assert env.processed_event_count == 2
@@ -244,39 +228,33 @@ def test_run_batched_until_event():
 
 def test_run_batched_deadlock():
     env = Environment()
-    pending = env.event()  # never fires
+    pending = Event(env)  # never fires
     env.timeout(1)
     with pytest.raises(Deadlock, match="deadlock"):
-        env.run_batched(pending)
+        env.run(pending)
 
 
 def test_run_until_event_leaves_no_stale_callback():
-    """run(until=event) must detach its internal waiter on every exit
-    path, so the sentinel can be inspected or awaited again."""
+    """run(until=event) attaches nothing to the awaited event, so it can
+    be inspected or awaited again on every exit path."""
     env = Environment()
     ev = env.timeout(3, value="v")
-    assert env.run(ev) == "v"
-    assert ev.callbacks == []
+    assert env.run(ev) is True
+    assert ev.callbacks == [] and ev.value == "v"
     # Running to the same (already processed) event again is a no-op.
-    assert env.run(ev) == "v"
+    count = env.processed_event_count
+    assert env.run(ev) is True
+    assert env.processed_event_count == count
 
-    # The deadlock path must also clean up after itself.
-    pending = env.event()
+    # After a deadlock, too.
+    pending = Event(env)
     with pytest.raises(RuntimeError, match="deadlock"):
         env.run(pending)
     assert pending.callbacks == []
     # ... and the event is still usable afterwards.
     env.timeout(2).callbacks.append(lambda ev: pending.succeed("late"))
-    assert env.run(pending) == "late"
-
-
-def test_run_until_failed_event_raises_once_detached():
-    env = Environment()
-    boom = env.event()
-    boom.fail(ValueError("boom"))
-    with pytest.raises(ValueError, match="boom"):
-        env.run(boom)
-    assert boom.callbacks == []
+    assert env.run(pending) is True
+    assert pending.value == "late"
 
 
 def test_profiling_counters():
@@ -285,7 +263,7 @@ def test_profiling_counters():
     assert env.profile is counters
 
     sleeper(env, (1,) * 4)
-    env.run(None)
+    env.run()
     assert counters.events_total == env.processed_event_count
     assert counters.events_by_type["Timeout"] == 4
     assert counters.events_by_type["Initialize"] == 1
@@ -294,19 +272,18 @@ def test_profiling_counters():
 
 
 def _drain_chunks(env, _procs):
-    while not env.run_batched(max_events=4):
+    while not env.run(max_events=4):
         pass
 
 
 @pytest.mark.parametrize(
     "drain",
     [
-        lambda env, procs: env.run(None),
-        lambda env, procs: env.run(3.5),
+        lambda env, procs: env.run(),
         lambda env, procs: env.run(procs[1]),
         _drain_chunks,
     ],
-    ids=["run-none", "run-time", "run-event", "run-batched-chunks"],
+    ids=["run-none", "run-event", "run-batched-chunks"],
 )
 def test_profiled_run_identical_to_fast_path(drain):
     def run(profiled):
@@ -386,7 +363,7 @@ def _run_schedule(schedule, drive, profiled):
         elif kind == "timeout":
             env.timeout(d).callbacks.append(fire)
         elif kind == "succeed":
-            ev = env.event()
+            ev = Event(env)
             ev.callbacks.append(fire)
             ev.succeed()
             d = 0.0
@@ -429,10 +406,10 @@ def test_generated_schedules_fire_in_queue_key_order(schedule):
     """Oracle (c) on the engine: calls and events interleave in one
     ``(time, priority, seq)`` order, the same under ``run()`` and under
     repeated ``step()``, profiled or not."""
-    ran, count, _ = _run_schedule(schedule, lambda env: env.run(None), False)
+    ran, count, _ = _run_schedule(schedule, lambda env: env.run(), False)
     stepped, step_count, _ = _run_schedule(schedule, _step_all, False)
     profiled, prof_count, counters = _run_schedule(
-        schedule, lambda env: env.run(None), True
+        schedule, lambda env: env.run(), True
     )
     assert ran == stepped == profiled
     assert count == step_count == prof_count == len(ran)

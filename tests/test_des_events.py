@@ -1,64 +1,45 @@
-"""Event primitives: states, composition, failure propagation."""
+"""Event primitives: states and composition."""
 
 import pytest
 
-from repro.des import AllOf, Environment, FirstOf
+from repro.des import AllOf, Environment, Event, FirstOf
 
 
 def test_event_lifecycle():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     assert not ev.triggered
     with pytest.raises(RuntimeError):
         _ = ev.value
     ev.succeed("v")
     assert ev.triggered and not ev.processed
-    env.run(None)
+    env.run()
     assert ev.processed
-    assert ev.ok
     assert ev.value == "v"
 
 
 def test_double_trigger_rejected():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.succeed()
     with pytest.raises(RuntimeError):
         ev.succeed()
-    with pytest.raises(RuntimeError):
-        ev.fail(RuntimeError("x"))
-
-
-def test_fail_requires_exception():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")
-
-
-def test_failed_event_thrown_into_waiter():
-    """A failure with a waiter goes to the waiter and is not raised."""
-    env = Environment()
-    ev = env.event()
-    seen = []
-    ev.callbacks.append(lambda e: seen.append((e.ok, f"caught {e.value}")))
-    ev.fail(ValueError("boom"))
-    env.run(None)
-    assert seen == [(False, "caught boom")]
 
 
 def test_unhandled_failure_surfaces():
+    """An exception raised in a callback or a queued call propagates
+    out of run."""
+
+    def boom(_arg):
+        raise ValueError("lost")
+
     env = Environment()
-    env.event().fail(ValueError("lost"))
+    env.timeout(1).callbacks.append(boom)
     with pytest.raises(ValueError, match="lost"):
-        env.run(None)
-
-
-def test_defused_failure_is_silent():
-    env = Environment()
-    ev = env.event()
-    ev.defused = True
-    ev.fail(ValueError("ignored"))
-    env.run(None)  # no raise
+        env.run()
+    env.call_in(1, boom)
+    with pytest.raises(ValueError, match="lost"):
+        env.run()
 
 
 def test_allof_waits_for_all():
@@ -73,13 +54,13 @@ def test_allof_waits_for_all():
 def test_allof_fires_one_hop_after_its_last_child():
     env = Environment()
     order = []
-    a, b = env.event(), env.event()
+    a, b = Event(env), Event(env)
     AllOf(env, [a, b]).callbacks.append(lambda ev: order.append("all"))
     a.succeed()
     b.succeed()
     b.callbacks.append(lambda ev: order.append("last child"))
     env.timeout(0).callbacks.append(lambda ev: order.append("timeout"))
-    env.run(None)
+    env.run()
     # Scheduled from the last child's callback, so after the timeout
     # queued before that child was processed.
     assert order == ["last child", "timeout", "all"]
@@ -89,14 +70,15 @@ def test_empty_condition_fires_immediately():
     env = Environment()
     cond = AllOf(env, [])
     assert cond.triggered and not cond.processed
-    env.run(None)
-    assert cond.processed and cond.ok
+    env.run()
+    assert cond.processed and cond.value is None
 
 
 def test_condition_with_already_processed_child():
     env = Environment()
     a = env.timeout(1)
-    env.run(until=2.0)
+    while env.peek() <= 2.0:
+        env.step()
     later = env.timeout(10)
     cond = AllOf(env, [a, later])
     assert not cond.triggered
@@ -106,25 +88,14 @@ def test_condition_with_already_processed_child():
 def test_condition_mixed_environments_rejected():
     env1, env2 = Environment(), Environment()
     with pytest.raises(ValueError):
-        AllOf(env1, [env1.event(), env2.event()])
-
-
-def test_condition_propagates_failure():
-    env = Environment()
-    bad = env.event()
-    cond = AllOf(env, [bad, env.timeout(5)])
-    cond.defused = True
-    bad.fail(RuntimeError("child failed"))
-    env.run(until=10.0)
-    assert cond.triggered and not cond.ok
-    assert isinstance(cond.value, RuntimeError) and bad.defused
+        AllOf(env1, [Event(env1), Event(env2)])
 
 
 def test_resolve_without_waiters_is_not_queued():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.resolve("v")
-    assert ev.processed and ev.ok and ev.value == "v"
+    assert ev.processed and ev.value == "v"
     assert env.peek() == float("inf")
     with pytest.raises(RuntimeError):
         ev.resolve()
@@ -132,13 +103,12 @@ def test_resolve_without_waiters_is_not_queued():
 
 def test_resolve_with_a_waiter_is_succeed():
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     got = []
     ev.callbacks.append(lambda e: got.append(e.value))
-    env.run(until=1.0)
     ev.resolve("v")
     assert ev.triggered and not ev.processed
-    env.run(None)
+    env.run()
     assert got == ["v"]
 
 
@@ -146,7 +116,7 @@ def test_yielding_a_resolved_event_resumes_now():
     """A resolved event is already processed: a late waiter reads its
     value at once, since a callback appended now would never run."""
     env = Environment()
-    ev = env.event()
+    ev = Event(env)
     ev.resolve(7)
     got = []
     late = []
@@ -157,7 +127,7 @@ def test_yielding_a_resolved_event_resumes_now():
             got.append((ev.value, env.now))
 
     env.timeout(3).callbacks.append(step)
-    env.run(None)
+    env.run()
     assert got == [(7, 3.0)]
     assert late == []
 
@@ -173,7 +143,7 @@ def test_firstof_fires_with_first_child_value():
 
 def test_firstof_detaches_from_losers():
     env = Environment()
-    never = env.event()
+    never = Event(env)
     for t in range(1, 4):
         env.run(FirstOf(env, (never, env.timeout(1, t))))
     # Each turn detached its callback from ``never`` when it fired.
@@ -183,12 +153,12 @@ def test_firstof_detaches_from_losers():
 def test_firstof_fires_one_hop_after_its_child():
     env = Environment()
     order = []
-    a = env.event()
+    a = Event(env)
     FirstOf(env, (a,)).callbacks.append(lambda ev: order.append("first"))
     a.callbacks.append(lambda ev: order.append("child"))
     a.succeed()
     env.timeout(0).callbacks.append(lambda ev: order.append("timeout"))
-    env.run(None)
+    env.run()
     # Scheduled from its child's callback, so after the timeout queued
     # before the child was processed.
     assert order == ["child", "timeout", "first"]
@@ -197,18 +167,10 @@ def test_firstof_fires_one_hop_after_its_child():
 def test_firstof_with_processed_child_fires_at_once():
     env = Environment()
     a = env.timeout(1, "a")
-    env.run(until=2.0)
+    env.timeout(2)
+    while env.peek() <= 2.0:
+        env.step()
     first = FirstOf(env, (a, env.timeout(10)))
     assert first.triggered
     env.run(first)
     assert env.now == 2.0 and first.value == "a"
-
-
-def test_firstof_propagates_failure():
-    env = Environment()
-    bad = env.event()
-    first = FirstOf(env, (bad, env.timeout(5)))
-    first.defused = True
-    bad.fail(RuntimeError("child failed"))
-    env.run(until=10.0)
-    assert first.triggered and not first.ok

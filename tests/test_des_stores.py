@@ -27,7 +27,7 @@ def test_fifo_order():
     consume(store, 3, got.append)
     for i in range(3):
         store.put_nowait(i)
-    env.run(None)
+    env.run()
     assert got == [0, 1, 2]
 
 
@@ -37,7 +37,7 @@ def test_get_blocks_until_put():
     got = []
     consume(store, 1, lambda item: got.append((env.now, item)))
     env.timeout(10).callbacks.append(lambda ev: store.put_nowait("x"))
-    env.run(None)
+    env.run()
     assert got == [(10.0, "x")]
 
 
@@ -48,7 +48,7 @@ def test_cancel_get():
     g2 = store.get()
     store.cancel(g1)
     store.put_nowait("only")
-    env.run(None)
+    env.run()
     assert not g1.triggered
     assert g2.value == "only"
     store.cancel(g1)  # idempotent
@@ -75,7 +75,7 @@ def test_put_nowait_serves_a_waiting_getter_like_put():
     store.put_nowait(2)
     assert store.items == []
     assert all(g.triggered and not g.processed for g in gets)
-    env.run(None)
+    env.run()
     assert got == [("a", 1), ("b", 2)]
     assert env.processed_event_count == 2
 
@@ -97,7 +97,7 @@ def test_none_is_a_valid_item():
     store.put_nowait(None)
     got = []
     consume(store, 1, got.append)
-    env.run(None)
+    env.run()
     assert got == [None]
 
 
@@ -111,5 +111,5 @@ def test_store_preserves_all_items(items):
     consume(store, len(items), got.append)
     for i, it in enumerate(items):
         env.timeout(i + 1).callbacks.append(lambda ev, it=it: store.put_nowait(it))
-    env.run(None)
+    env.run()
     assert got == items

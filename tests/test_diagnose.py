@@ -208,7 +208,7 @@ def test_report_ranks_by_severity_and_rounds():
         ],
     )
     assert [f.kind for f in report.findings] == ["straggler", "idle_tail"]
-    assert report.worst().severity == 1.0
+    assert report.findings[0].severity == 1.0
     assert report.findings[0].evidence_dict()["x"] == 0.123457
     assert report.kinds() == ["straggler", "idle_tail"]  # catalog order
     assert set(report.kinds()) <= set(KINDS)

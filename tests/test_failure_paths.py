@@ -9,7 +9,7 @@ import pytest
 from repro.core import presets
 from repro.core.pipeline import measure
 from repro.core.translation import TranslatedProgram, translate
-from repro.des import Deadlock, Environment, SimulationStalled
+from repro.des import Deadlock, Environment, Event, SimulationStalled
 from repro.machine import Machine
 from repro.pcxx import Collection, make_distribution
 from repro.sim.messages import Message, MsgKind
@@ -45,7 +45,7 @@ def translated(n, **kw):
 def test_des_deadlock_on_unreachable_event():
     """The engine raises Deadlock when the queue drains early."""
     env = Environment()
-    never = env.event()
+    never = Event(env)
     woken = []
     # A chain that runs for a while, then waits on an event nobody fires.
     env.timeout(1).callbacks.append(lambda ev: never.callbacks.append(woken.append))

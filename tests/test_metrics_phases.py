@@ -44,7 +44,7 @@ def test_per_thread_aggregation_and_imbalance():
     st = phase_stats(threads)["x"]
     assert st.total == 40.0
     assert st.max_thread == 30.0
-    assert st.min_thread == 10.0
+    assert min(st.per_thread.values()) == 10.0
     assert st.imbalance == pytest.approx(1.5)
 
 

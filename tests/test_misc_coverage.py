@@ -44,16 +44,6 @@ def test_cli_override_bad_group():
 # -- DES run(until=failed event) ---------------------------------------------
 
 
-def test_run_until_failed_event_raises():
-    """An event that fails during ``run(until=event)`` is raised by it."""
-    env = Environment()
-    boom = env.event()
-    env.timeout(1).callbacks.append(lambda ev: boom.fail(KeyError("inner")))
-    with pytest.raises(KeyError, match="inner"):
-        env.run(boom)
-    assert env.now == 1.0
-
-
 # -- machine port network directly -----------------------------------------------
 
 
@@ -73,7 +63,7 @@ def test_port_network_injection_serialises():
         net.send(second, then=lambda ev: injected.append(env.now))
 
     net.send(WireMessage("reply", src=0, dst=1, nbytes=100, msg_id=1), send_second)
-    env.run(None)
+    env.run()
     assert injected == [pytest.approx(200.0)]
     # injection 100us each, ejection 100us: first delivered at 200,
     # second injected 100..200, ejected 200..300.
@@ -98,7 +88,7 @@ def test_port_network_rejects_self_and_unattached():
         net.send(
             WireMessage("reply", src=1, dst=1, nbytes=1, msg_id=2), resumed.append
         )
-    env.run(None)
+    env.run()
     assert resumed == [] and net.stats.messages == 0
 
 

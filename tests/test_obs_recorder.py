@@ -12,7 +12,6 @@ from repro.obs.samplers import (
     OnChangeSampler,
     busy_fraction_series,
     counter_points,
-    step_resample,
     utilization_series,
 )
 
@@ -46,9 +45,6 @@ def test_counter_dedups_unchanged_values():
     series.sample(2.0, 3)
     series.sample(3.0, 1)
     assert series.samples == [(0.0, 1), (2.0, 3), (3.0, 1)]
-    assert series.value_at(1.5) == 1
-    assert series.value_at(2.5) == 3
-    assert series.value_at(-1.0) == 0.0
 
 
 def test_finalize_sorts_spans_and_instants():
@@ -81,17 +77,6 @@ def test_on_change_sampler_forwards_with_dedup():
     s.sample(2.0, 6)
     tl = rec.finalize(n_procs=1, end_time=2.0)
     assert tl.counters["q"].samples == [(0.0, 5), (2.0, 6)]
-
-
-def test_step_resample():
-    samples = [(1.0, 10.0), (3.0, 20.0)]
-    assert step_resample(samples, [0.0, 1.0, 2.0, 3.0, 9.0]) == [
-        0.0,
-        10.0,
-        10.0,
-        20.0,
-        20.0,
-    ]
 
 
 def test_busy_fraction_series_simple():

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pcxx import Collection, TracingRuntime, make_distribution
-from repro.pcxx.patterns import (
-    all_reduce_via_root,
-    bcast,
-    reduce_linear,
-    reduce_tree,
-    shift,
-)
+from repro.pcxx.patterns import all_reduce_via_root, bcast, reduce_tree
 from repro.trace.validate import validate_trace
 
 
@@ -29,20 +23,6 @@ def test_reduce_tree_sum(n):
 
     def body(ctx):
         total = yield from reduce_tree(ctx, coll, lambda a, b: a + b)
-        results[ctx.tid] = total
-
-    validate_trace(rt.run(body))
-    assert results[0] == sum(range(1, n + 1))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
-def test_reduce_linear_sum(n):
-    rt = TracingRuntime(n, "p")
-    coll = per_thread_coll(n)
-    results = {}
-
-    def body(ctx):
-        total = yield from reduce_linear(ctx, coll, lambda a, b: a + b)
         results[ctx.tid] = total
 
     validate_trace(rt.run(body))
@@ -76,20 +56,6 @@ def test_bcast():
 
     validate_trace(rt.run(body))
     assert set(results.values()) == {3.0}
-
-
-def test_shift():
-    n = 4
-    rt = TracingRuntime(n, "p")
-    coll = per_thread_coll(n)
-    results = {}
-
-    def body(ctx):
-        v = yield from shift(ctx, coll, offset=1)
-        results[ctx.tid] = v
-
-    validate_trace(rt.run(body))
-    assert results == {0: 2.0, 1: 3.0, 2: 4.0, 3: 1.0}
 
 
 def test_reduce_tree_is_log_depth_in_barriers():

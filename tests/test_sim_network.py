@@ -36,9 +36,11 @@ def test_delivery_after_transit():
     )
     transit = net.send(Message(MsgKind.REQUEST, src=0, dst=2, nbytes=100))
     assert transit == pytest.approx(10.0)
-    env.run(until=9.9)
+    while env.peek() <= 9.9:
+        env.step()
     assert inboxes[2] == []
-    env.run(until=10.1)
+    while env.peek() <= 10.1:
+        env.step()
     assert len(inboxes[2]) == 1
 
 
@@ -56,7 +58,7 @@ def test_contention_multiplier_grows_with_in_flight():
     t2 = net.send(Message(MsgKind.REQUEST, src=2, dst=3, nbytes=1000))
     assert t2 > t1
     assert t2 == pytest.approx(2 * t1)
-    env.run(None)
+    env.run()
     # drained: nothing in flight, the first message's price again
     assert net.send(Message(MsgKind.REQUEST, src=0, dst=1, nbytes=1000)) == t1
 
@@ -85,12 +87,12 @@ def test_stats():
     env, net, _ = make_net(contention=False)
     net.send(Message(MsgKind.REQUEST, src=0, dst=1, nbytes=10))
     net.send(Message(MsgKind.REPLY, src=1, dst=0, nbytes=30))
-    env.run(None)
+    env.run()
     assert net.stats.messages == 2
     assert net.stats.bytes == 40
     assert net.stats.by_kind == {"request": 1, "reply": 1}
     assert net.stats.max_in_flight >= 1
-    assert net.stats.mean_wire_time > 0
+    assert net.stats.total_wire_time > 0
 
 
 def test_attach_wrong_count():

@@ -8,12 +8,7 @@ import repro.trace.trace as trace_mod
 from repro.bench.suite import get_benchmark
 from repro.core.pipeline import measure
 from repro.sweep import ParallelExecutor, ResultCache, SweepSpec, run_sweep
-from repro.sweep.analyze import (
-    best_record,
-    format_run,
-    pareto_front,
-    to_experiment_result,
-)
+from repro.sweep.analyze import best_record, format_run, pareto_front
 
 
 @pytest.fixture(scope="module")
@@ -247,14 +242,6 @@ def test_best_and_pareto(spec, embar_trace):
                     or b.result["message_bytes"] < a.result["message_bytes"]
                 )
             )
-
-
-def test_to_experiment_result_shape(spec, embar_trace):
-    run = run_sweep(spec, trace=embar_trace)
-    er = to_experiment_result(run)
-    assert er.name == "sweep-t"
-    assert set(er.series["predicted time (us)"]) == {0, 1, 2, 3}
-    assert er.table()  # renders without error
 
 
 # -- interrupt handling ------------------------------------------------------

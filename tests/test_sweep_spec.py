@@ -137,7 +137,7 @@ def test_n_threads_axis_validation():
     spec = SweepSpec.from_dict(
         {"grid": {"n_threads": [2, 4]}, "benchmark": "embar"}
     )
-    assert spec.uses_n_threads_axis()
+    assert [p.n_threads for p in spec.expand()] == [2, 4]
 
 
 def test_roundtrip_through_file(tmp_path):

@@ -140,7 +140,7 @@ def _pop(t):
 def _replace(t):
     old = t.events[3]
     events = list(t.events)
-    events[3] = old.shifted(old.time + 1.0)
+    events[3] = old._replace(time=old.time + 1.0)
     changed = Trace(t.meta, events)
 
     def undo():
@@ -240,7 +240,7 @@ def test_an_equal_event_that_prints_differently_cannot_be_swapped_in():
     ev = t.events[0]
     assert ev.time == 0.0
     with pytest.raises(TypeError):
-        t.events[0] = ev.shifted(-0.0)
+        t.events[0] = ev._replace(time=-0.0)
     assert t.events[0] is ev
     assert t.digest() == original == digest_events(t.meta, t.events)
 

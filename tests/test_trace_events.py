@@ -17,14 +17,6 @@ def test_kinds_are_stable():
     assert int(EventKind.MARK) == 6
 
 
-def test_shifted():
-    ev = TraceEvent(5.0, 2, EventKind.REMOTE_READ, owner=1, nbytes=8)
-    moved = ev.shifted(9.0)
-    assert moved.time == 9.0
-    assert moved.thread == 2 and moved.owner == 1 and moved.nbytes == 8
-    assert ev.time == 5.0  # original untouched
-
-
 def test_dict_roundtrip_defaults_elided():
     ev = TraceEvent(1.0, 0, EventKind.THREAD_BEGIN)
     d = ev.to_dict()
