@@ -5,8 +5,9 @@ This is the substrate underneath the ExtraP trace-driven simulator
 (:mod:`repro.machine`).  It provides only what those two use:
 
 * :class:`Environment` — the simulation clock and event loop, whose
-  queue also takes plain calls (``call_at`` / ``call_in``) for a
-  wake-up with one waiting step and no event object.  ``run`` is the
+  queue also takes plain calls (``call_at`` / ``call_in``, and
+  ``call_first`` to start a component ahead of same-time entries) for
+  a wake-up with one waiting step and no event object.  ``run`` is the
   one way to drive it: drain the queue, optionally until an awaited
   event fires and at most ``max_events`` entries at a time;
 * :class:`Event` / :class:`Timeout` primitives, :class:`FirstOf` (the
@@ -15,10 +16,11 @@ This is the substrate underneath the ExtraP trace-driven simulator
 * :class:`Store`, an unbounded FIFO used as a receive queue; a getter
   takes an event (``get``) or a call (``get_then``).
 
-There is one process style: a model waits on an event by appending its
-next step to the event's ``callbacks`` (or, when that step is the only
-waiter, queues the step itself as a call), and an
-:class:`~repro.des.events.Initialize` starts a model component at the
+There is one process style: a model's next step is a queue entry's
+work.  A wake-up with one waiting step queues the step itself as a
+call; an event remains where several steps share a wake-up or one wait
+races several (the step is then appended to the event's
+``callbacks``).  ``call_first`` starts a model component at the
 current time.
 
 Events only succeed: the models need wake-ups delivered in a fixed

@@ -1,9 +1,10 @@
 """The simulation environment: clock + event queue + run loop.
 
 A queue entry is either an :class:`~repro.des.events.Event`,
-``(time, priority, seq, event)``, or a plain call, ``(time, 0, seq, fn,
-arg)`` (:meth:`Environment.call_at` / :meth:`Environment.call_in`): a
-wake-up whose only waiter is one step needs no event object.  One loop,
+``(time, 0, seq, event)``, or a plain call, ``(time, priority, seq, fn,
+arg)`` (:meth:`Environment.call_at` / :meth:`Environment.call_in` at
+priority 0, :meth:`Environment.call_first` at -1): a wake-up whose
+only waiter is one step needs no event object.  One loop,
 :meth:`Environment._drain`, dispatches both kinds for
 :meth:`Environment.run`, in exactly the order repeated
 :meth:`Environment.step` calls would; ``step()`` stays the readable
@@ -118,14 +119,14 @@ class Environment:
     Time is a float in whatever unit the caller chooses; the rest of this
     library uses microseconds (see :mod:`repro.util.units`).
 
-    Entries scheduled for the same time fire in FIFO order of scheduling,
-    with an integer ``priority`` tie-break below that (lower fires first;
-    an :class:`~repro.des.events.Initialize` uses priority -1 so a freshly
+    Entries scheduled for the same time fire by an integer ``priority``
+    (lower first), then in FIFO order of scheduling.  Every entry has
+    priority 0 except a :meth:`call_first` call (-1), so a freshly
     started model component takes its first step before same-time
-    ordinary events).  Models are callback-driven: the step after each
-    wait is a callback appended to the awaited event, or the queued
-    call itself when nothing else waits (:meth:`call_at`,
-    :meth:`call_in`).
+    ordinary entries.  Models are callback-driven: the step after each
+    wait is the queued call itself when it is the only waiter
+    (:meth:`call_at`, :meth:`call_in`, :meth:`call_first`), or a
+    callback appended to the awaited event.
     """
 
     def __init__(self, initial_time: float = 0.0):
@@ -221,18 +222,26 @@ class Environment:
         if self._profile is not None:
             self._profile.pushed(len(queue))
 
+    def call_first(self, fn: Callable[[Any], Any], arg: Any = None) -> None:
+        """Call ``fn(arg)`` at the current time, ahead of every same-time
+        entry of priority 0 (this entry takes priority -1): how a model
+        component (a processor, a machine node, a wire leg) starts."""
+        self._seq += 1
+        queue = self._queue
+        heappush(queue, (self._now, -1, self._seq, fn, arg))
+        if self._profile is not None:
+            self._profile.pushed(len(queue))
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
     # -- scheduling / run loop ----------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 0) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
+    def _schedule(self, event: Event) -> None:
         self._seq += 1
         queue = self._queue
-        heappush(queue, (self._now + delay, priority, self._seq, event))
+        heappush(queue, (self._now, 0, self._seq, event))
         if self._profile is not None:
             self._profile.pushed(len(queue))
 

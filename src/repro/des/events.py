@@ -1,9 +1,11 @@
 """Event primitives for the DES engine.
 
-An :class:`Event` is a one-shot occurrence with a value.  A model waits on
-an event by appending its next step to the event's ``callbacks``; the
-environment runs each callback when the event is processed.  Events move
-through three states::
+An :class:`Event` is a one-shot occurrence with a value, for a wake-up
+that several steps share or that one wait races against others (a
+wake-up with one waiting step is a plain queued call instead).  A model
+waits on an event by appending its next step to the event's
+``callbacks``; the environment runs each callback when the event is
+processed.  Events move through three states::
 
     PENDING -> TRIGGERED (scheduled on the event queue) -> PROCESSED
 
@@ -64,13 +66,13 @@ class Event:
 
     # -- triggering --------------------------------------------------------
 
-    def succeed(self, value: Any = None, *, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire after ``delay``."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Schedule this event to fire at the current time."""
         if self._state != PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
         self._state = TRIGGERED
-        self.env._schedule(self, delay)
+        self.env._schedule(self)
         return self
 
     def resolve(self, value: Any = None) -> "Event":
@@ -204,19 +206,3 @@ class AllOf(Event):
         self._pending -= 1
         if not self._pending:
             self.succeed()
-
-
-class Initialize(Event):
-    """Internal event that starts a callback-driven model component (a
-    simulated processor, a reference-machine node or handler, a wire
-    transfer) at the current time ahead of same-time ordinary events
-    (priority -1)."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", value: Any = None):
-        self.env = env
-        self._state = TRIGGERED
-        self._value = value
-        self.callbacks = []
-        env._schedule(self, 0.0, priority=-1)

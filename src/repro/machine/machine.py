@@ -11,10 +11,13 @@ operation takes simulated time on a message-level machine model:
   active-message handler;
 * ``barrier()`` — the control-network hardware barrier.
 
-Each node runs as callback steps on the DES engine, as the replay's
-processors do: a step resumes the program body (still a generator, the
-pcxx ``ThreadCtx`` API) and acts on what it yields, an event to wait on
-or a message to send.
+Each node runs as queued calls on the DES engine, as the replay's
+processors do.  The program body stays a generator (the pcxx
+``ThreadCtx`` API); each operation queues the call that resumes it
+(after a sleep, once a message is injected, when a reply arrives or a
+barrier releases) and parks the body until then.  The only events are
+each node's ``done`` and the every-node-done sentinel ``Machine.run``
+waits on.
 
 The result carries the measured execution time and a measured trace
 (barrier/remote events with machine timestamps) so the validation
@@ -26,11 +29,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List
+from typing import Any, Callable, Dict, Generator, List, Set
 
 from repro.des import Deadlock, Environment, Event, Store
-from repro.des.events import Initialize
-from repro.machine.network import PortNetwork, WireMessage
+from repro.machine.network import PortNetwork, Step, WireMessage
 from repro.machine.spec import CM5_SPEC, MachineSpec
 from repro.pcxx.collection import Collection, Index
 from repro.trace.events import EventKind, TraceEvent
@@ -75,28 +77,32 @@ class MachineResult:
         )
 
 
+#: What a node operation yields once it has queued the call that
+#: resumes the body: the one value a program body may yield.
+_PARKED = object()
+
+
 class _HwBarrier:
-    """The control-network barrier: release fires ``latency`` after the
-    last arrival of each episode."""
+    """The control-network barrier: ``latency`` after the last arrival
+    of each episode, one queued call resumes its nodes in arrival order."""
 
     def __init__(self, env: Environment, n: int, latency: float):
         self.env = env
         self.n = n
         self.latency = latency
-        self._arrived: Dict[int, int] = {}
-        self._released: Dict[int, Event] = {}
+        self._waiting: Dict[int, List[Step]] = {}
 
-    def release_event(self, bid: int) -> Event:
-        if bid not in self._released:
-            self._released[bid] = Event(self.env)
-        return self._released[bid]
+    def arrive(self, bid: int, resume: Step) -> None:
+        waiting = self._waiting.setdefault(bid, [])
+        waiting.append(resume)
+        if len(waiting) == self.n:
+            del self._waiting[bid]
+            self.env.call_in(self.latency, self._release, waiting)
 
-    def arrive(self, bid: int) -> Event:
-        self._arrived[bid] = self._arrived.get(bid, 0) + 1
-        release = self.release_event(bid)
-        if self._arrived[bid] >= self.n and not release.triggered:
-            release.succeed(delay=self.latency)
-        return release
+    @staticmethod
+    def _release(waiting: List[Step]) -> None:
+        for resume in waiting:
+            resume(None)
 
 
 class Machine:
@@ -159,8 +165,9 @@ class MachineNode:
 
     Presents the same generator API as
     :class:`repro.pcxx.runtime.ThreadCtx`, so benchmark bodies run
-    unmodified.  ``get`` and ``put`` of a remote element yield the
-    request :class:`WireMessage`, which the node step sends.
+    unmodified.  Each operation queues the call that resumes the body
+    and then yields ``_PARKED``; ``get`` and ``put`` of a remote element
+    send the request :class:`WireMessage` and then wait for its reply.
     """
 
     def __init__(self, machine: Machine, pid: int):
@@ -170,7 +177,8 @@ class MachineNode:
         self.pid = pid
         self.tid = pid  # ThreadCtx-compatible alias
         self.inbox: Store = Store(self.env)
-        self.pending: Dict[int, Event] = {}
+        #: ids of the requests still waiting for a reply
+        self.pending: Set[int] = set()
         self.stats = NodeStats(pid=pid)
         self.out_events: List[TraceEvent] = []
         self.done = Event(self.env)
@@ -197,55 +205,47 @@ class MachineNode:
 
     def start(self, body: Callable) -> None:
         """Start the program thread, then the handler, at the current time."""
-        Initialize(self.env).callbacks.append(lambda ev: self._begin(body, ev))
-        Initialize(self.env).callbacks.append(self._await_message)
+        self.env.call_first(self._begin, body)
+        self.env.call_first(self._await_message)
 
-    def _begin(self, body: Callable, ev: Event) -> None:
+    def _begin(self, body: Callable) -> None:
         self._record(EventKind.THREAD_BEGIN)
         self._body = body(self)
-        self._resume(ev)
+        self._resume(None)
 
-    def _resume(self, ev: Event) -> None:
-        """Send ``ev``'s value into the body and act on what it yields:
-        wait on an event, or send a message and resume once it is
-        injected."""
+    def _resume(self, value: Any) -> None:
+        """Send ``value`` into the body, which runs until its next
+        operation has queued the call that resumes it."""
         try:
-            target = self._body.send(ev._value)
+            op = self._body.send(value)
         except StopIteration:
             self._record(EventKind.THREAD_END)
             self.stats.end_time = self.env.now
             self.done.succeed()
             return
-        if type(target) is WireMessage:
-            self.machine.network.send(target, self._resume)
-        elif isinstance(target, Event):
-            target.callbacks.append(self._resume)
-        else:
+        if op is not _PARKED:
             raise RuntimeError(
-                f"node {self.pid}: program yielded {target!r}, "
+                f"node {self.pid}: program yielded {op!r}, "
                 "expected a ThreadCtx operation"
             )
 
     # Active-message handler: services remote requests concurrently with
     # computation (network-interface work, not node CPU).
 
-    def _await_message(self, _ev: Event) -> None:
-        self.inbox.get().callbacks.append(self._on_message)
+    def _await_message(self, _arg: Any = None) -> None:
+        self.inbox.get_then(self._on_message)
 
-    def _on_message(self, ev: Event) -> None:
-        msg: WireMessage = ev._value
+    def _on_message(self, msg: WireMessage) -> None:
         if msg.kind in ("reply", "write_ack"):
-            waiter = self.pending.pop(msg.msg_id, None)
-            if waiter is None:
+            if msg.msg_id not in self.pending:
                 raise RuntimeError(
                     f"node {self.pid}: unexpected {msg.kind} id={msg.msg_id}"
                 )
-            waiter.succeed(msg)
-            self._await_message(ev)
+            self.pending.remove(msg.msg_id)
+            self.env.call_in(0.0, self._resume, msg)
+            self._await_message()
             return
-        self.env.timeout(self.spec.service_time).callbacks.append(
-            lambda _ev: self._serve(msg)
-        )
+        self.env.call_in(self.spec.service_time, self._serve, msg)
 
     def _serve(self, msg: WireMessage) -> None:
         self.stats.requests_served += 1
@@ -274,17 +274,22 @@ class MachineNode:
 
     # -- ThreadCtx-compatible operations ----------------------------------------
 
+    def _sleep(self, delay: float) -> object:
+        """Queue the call that resumes the body ``delay`` from now."""
+        self.env.call_in(delay, self._resume)
+        return _PARKED
+
     def compute(self, flops: float) -> Generator:
         if flops < 0:
             raise ValueError(f"negative flop count {flops}")
         dt = flops / self.spec.node_mflops
-        yield self.env.timeout(dt)
+        yield self._sleep(dt)
         self.stats.compute_time += dt
 
     def compute_us(self, us: float) -> Generator:
         if us < 0:
             raise ValueError(f"negative compute time {us}")
-        yield self.env.timeout(us)
+        yield self._sleep(us)
         self.stats.compute_time += us
 
     def get(self, coll: Collection, index: Index, nbytes: int | None = None) -> Generator:
@@ -292,7 +297,7 @@ class MachineNode:
         if owner == self.pid:
             self.stats.local_accesses += 1
             if self.spec.local_access_time:
-                yield self.env.timeout(self.spec.local_access_time)
+                yield self._sleep(self.spec.local_access_time)
             return coll._load(index)
         reply_nbytes = nbytes if nbytes is not None else coll.element_nbytes
         self._record(
@@ -302,10 +307,9 @@ class MachineNode:
             collection=coll.name,
         )
         mid = next(self.machine._msg_ids)
-        ev = Event(self.env)
-        self.pending[mid] = ev
+        self.pending.add(mid)
         t0 = self.env.now
-        yield WireMessage(
+        request = WireMessage(
             "request",
             src=self.pid,
             dst=owner,
@@ -315,7 +319,9 @@ class MachineNode:
             index=index,
             reply_nbytes=int(reply_nbytes),
         )
-        reply = yield ev
+        self.machine.network.send(request, self._resume)
+        yield _PARKED
+        reply = yield _PARKED  # the handler resumes the body with it
         self.stats.remote_accesses += 1
         self.stats.comm_wait += self.env.now - t0
         return reply.payload
@@ -328,7 +334,7 @@ class MachineNode:
             self.stats.local_accesses += 1
             coll._store(index, value)
             if self.spec.local_access_time:
-                yield self.env.timeout(self.spec.local_access_time)
+                yield self._sleep(self.spec.local_access_time)
             return
         wire_nbytes = nbytes if nbytes is not None else coll.element_nbytes
         self._record(
@@ -338,10 +344,9 @@ class MachineNode:
             collection=coll.name,
         )
         mid = next(self.machine._msg_ids)
-        ev = Event(self.env)
-        self.pending[mid] = ev
+        self.pending.add(mid)
         t0 = self.env.now
-        yield WireMessage(
+        write = WireMessage(
             "write",
             src=self.pid,
             dst=owner,
@@ -351,7 +356,9 @@ class MachineNode:
             index=index,
             payload=value,
         )
-        yield ev
+        self.machine.network.send(write, self._resume)
+        yield _PARKED
+        yield _PARKED  # the handler resumes the body with the ack
         self.stats.remote_accesses += 1
         self.stats.comm_wait += self.env.now - t0
 
@@ -361,11 +368,11 @@ class MachineNode:
         t0 = self.env.now
         self._record(EventKind.BARRIER_ENTER, barrier_id=bid)
         if self.spec.barrier_entry_time:
-            yield self.env.timeout(self.spec.barrier_entry_time)
-        release = self.machine.barrier.arrive(bid)
-        yield release
+            yield self._sleep(self.spec.barrier_entry_time)
+        self.machine.barrier.arrive(bid, self._resume)
+        yield _PARKED
         if self.spec.barrier_exit_time:
-            yield self.env.timeout(self.spec.barrier_exit_time)
+            yield self._sleep(self.spec.barrier_exit_time)
         self._record(EventKind.BARRIER_EXIT, barrier_id=bid)
         self.stats.barrier_time += self.env.now - t0
 

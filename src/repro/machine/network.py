@@ -7,11 +7,12 @@ endpoint contention (the dominant effect on a CM-5-class fat tree, which
 preserves bisection bandwidth) is *simulated*, message by message, with
 FIFO queueing on each port.
 
-``send(msg, then)`` is a chain of callback steps: the sender is busy for
-the software start-up and until its injection port accepts the message,
-and ``then`` runs once injection finishes.  The rest of the transfer
-(switch hops, ejection, delivery) is a detached chain that starts from
-an :class:`~repro.des.events.Initialize` event.
+``send(msg, then)`` is a chain of steps, each a queued call
+(:meth:`~repro.des.Environment.call_in`): the sender is busy for the
+software start-up and until its injection port accepts the message, and
+``then`` runs once injection finishes.  The rest of the transfer (switch
+hops, ejection, delivery) is a detached chain that starts from a
+:meth:`~repro.des.Environment.call_first` call.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
-from repro.des import Environment, Event
-from repro.des.events import Initialize
+from repro.des import Environment
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.spec import MachineSpec
     from repro.pcxx.collection import Collection, Index
 
-#: A step of a callback chain: called with the event that fired.
-Step = Callable[[Event], None]
+#: A step of a chain of queued calls, called with the call's argument
+#: (``None`` on the network's chains).
+Step = Callable[[Any], None]
 
 
 @dataclass
@@ -55,7 +56,7 @@ class PortNetworkStats:
 class _Port:
     """A one-slot FIFO: held by one message, the others wait in order.
 
-    A claim is granted through one event hop, and a release hands the
+    A claim is granted through one queued call, and a release hands the
     slot straight to the oldest waiter, so a claim made at the same
     time as a release queues behind it.
     """
@@ -72,18 +73,13 @@ class _Port:
             self.waiters.append(granted)
         else:
             self.held = True
-            self._grant(granted)
+            self.env.call_in(0.0, granted)
 
     def release(self) -> None:
         if self.waiters:
-            self._grant(self.waiters.popleft())
+            self.env.call_in(0.0, self.waiters.popleft())
         else:
             self.held = False
-
-    def _grant(self, granted: Step) -> None:
-        ev = Event(self.env)
-        ev.callbacks.append(granted)
-        ev.succeed()
 
 
 class PortNetwork:
@@ -116,7 +112,7 @@ class PortNetwork:
         return self._topology.hops(src, dst)
 
     def send(self, msg: WireMessage, then: Step) -> None:
-        """Inject ``msg``, then call ``then`` with the last event waited on.
+        """Inject ``msg``, then call ``then(None)``.
 
         The sender is busy for ``msg_startup`` plus any wait for its
         injection port plus the injection occupancy itself; ``then``
@@ -133,42 +129,42 @@ class PortNetwork:
         self.stats.messages += 1
         self.stats.bytes += msg.nbytes
 
-        def inject(_ev: Optional[Event]) -> None:
+        def inject(_arg: None) -> None:
             self._hold(self.inject[msg.src], occupancy, injected)
 
-        def injected(ev: Event) -> None:
-            Initialize(env).callbacks.append(wire)
-            then(ev)
+        def injected(_arg: None) -> None:
+            env.call_first(wire)
+            then(None)
 
-        def wire(ev: Event) -> None:
+        def wire(_arg: None) -> None:
             lat = self.hops(msg.src, msg.dst) * spec.hop_time
             if lat:
-                env.timeout(lat).callbacks.append(eject)
+                env.call_in(lat, eject)
             else:
-                eject(ev)
+                eject(None)
 
-        def eject(_ev: Event) -> None:
+        def eject(_arg: None) -> None:
             self._hold(self.eject[msg.dst], occupancy, delivered)
 
-        def delivered(_ev: Event) -> None:
+        def delivered(_arg: None) -> None:
             self._inboxes[msg.dst](msg)
 
         if spec.msg_startup:
-            env.timeout(spec.msg_startup).callbacks.append(inject)
+            env.call_in(spec.msg_startup, inject)
         else:
             inject(None)
 
     def _hold(self, port: _Port, occupancy: float, then: Step) -> None:
         """Claim ``port``, occupy it for ``occupancy``, release it, then ``then``."""
 
-        def granted(ev: Event) -> None:
+        def granted(_arg: None) -> None:
             if occupancy:
-                self.env.timeout(occupancy).callbacks.append(release)
+                self.env.call_in(occupancy, release)
             else:
-                release(ev)
+                release(None)
 
-        def release(ev: Event) -> None:
+        def release(_arg: None) -> None:
             port.release()
-            then(ev)
+            then(None)
 
         port.claim(granted)

@@ -25,8 +25,9 @@ class EngineCounters:
         counted while profiling was enabled).
     events_by_type:
         Processed-entry histogram keyed by event class name
-        (``Timeout``, ``StoreGet``, ``Initialize``, ...), with ``Call``
-        for a plain call (:meth:`~repro.des.Environment.call_at`).
+        (``Timeout``, ``StoreGet``, ``Event``, ...), with ``Call`` for
+        a plain call (:meth:`~repro.des.Environment.call_at`,
+        ``call_in``, ``call_first``, ``Store.get_then``).
     callbacks_fired:
         Total callbacks invoked by event processing, one per call.
     scheduled_total:

@@ -342,8 +342,8 @@ class SimProcessor:
 
     # -- the thread scheduler ---------------------------------------------------
 
-    def start(self, _ev: Event) -> None:
-        """Begin the replay (the callback of the processor's start event)."""
+    def start(self, _arg: None) -> None:
+        """Begin the replay (the processor's start call)."""
         self._next()
 
     def _next(self) -> None:
@@ -577,18 +577,18 @@ class SimProcessor:
                         extra_us=extra,
                     )
         policy = self._policy
-        if policy is _INTERRUPT or policy is _POLL:
-            if scaled <= self._EPS:
-                return True
-            self._compute_left = scaled
-            if policy is _INTERRUPT:
-                self._interrupt_slice()
-            else:
-                self._poll_slice()
-            return False
-        if policy is _NO_INTERRUPT:
+        # A compute of at most _EPS is too short to slice, so every
+        # policy charges it as no_interrupt does.
+        if policy is _NO_INTERRUPT or scaled <= self._EPS:
             return self._busy(self._k_action_done, scaled, "compute")
-        raise AssertionError(policy)  # pragma: no cover - exhaustive
+        self._compute_left = scaled
+        if policy is _INTERRUPT:
+            self._interrupt_slice()
+        elif policy is _POLL:
+            self._poll_slice()
+        else:  # pragma: no cover - exhaustive
+            raise AssertionError(policy)
+        return False
 
     #: Compute remainders below this are float residue, not real work
     #: (1e-9 us = 1 femtosecond; far below any model parameter).

@@ -10,7 +10,6 @@ from typing import List, Optional, Sequence
 from repro.core.parameters import SimulationParameters
 from repro.core.translation import TranslatedProgram
 from repro.des import Deadlock, Environment, SimulationStalled, Watchdog
-from repro.des.events import Initialize
 from repro.faults.injector import FaultInjector
 from repro.obs.recorder import TimelineRecorder
 from repro.perf import PhaseTimer, SimulationProfile
@@ -172,7 +171,7 @@ class Simulator:
         """Queue each processor's start, in processor order, ahead of
         same-time ordinary events (priority -1)."""
         for p in self.processors:
-            Initialize(self.env).callbacks.append(p.start)
+            self.env.call_first(p.start)
 
     def _replay(self) -> None:
         """Run until every processor's replay is done (the hot loop).

@@ -57,11 +57,3 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     with atomic_write(path) as fh:
         fh.write(text)
     return path
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
-    """Atomically replace ``path`` with ``data``."""
-    path = Path(path)
-    with atomic_write(path, mode="wb") as fh:
-        fh.write(data)
-    return path

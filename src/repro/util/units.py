@@ -3,8 +3,8 @@
 The whole library measures *time in microseconds* (float), matching the
 units the paper quotes for every model parameter (Table 1, Table 3).
 Bandwidths in the paper are quoted both as MB/s and as a per-byte transfer
-time; these helpers convert between the two representations so parameter
-sets can be written either way without ad-hoc arithmetic.
+time; :func:`mbytes_per_s_to_us_per_byte` turns the first into the second,
+which is what the parameter sets hold.
 
 A "MByte" here is 10**6 bytes, which is how the paper's numbers work out:
 0.118 us/byte == 8.5 MB/s and 0.05 us/byte == 20 MB/s.
@@ -31,43 +31,3 @@ def mbytes_per_s_to_us_per_byte(mbytes_per_s: float) -> float:
         raise ValueError(f"bandwidth must be positive, got {mbytes_per_s}")
     return MICROSECONDS_PER_SECOND / (mbytes_per_s * BYTES_PER_MBYTE)
 
-
-def us_per_byte_to_mbytes_per_s(us_per_byte: float) -> float:
-    """Convert a per-byte transfer time in us to a bandwidth in MB/s.
-
-    >>> round(us_per_byte_to_mbytes_per_s(0.05), 6)
-    20.0
-    """
-    if us_per_byte <= 0:
-        raise ValueError(f"per-byte time must be positive, got {us_per_byte}")
-    return MICROSECONDS_PER_SECOND / (us_per_byte * BYTES_PER_MBYTE)
-
-
-def bytes_per_us_to_mbytes_per_s(bytes_per_us: float) -> float:
-    """Convert a rate in bytes/us to MB/s."""
-    return bytes_per_us * MICROSECONDS_PER_SECOND / BYTES_PER_MBYTE
-
-
-def mflops_to_us_per_flop(mflops: float) -> float:
-    """Convert a MFLOPS rating to the virtual cost of one flop in us.
-
-    The paper rates the Sun4 trace machine at 1.1360 scalar MFLOPS and the
-    CM-5 node at 2.7645 MFLOPS; the work model charges compute phases at
-    the trace machine's rate and the simulator rescales by ``MipsRatio``.
-
-    >>> round(mflops_to_us_per_flop(1.0), 6)
-    1.0
-    """
-    if mflops <= 0:
-        raise ValueError(f"MFLOPS rating must be positive, got {mflops}")
-    return 1.0 / mflops
-
-
-def us_to_s(us: float) -> float:
-    """Microseconds to seconds."""
-    return us / MICROSECONDS_PER_SECOND
-
-
-def us_to_ms(us: float) -> float:
-    """Microseconds to milliseconds."""
-    return us / 1000.0

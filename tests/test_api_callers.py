@@ -12,7 +12,10 @@ outside one it cannot refer to a method: a local variable called
 ``step`` does not count as a caller of ``Environment.step``.
 
 The scan is by name, so a name two definitions share is used as soon
-as either is; what it reports is a floor.
+as either is; what it reports is a floor.  A package re-export counts
+as a use too: a name that ``__init__.py`` imports (and lists in
+``__all__``) passes even when nothing else calls it, so such a name
+is found only by grepping for its other uses.
 
 When the first test fails, the name it lists has callers only in
 ``tests/`` (or none).  Delete it, or give it the caller that justifies

@@ -5,19 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Deadlock, Environment, Event, StopSimulation, Store
-from repro.des.events import Initialize
 
 
 def sleeper(env, delays, on_wake=lambda: None):
-    """A callback chain started by an ``Initialize``: wait each of
+    """A callback chain started by ``call_first``: wait each of
     ``delays`` in turn and call ``on_wake()`` after each.  Returns an
     event that fires after the last wake."""
     delays = iter(delays)
     done = Event(env)
-    start = Initialize(env)
 
     def step(ev):
-        if ev is not start:
+        if ev is not None:
             on_wake()
         delay = next(delays, None)
         if delay is None:
@@ -25,7 +23,7 @@ def sleeper(env, delays, on_wake=lambda: None):
         else:
             env.timeout(delay).callbacks.append(step)
 
-    start.callbacks.append(step)
+    env.call_first(step)
     return done
 
 
@@ -149,40 +147,48 @@ def test_process_waits_on_process():
 
 def test_same_time_priority_beats_fifo():
     """Lower priority fires first at equal times, regardless of when it
-    was scheduled (the documented tie-break below FIFO)."""
-    env = Environment()
+    was scheduled (the documented tie-break below FIFO): a
+    ``call_first`` entry (priority -1) overtakes same-time events and
+    calls (priority 0)."""
+    env = Environment(5.0)
     log = []
-    for tag, prio in [("late-low", 1), ("first-normal", 0), ("urgent", -1)]:
-        ev = Event(env)
-        ev.callbacks.append(lambda _e, t=tag: log.append(t))
-        env._schedule(ev, 5.0, priority=prio)
-        ev._state = 1  # TRIGGERED (scheduled directly, not via succeed)
+    ev = Event(env)
+    ev.callbacks.append(lambda _e: log.append("first-normal"))
+    ev.succeed()
+    env.call_in(0.0, log.append, "late-normal")
+    env.call_first(log.append, "urgent")
     env.run()
-    assert log == ["urgent", "first-normal", "late-low"]
+    assert log == ["urgent", "first-normal", "late-normal"]
 
 
 def test_same_time_fifo_within_priority():
-    env = Environment()
+    """Same-time entries of one priority fire in the order they were
+    queued, events and calls alike."""
+    env = Environment(1.0)
     log = []
-    for tag in "abcdef":
-        ev = Event(env)
-        ev.callbacks.append(lambda _e, t=tag: log.append(t))
-        env._schedule(ev, 1.0, priority=0)
-        ev._state = 1
+    for i, tag in enumerate("abcdef"):
+        if i % 2:
+            env.call_in(0.0, log.append, tag)
+        else:
+            ev = Event(env)
+            ev.callbacks.append(lambda _e, t=tag: log.append(t))
+            ev.succeed()
+    for tag in "xyz":
+        env.call_first(log.append, tag)
     env.run()
-    assert log == list("abcdef")
+    assert log == list("xyzabcdef")
 
 
 def test_process_start_beats_same_time_events():
-    """A component started by an ``Initialize`` (priority -1) takes its
+    """A component started by ``call_first`` (priority -1) takes its
     first step before ordinary events already queued for the same
     instant."""
     env = Environment()
     log = []
     env.timeout(0).callbacks.append(lambda ev: log.append("timeout"))
-    Initialize(env).callbacks.append(lambda ev: log.append("initialize"))
+    env.call_first(log.append, "call_first")
     env.run()
-    assert log == ["initialize", "timeout"]
+    assert log == ["call_first", "timeout"]
 
 
 def test_run_batched_matches_step_ordering():
@@ -266,7 +272,7 @@ def test_profiling_counters():
     env.run()
     assert counters.events_total == env.processed_event_count
     assert counters.events_by_type["Timeout"] == 4
-    assert counters.events_by_type["Initialize"] == 1
+    assert counters.events_by_type["Call"] == 1
     assert counters.heap_peak >= 1
     assert counters.callbacks_fired >= 5
 
@@ -306,13 +312,13 @@ def test_profiled_run_identical_to_fast_path(drain):
 # -- oracle: generated schedules of events and calls ---------------------------
 
 #: What a generated operation queues: a plain call, a timeout, a
-#: zero-delay ``succeed``, an ``Initialize`` (priority -1), or a store
+#: zero-delay ``succeed``, a ``call_first`` (priority -1), or a store
 #: put or get (an event getter or a call getter).
 OP_KINDS = (
-    "call_in", "call_at", "timeout", "succeed", "initialize",
+    "call_in", "call_at", "timeout", "succeed", "call_first",
     "put", "get", "get_then",
 )
-CALL_KINDS = ("call_in", "call_at", "get_then")
+CALL_KINDS = ("call_in", "call_at", "call_first", "get_then")
 
 _op = st.tuples(st.sampled_from(OP_KINDS), st.sampled_from((0.0, 0.5, 1.0, 2.5)))
 #: Operations done before the run, each with the follow-ups its callback
@@ -367,8 +373,8 @@ def _run_schedule(schedule, drive, profiled):
             ev.callbacks.append(fire)
             ev.succeed()
             d = 0.0
-        elif kind == "initialize":
-            Initialize(env).callbacks.append(fire)
+        elif kind == "call_first":
+            env.call_first(fire)
             queued(op_id, now, -1)
             return
         else:
@@ -413,7 +419,9 @@ def test_generated_schedules_fire_in_queue_key_order(schedule):
     )
     assert ran == stepped == profiled
     assert count == step_count == prof_count == len(ran)
-    if not any(kind == "initialize" for _, children in schedule for kind, _ in children):
+    if not any(
+        kind == "call_first" for _, children in schedule for kind, _ in children
+    ):
         # Nothing queued mid-run can sort before the entry that queued
         # it, so the whole order is one sort of the keys.
         assert [key for key, _ in ran] == sorted(key for key, _ in ran)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.des import Event
 from repro.machine import CM5_SPEC, Machine, MachineSpec, run_on_machine
 from repro.pcxx import Collection, make_distribution
 from repro.trace.events import EventKind
@@ -242,15 +243,27 @@ def test_program_exception_leaves_run_unchanged():
     assert info.value.args == ("node 1 failed mid-run",)
 
 
+#: What a program may not yield: a non-operation, a bare float (not
+#: taken as a sleep), ``None``, and a raw DES event (not waited on).
+NON_OPERATIONS = (
+    lambda ctx: "not an operation",
+    lambda ctx: 1.5,
+    lambda ctx: None,
+    lambda ctx: Event(ctx.env),
+)
+
+
 def test_program_yielding_a_non_operation_is_rejected():
-    def factory(rt):
-        def body(ctx):
-            yield "not an operation"
+    for make_value in NON_OPERATIONS:
 
-        return body
+        def factory(rt):
+            def body(ctx):
+                yield make_value(ctx)
 
-    with pytest.raises(RuntimeError, match="expected a ThreadCtx operation"):
-        run_on_machine(factory, 1)
+            return body
+
+        with pytest.raises(RuntimeError, match="expected a ThreadCtx operation"):
+            run_on_machine(factory, 1)
 
 
 @pytest.mark.parametrize("p", (2, 4, 8, 16))

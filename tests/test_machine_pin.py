@@ -10,13 +10,14 @@ up.  Each run is pinned by three sha256 digests:
   byte counts);
 * ``deliveries``: every ``MachineNode.deliver`` call, in order, as
   ``(now, dst, kind, msg_id, src)``;
-* ``pops``: every popped queue entry that runs at least one callback, as
-  ``(time, priority)``.  Sequence numbers are not pinned: an entry that
-  runs no callback (such as the completion of a process nobody waits
-  on) may be dropped without moving anything that is pinned.
+* ``pops``: every popped queued call, and every popped event that runs
+  at least one callback, as ``(time, priority)``.  Sequence numbers are
+  not pinned: an entry that runs nothing (such as the completion of a
+  process nobody waits on) may be dropped without moving anything that
+  is pinned.
 
 A change to how the machine is driven (generator processes, callback
-steps) must leave all of them unchanged.  To regenerate after a
+steps, queued calls) must leave all of them unchanged.  To regenerate after a
 deliberate behaviour change::
 
     PYTHONPATH=src python tests/test_machine_pin.py --write
@@ -92,7 +93,7 @@ def pin(name: str, n: int, spec: MachineSpec) -> Dict[str, str]:
 
     def recording_heappop(queue):
         entry = heappop(queue)
-        if entry[3].callbacks:
+        if len(entry) == 5 or entry[3].callbacks:
             pops.append(entry[:2])
         return entry
 

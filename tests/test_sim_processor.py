@@ -184,9 +184,9 @@ def test_remote_access_completes_without_a_scheduled_reply_event(monkeypatch):
     scheduled, resolved = [], []
     schedule, resolve = Environment._schedule, Event.resolve
 
-    def spy_schedule(self, event, delay=0.0, priority=0):
+    def spy_schedule(self, event):
         scheduled.append(event)
-        schedule(self, event, delay, priority)
+        schedule(self, event)
 
     def spy_resolve(self, value=None):
         resolved.append(self)

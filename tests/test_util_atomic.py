@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.util.atomic import atomic_write, atomic_write_bytes, atomic_write_text
+from repro.util.atomic import atomic_write, atomic_write_text
 
 
 def test_atomic_write_text_creates_and_replaces(tmp_path):
@@ -13,12 +13,6 @@ def test_atomic_write_text_creates_and_replaces(tmp_path):
     assert path.read_text() == "one\n"
     atomic_write_text(path, "two\n")
     assert path.read_text() == "two\n"
-
-
-def test_atomic_write_bytes(tmp_path):
-    path = tmp_path / "out.bin"
-    atomic_write_bytes(path, b"\x00\x01")
-    assert path.read_bytes() == b"\x00\x01"
 
 
 def test_failure_leaves_original_intact_and_no_temp_files(tmp_path):
