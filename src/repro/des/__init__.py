@@ -4,15 +4,14 @@ This is the substrate underneath the ExtraP trace-driven simulator
 (:mod:`repro.sim`) and the reference target-machine simulator
 (:mod:`repro.machine`).  It provides only what those two use:
 
-* :class:`Environment` — the simulation clock and event loop, whose
-  queue also takes plain calls (``call_at`` / ``call_in``, and
-  ``call_first`` to start a component ahead of same-time entries) for
-  a wake-up with one waiting step and no event object.  ``run`` is the
-  one way to drive it: drain the queue, optionally until an awaited
-  event fires and at most ``max_events`` entries at a time;
-* :class:`Event` / :class:`Timeout` primitives, :class:`FirstOf` (the
-  first of several children, e.g. a compute timer against an inbox
-  get) and :class:`AllOf` (the every-processor-done sentinel);
+* :class:`Environment` — the simulation clock and a queue of calls
+  (``call_at`` / ``call_in``, and ``call_first`` to start a component
+  ahead of same-time entries).  ``run`` is the one way to drive it:
+  make the calls until the queue is empty, at most ``max_events`` of
+  them at a time;
+* :class:`Event` / :class:`Timeout` primitives and :class:`FirstOf`
+  (the first of several children, e.g. a compute timer against an
+  inbox get); an event's processing is one more queued call;
 * :class:`Store`, an unbounded FIFO used as a receive queue; a getter
   takes an event (``get``) or a call (``get_then``).
 
@@ -21,7 +20,8 @@ work.  A wake-up with one waiting step queues the step itself as a
 call; an event remains where several steps share a wake-up or one wait
 races several (the step is then appended to the event's
 ``callbacks``).  ``call_first`` starts a model component at the
-current time.
+current time.  There is one stop rule: a run ends when the queue is
+empty, and a model that must finish checks its own components then.
 
 Events only succeed: the models need wake-ups delivered in a fixed
 order, never a failed event, so there is no failure protocol.  An
@@ -31,9 +31,8 @@ The engine is deterministic: simultaneous entries fire in FIFO order of
 scheduling (stable tie-break on a monotone sequence number).
 """
 
-from repro.des.events import AllOf, Event, FirstOf, Timeout
+from repro.des.events import Event, FirstOf, Timeout
 from repro.des.engine import (
-    Deadlock,
     Environment,
     SimulationStalled,
     StopSimulation,
@@ -42,8 +41,6 @@ from repro.des.engine import (
 from repro.des.stores import Store
 
 __all__ = [
-    "AllOf",
-    "Deadlock",
     "Environment",
     "Event",
     "FirstOf",

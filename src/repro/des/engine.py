@@ -1,17 +1,19 @@
 """The simulation environment: clock + event queue + run loop.
 
-A queue entry is either an :class:`~repro.des.events.Event`,
-``(time, 0, seq, event)``, or a plain call, ``(time, priority, seq, fn,
-arg)`` (:meth:`Environment.call_at` / :meth:`Environment.call_in` at
-priority 0, :meth:`Environment.call_first` at -1): a wake-up whose
-only waiter is one step needs no event object.  One loop,
-:meth:`Environment._drain`, dispatches both kinds for
-:meth:`Environment.run`, in exactly the order repeated
-:meth:`Environment.step` calls would; ``step()`` stays the readable
-one-entry reference path.  Profiling
+Every queue entry is a call, ``(time, priority, seq, fn, arg)``:
+:meth:`Environment.call_at` / :meth:`Environment.call_in` queue one at
+priority 0 and :meth:`Environment.call_first` at -1.  An
+:class:`~repro.des.events.Event` that succeeds, or a
+:class:`~repro.des.events.Timeout`, queues its own processing the same
+way (``fn`` is ``Event._process``, ``arg`` the event), so a wake-up
+whose only waiter is one step needs no event object.  One loop,
+:meth:`Environment._drain`, makes the calls for
+:meth:`Environment.run` until the queue is empty, in exactly the order
+repeated :meth:`Environment.step` calls would; ``step()`` stays the
+readable one-entry reference path.  Profiling
 (:meth:`Environment.enable_profiling`) attaches an
 :class:`~repro.perf.counters.EngineCounters` block that the loop fills
-in; with profiling off it costs one ``is None`` test per event.
+in; with profiling off it costs one ``is None`` test per entry.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 import time
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.des.events import PROCESSED, AllOf, Event, Timeout
+from repro.des.events import Timeout
 from repro.perf.counters import EngineCounters
 
 
@@ -29,20 +31,15 @@ class StopSimulation(Exception):
     """Raised by :meth:`Environment.step` when the queue is empty."""
 
 
-class Deadlock(RuntimeError):
-    """Raised when the queue drains before an awaited event fires."""
-
-
 class SimulationStalled(RuntimeError):
     """The simulation stopped making progress (watchdog diagnosis).
 
-    Raised instead of hanging (or dying with a bare :class:`Deadlock`)
-    when a run cannot complete — e.g. a fault plan dropped a message
-    nobody retransmits, or the wall-clock budget ran out.  The message
-    is a one-line diagnosis; ``blocked`` carries ``(pid, reason)``
-    pairs for the processes that never finished and
-    ``pending_barriers`` the barrier episodes still waiting on
-    arrivals, so callers can render richer reports.
+    Raised instead of hanging when a run cannot complete — e.g. a
+    fault plan dropped a message nobody retransmits, or the wall-clock
+    budget ran out.  The message is a one-line diagnosis; ``blocked``
+    carries ``(pid, reason)`` pairs for the processes that never
+    finished and ``pending_barriers`` the barrier episodes still
+    waiting on arrivals, so callers can render richer reports.
     """
 
     def __init__(
@@ -126,13 +123,14 @@ class Environment:
     ordinary entries.  Models are callback-driven: the step after each
     wait is the queued call itself when it is the only waiter
     (:meth:`call_at`, :meth:`call_in`, :meth:`call_first`), or a
-    callback appended to the awaited event.
+    callback appended to the awaited event, whose processing is one
+    more queued call.
     """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        #: ``(time, priority, seq, event)`` and ``(time, 0, seq, fn, arg)``
-        #: entries, popped in ``(time, priority, seq)`` order
+        #: ``(time, priority, seq, fn, arg)`` entries, popped in
+        #: ``(time, priority, seq)`` order
         self._queue: List[tuple] = []
         self._seq = 0
         self._event_count = 0
@@ -163,7 +161,7 @@ class Environment:
 
     @property
     def processed_event_count(self) -> int:
-        """Queue entries (events and calls) processed so far."""
+        """Queue entries (calls, event processing included) processed so far."""
         return self._event_count
 
     @property
@@ -174,8 +172,8 @@ class Environment:
     def enable_profiling(self) -> EngineCounters:
         """Attach (or return the already-attached) engine counters.
 
-        While enabled, processed events are histogrammed by type and the
-        event-queue peak is tracked, which slows the run loop down.
+        While enabled, processed entries are histogrammed by kind and the
+        queue peak is tracked, which slows the run loop down.
         """
         if self._profile is None:
             self._profile = EngineCounters()
@@ -232,22 +230,11 @@ class Environment:
         if self._profile is not None:
             self._profile.pushed(len(queue))
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
-    # -- scheduling / run loop ----------------------------------------------
-
-    def _schedule(self, event: Event) -> None:
-        self._seq += 1
-        queue = self._queue
-        heappush(queue, (self._now, 0, self._seq, event))
-        if self._profile is not None:
-            self._profile.pushed(len(queue))
+    # -- run loop -------------------------------------------------------------
 
     def step(self) -> None:
         """Process exactly one queue entry (advancing the clock to it):
-        run an event's callbacks or make an entry's call.
+        make its call.
 
         This is the reference path; bulk draining goes through
         :meth:`_drain`, which behaves exactly like repeated ``step()``
@@ -255,26 +242,18 @@ class Environment:
         """
         if not self._queue:
             raise StopSimulation("event queue is empty")
-        entry = heappop(self._queue)
-        self._now = entry[0]
+        t, _priority, _seq, fn, arg = heappop(self._queue)
+        self._now = t
         self._event_count += 1
-        if len(entry) == 5:
-            if self._profile is not None:
-                self._profile.count_call()
-            entry[3](entry[4])
-            return
-        event = entry[3]
         if self._profile is not None:
-            self._profile.count(event)
-        event._process()
+            self._profile.count(fn, arg)
+        fn(arg)
 
-    def _drain(self, until: Event | None = None, budget: int = -1) -> bool:
-        """The event-dispatch loop: :meth:`step` order, dispatch inlined.
+    def _drain(self, budget: int) -> bool:
+        """The dispatch loop: :meth:`step` order, dispatch inlined.
 
-        Stops right after ``until`` is processed (``True``), after
-        ``budget`` entries (``False``; ``-1`` is unlimited), or when the
-        queue drains (``True``).  Raises :class:`Deadlock` if the queue
-        drains while ``until`` is pending.
+        Stops when the queue is empty (``True``) or after ``budget``
+        entries (``False``; ``-1`` is unlimited).
         """
         queue = self._queue
         pop = heappop
@@ -284,53 +263,28 @@ class Environment:
             while queue:
                 t = queue[0][0]
                 self._now = t
-                # Drain everything scheduled for exactly t.  Callbacks may
+                # Drain everything scheduled for exactly t.  Calls may
                 # push new time-t entries; the peek re-checks pick those up
                 # in (priority, seq) order, same as step() would.
                 while queue and queue[0][0] == t:
-                    entry = pop(queue)
+                    _t, _priority, _seq, fn, arg = pop(queue)
                     count += 1
-                    if len(entry) == 5:
-                        # A plain call (call_at / call_in): no event.
-                        if profile is not None:
-                            profile.count_call()
-                        entry[3](entry[4])
-                    else:
-                        event = entry[3]
-                        if profile is not None:
-                            profile.count(event)
-                        # Inlined Event._process (do not override _process
-                        # in Event subclasses; the loop bypasses the method).
-                        event._state = PROCESSED
-                        callbacks = event.callbacks
-                        if callbacks:
-                            event.callbacks = []
-                            for cb in callbacks:
-                                cb(event)
-                        if event is until:
-                            return True
+                    if profile is not None:
+                        profile.count(fn, arg)
+                    fn(arg)
                     if count == budget:
                         return False
         finally:
             self._event_count += count
-        if until is not None:
-            raise Deadlock(
-                "simulation ran out of events before the awaited "
-                f"event fired ({until!r}); deadlock?"
-            )
         return True
 
-    def run(
-        self, until: Event | None = None, *, max_events: int | None = None
-    ) -> bool:
-        """Drain the queue (until ``until`` fires), at most ``max_events`` of it.
+    def run(self, *, max_events: int | None = None) -> bool:
+        """Make the queued calls until the queue is empty, at most
+        ``max_events`` of them.
 
-        Returns ``True`` when finished (queue drained, or ``until``
-        processed), ``False`` when the ``max_events`` budget ran out;
-        raises :class:`Deadlock` if the queue drains before ``until``.
+        Returns ``True`` when the queue is empty, ``False`` when the
+        ``max_events`` budget ran out first.
         """
-        if until is not None and until._state == PROCESSED:
-            return True
         if max_events == 0:
-            return until is None and not self._queue
-        return self._drain(until, -1 if max_events is None else max_events)
+            return not self._queue
+        return self._drain(-1 if max_events is None else max_events)

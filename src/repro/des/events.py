@@ -4,20 +4,20 @@ An :class:`Event` is a one-shot occurrence with a value, for a wake-up
 that several steps share or that one wait races against others (a
 wake-up with one waiting step is a plain queued call instead).  A model
 waits on an event by appending its next step to the event's
-``callbacks``; the environment runs each callback when the event is
-processed.  Events move through three states::
+``callbacks``; processing the event runs each callback.  Events move
+through three states::
 
-    PENDING -> TRIGGERED (scheduled on the event queue) -> PROCESSED
+    PENDING -> TRIGGERED (its processing queued as a call) -> PROCESSED
 
 Triggering is split from processing so that simultaneous events interleave
 deterministically through the central queue rather than recursing through
-callback chains.
+callback chains: triggering queues ``Event._process(event)`` like any
+other call.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List
+from typing import TYPE_CHECKING, Any, Callable, List
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.des.engine import Environment
@@ -72,7 +72,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
         self._state = TRIGGERED
-        self.env._schedule(self)
+        self.env.call_in(0.0, Event._process, self)
         return self
 
     def resolve(self, value: Any = None) -> "Event":
@@ -97,11 +97,14 @@ class Event:
     # -- internal ----------------------------------------------------------
 
     def _process(self) -> None:
-        """Run callbacks.  Called by the environment event loop only."""
+        """Run callbacks: the call that triggering queues.  Queued as
+        ``Event._process`` itself, so a subclass cannot override it."""
         self._state = PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for cb in callbacks:
-            cb(self)
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for cb in callbacks:
+                cb(self)
 
     def _remove_callback(self, cb: Callable[["Event"], None]) -> None:
         try:
@@ -120,22 +123,14 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        # Timeouts are the engine's hottest allocation; set every slot
-        # directly instead of chaining through Event.__init__ (which
-        # would store _state/_value twice), and push the queue entry
-        # here instead of through Environment._schedule.
+        # Set every slot directly instead of chaining through
+        # Event.__init__ (which would store _state/_value twice).
+        env.call_in(delay, Event._process, self)
         self.env = env
         self.delay = delay
         self._state = TRIGGERED
         self._value = value
         self.callbacks = []
-        env._seq += 1
-        queue = env._queue
-        heappush(queue, (env._now + delay, 0, env._seq, self))
-        if env._profile is not None:
-            env._profile.pushed(len(queue))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
@@ -174,35 +169,3 @@ class FirstOf(Event):
                 if other is not ev:
                     other._remove_callback(on_child)
         self.succeed(ev._value)
-
-
-class AllOf(Event):
-    """Fires, through the queue, once every child has been processed.
-
-    It is scheduled from the last child's callback, so it fires one
-    queue hop after that child; with no children it is triggered at
-    construction.  Its value is ``None``.
-    """
-
-    __slots__ = ("_pending",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        children = list(events)
-        if any(ev.env is not env for ev in children):
-            raise ValueError("all events must share one environment")
-        self._pending = len(children)
-        if not children:
-            self.succeed()
-        for ev in children:
-            if ev._state == PROCESSED:
-                self._on_child(ev)
-            else:
-                ev.callbacks.append(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self._state != PENDING:
-            return
-        self._pending -= 1
-        if not self._pending:
-            self.succeed()

@@ -15,9 +15,9 @@ Each node runs as queued calls on the DES engine, as the replay's
 processors do.  The program body stays a generator (the pcxx
 ``ThreadCtx`` API); each operation queues the call that resumes it
 (after a sleep, once a message is injected, when a reply arrives or a
-barrier releases) and parks the body until then.  The only events are
-each node's ``done`` and the every-node-done sentinel ``Machine.run``
-waits on.
+barrier releases) and parks the body until then, so the machine
+queues no event at all.  ``Machine.run`` runs the queue until it is
+empty and then checks that every node finished.
 
 The result carries the measured execution time and a measured trace
 (barrier/remote events with machine timestamps) so the validation
@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Set
 
-from repro.des import Deadlock, Environment, Event, Store
+from repro.des import Environment, Store
 from repro.machine.network import PortNetwork, Step, WireMessage
 from repro.machine.spec import CM5_SPEC, MachineSpec
 from repro.pcxx.collection import Collection, Index
@@ -129,7 +129,9 @@ class Machine:
         return self.n
 
     def run(self, program_factory: Callable, *, name: str = "") -> MachineResult:
-        """Execute a program factory to completion on the machine."""
+        """Execute a program factory to completion on the machine: run
+        the queue until it is empty, then check that every node's body
+        finished (``RuntimeError`` naming the ones that did not)."""
         if self._ran:
             raise RuntimeError("machine already ran a program; create a new one")
         self._ran = True
@@ -140,15 +142,10 @@ class Machine:
             raise ValueError(f"{len(bodies)} bodies for {self.n} nodes")
         for node, body in zip(self.nodes, bodies):
             node.start(body)
-        done = self.env.all_of([node.done for node in self.nodes])
-        try:
-            self.env.run(done)
-        except Deadlock:
-            stuck = [nd.pid for nd in self.nodes if not nd.done.triggered]
-            raise RuntimeError(
-                f"machine deadlocked; nodes {stuck} never finished"
-            ) from None
         self.env.run()
+        stuck = [nd.pid for nd in self.nodes if not nd.finished]
+        if stuck:
+            raise RuntimeError(f"machine deadlocked; nodes {stuck} never finished")
         return MachineResult(
             meta=TraceMeta(program=name, n_threads=self.n, size_mode="actual"),
             spec=self.spec,
@@ -181,7 +178,7 @@ class MachineNode:
         self.pending: Set[int] = set()
         self.stats = NodeStats(pid=pid)
         self.out_events: List[TraceEvent] = []
-        self.done = Event(self.env)
+        self.finished = False
         self._body: Generator | None = None
         self._barrier_seq = 0
 
@@ -221,7 +218,7 @@ class MachineNode:
         except StopIteration:
             self._record(EventKind.THREAD_END)
             self.stats.end_time = self.env.now
-            self.done.succeed()
+            self.finished = True
             return
         if op is not _PARKED:
             raise RuntimeError(

@@ -2,8 +2,11 @@
 
 Six seeded reference workloads exercise the layers of the hot path:
 
-* ``timeout_chain`` — the pure event loop (Timeout-only);
-* ``pingpong`` — callback chains + stores (get/put/timeout churn);
+* ``timeout_chain`` — the pure dispatch loop: one step re-queued with
+  ``call_in``, the timed wait of the replay and the reference machine;
+* ``pingpong`` — two call chains bouncing a token through stores
+  (``Store.get_then`` and ``call_in``, the receive and reply path of
+  both models);
 * ``simulator`` — a full trace-driven replay (8 processors, the
   distributed-memory preset) through :class:`repro.sim.Simulator`;
 * ``sweep`` — a cold-then-warm design-space sweep through
@@ -44,18 +47,18 @@ DEFAULT_BASELINE = "BENCH_engine.json"
 
 
 def timeout_chain(n: int = 20_000) -> int:
-    """One callback re-arming itself on ``n`` timeouts: the pure event
-    loop."""
+    """One step re-queueing itself ``n`` times with ``call_in``: the
+    pure dispatch loop."""
     from repro.des import Environment
 
     env = Environment()
     left = n
 
-    def sleep(_ev) -> None:
+    def sleep(_arg) -> None:
         nonlocal left
         if left:
             left -= 1
-            env.timeout(1.0).callbacks.append(sleep)
+            env.call_in(1.0, sleep)
 
     sleep(None)
     env.run()
@@ -63,7 +66,7 @@ def timeout_chain(n: int = 20_000) -> int:
 
 
 def pingpong(rounds: int = 5_000) -> int:
-    """Two callback chains bouncing a token through stores."""
+    """Two call chains bouncing a token through stores."""
     from repro.des import Environment, Store
 
     env = Environment()
@@ -71,17 +74,17 @@ def pingpong(rounds: int = 5_000) -> int:
     def player(store_in, store_out) -> None:
         left = rounds
 
-        def got(_ev) -> None:
-            env.timeout(1.0).callbacks.append(passed)
+        def got(_item) -> None:
+            env.call_in(1.0, passed)
 
-        def passed(_ev) -> None:
+        def passed(_arg) -> None:
             nonlocal left
             store_out.put_nowait(None)
             left -= 1
             if left:
-                store_in.get().callbacks.append(got)
+                store_in.get_then(got)
 
-        store_in.get().callbacks.append(got)
+        store_in.get_then(got)
 
     a, b = Store(env), Store(env)
     player(a, b)

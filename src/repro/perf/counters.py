@@ -20,7 +20,7 @@ class EngineCounters:
     Attributes
     ----------
     events_total:
-        Events processed (same quantity as
+        Queue entries processed (same quantity as
         :attr:`~repro.des.Environment.processed_event_count`, but only
         counted while profiling was enabled).
     events_by_type:
@@ -31,9 +31,9 @@ class EngineCounters:
     callbacks_fired:
         Total callbacks invoked by event processing, one per call.
     scheduled_total:
-        Events pushed onto the heap while profiling was enabled.
+        Entries pushed onto the heap while profiling was enabled.
     heap_peak:
-        Largest event-queue length observed.
+        Largest queue length observed.
     """
 
     events_total: int = 0
@@ -42,20 +42,20 @@ class EngineCounters:
     scheduled_total: int = 0
     heap_peak: int = 0
 
-    def count(self, event) -> None:
-        """Record one processed event (called by the engine loop)."""
+    def count(self, fn, arg) -> None:
+        """Record one processed queue entry, the call ``fn(arg)``
+        (called by the engine loop).  An event's processing
+        (``Event._process(event)``) counts under the event's class name
+        with one callback per waiter; any other call under ``Call``."""
         self.events_total += 1
-        name = type(event).__name__
         by_type = self.events_by_type
+        if getattr(fn, "__qualname__", None) == "Event._process":
+            name = type(arg).__name__
+            self.callbacks_fired += len(arg.callbacks)
+        else:
+            name = "Call"
+            self.callbacks_fired += 1
         by_type[name] = by_type.get(name, 0) + 1
-        self.callbacks_fired += len(event.callbacks)
-
-    def count_call(self) -> None:
-        """Record one processed plain call (called by the engine loop)."""
-        self.events_total += 1
-        by_type = self.events_by_type
-        by_type["Call"] = by_type.get("Call", 0) + 1
-        self.callbacks_fired += 1
 
     def pushed(self, queue_len: int) -> None:
         """Record one heap push leaving ``queue_len`` entries queued."""

@@ -37,7 +37,7 @@ class PhaseTimer:
 
         timer = PhaseTimer(env)
         with timer.phase("replay"):
-            env.run(done)
+            env.run()
     """
 
     env: Optional["Environment"] = None

@@ -136,7 +136,7 @@ class SimProcessor:
         "env", "pid", "pp", "np", "network", "coordinator", "threads",
         "_assignment", "_msg_ids", "_parked", "inbox", "pending_replies",
         "stats", "_thread", "_tid", "out_events", "_ready", "_blocked",
-        "_in_next", "_cpu_free", "done", "actions_done", "_call_in",
+        "_in_next", "_cpu_free", "finished", "actions_done", "_call_in",
         "_call_at", "_stats_add", "_mips_ratio", "_policy", "_obs",
         "_rxq_counter", "_faults", "_fault_plan",
         # What the steps that wait carry across their wait (see the
@@ -203,8 +203,8 @@ class SimProcessor:
         #: thread gave up the CPU (blocked or finished) meanwhile
         self._in_next = False
         self._cpu_free = False
-        #: fires when every hosted thread reached THREAD_END
-        self.done: Event = Event(env)
+        #: set when every hosted thread reached THREAD_END
+        self.finished = False
         #: replay progress: actions completed so far (the watchdog's
         #: per-processor progress token)
         self.actions_done = 0
@@ -360,7 +360,8 @@ class SimProcessor:
         (:meth:`_await_own`, or :meth:`_serve_until` while a retry timer
         or a second thread also waits); that idle time is its
         ``comm_wait``, since some thread waits on a reply.  With no
-        thread left, the replay is done.
+        thread left, the replay is done: ``finished`` is set and the
+        processor serves its inbox for the others.
         """
         ready = self._ready
         self._in_next = True
@@ -388,7 +389,7 @@ class SimProcessor:
         if not blocked:
             # Keep serving remote requests for threads that are still running.
             self.stats.end_time = self.env._now
-            self.done.succeed(self.env._now)
+            self.finished = True
             self._serve_forever()
             return
         self._wait_t0, self._wait_busy0 = self.env._now, self.stats.busy_total

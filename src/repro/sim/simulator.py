@@ -5,11 +5,12 @@ from __future__ import annotations
 import contextlib
 import itertools
 import time
+from math import inf
 from typing import List, Optional, Sequence
 
 from repro.core.parameters import SimulationParameters
 from repro.core.translation import TranslatedProgram
-from repro.des import Deadlock, Environment, SimulationStalled, Watchdog
+from repro.des import Environment, SimulationStalled, Watchdog
 from repro.faults.injector import FaultInjector
 from repro.obs.recorder import TimelineRecorder
 from repro.perf import PhaseTimer, SimulationProfile
@@ -154,10 +155,6 @@ class Simulator:
             self._spawn()
         with phase("replay"):
             self._replay()
-        # Drain in-flight messages (late replies/releases already en
-        # route; finished processors keep serving).
-        with phase("drain"):
-            env.run()
         with phase("collect"):
             result = self._collect()
 
@@ -174,46 +171,44 @@ class Simulator:
             self.env.call_first(p.start)
 
     def _replay(self) -> None:
-        """Run until every processor's replay is done (the hot loop).
+        """Run the event queue until it is empty (the hot loop).
 
-        The loop drains the event queue in watchdog-sized chunks; after
-        each chunk the watchdog compares wall clock and forward
-        progress so a stuck run (bad fault plan, malformed trace)
-        degrades to a diagnosable :class:`SimulationStalled` instead of
-        a hang or a bare deadlock.
+        Finished processors keep serving, so the run also drains the
+        messages still in flight when the last replay ends (late
+        replies, releases already en route).  The loop runs in
+        watchdog-sized chunks; after each chunk the watchdog compares
+        wall clock and forward progress so a stuck run (bad fault plan,
+        malformed trace) degrades to a diagnosable
+        :class:`SimulationStalled` instead of a hang.  So does a queue
+        that empties with a processor unfinished.
         """
         env = self.env
-        all_done = env.all_of([p.done for p in self.processors])
         watchdog = Watchdog(wall_clock_budget=self.wall_clock_budget)
         while True:
             remaining = self.max_events - env.processed_event_count
-            if remaining <= 0:
+            if remaining <= 0 and env.peek() < inf:
                 raise RuntimeError(
                     f"simulation exceeded {self.max_events} events "
                     "(runaway or max_events set too low)"
                 )
-            try:
-                if env.run(
-                    all_done,
-                    max_events=min(remaining, watchdog.check_interval),
-                ):
-                    return
-            except Deadlock:
-                raise self._stalled(
-                    "the event queue drained with processors still blocked"
-                ) from None
+            if env.run(max_events=min(remaining, watchdog.check_interval)):
+                break
             reason = watchdog.check(
                 env.processed_event_count, self._progress()
             )
             if reason is not None:
                 raise self._stalled(reason)
+        if not all(p.finished for p in self.processors):
+            raise self._stalled(
+                "the event queue drained with processors still blocked"
+            )
 
     def _progress(self):
         """Watchdog progress token: changes whenever real work completed."""
         done = 0
         actions = 0
         for p in self.processors:
-            if p.done.triggered:
+            if p.finished:
                 done += 1
             actions += p.actions_done
         return done, actions
@@ -223,7 +218,7 @@ class Simulator:
         blocked = [
             (p.pid, _stuck_threads(p))
             for p in self.processors
-            if not p.done.triggered
+            if not p.finished
         ]
         pending = self.coordinator.pending_barriers()
         parts = [f"simulation stalled at t={self.env.now:.1f} us: {reason}"]

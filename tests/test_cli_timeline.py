@@ -225,7 +225,7 @@ def test_profile_as_dict_roundtrips_to_json(traced):
         profile.counters.events_total
     )
     assert loaded["sim_time_us"] == outcome.result.execution_time
-    assert set(loaded["phases"]) >= {"spawn", "replay", "drain", "collect"}
+    assert set(loaded["phases"]) >= {"spawn", "replay", "collect"}
 
 
 def test_profile_survives_report(traced, capsys):

@@ -4,27 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Deadlock, Environment, Event, StopSimulation, Store
+from repro.des import Environment, Event, StopSimulation, Store
 
 
 def sleeper(env, delays, on_wake=lambda: None):
     """A callback chain started by ``call_first``: wait each of
-    ``delays`` in turn and call ``on_wake()`` after each.  Returns an
-    event that fires after the last wake."""
+    ``delays`` in turn and call ``on_wake()`` after each."""
     delays = iter(delays)
-    done = Event(env)
 
     def step(ev):
         if ev is not None:
             on_wake()
         delay = next(delays, None)
-        if delay is None:
-            done.succeed()
-        else:
+        if delay is not None:
             env.timeout(delay).callbacks.append(step)
 
     env.call_first(step)
-    return done
 
 
 def test_clock_starts_at_zero():
@@ -42,25 +37,6 @@ def test_timeout_advances_clock():
     sleeper(env, (5, 2.5), lambda: log.append(env.now))
     env.run()
     assert log == [5.0, 7.5]
-
-
-def test_run_until_event_returns_value():
-    env = Environment()
-
-    done = Event(env)
-    env.timeout(3).callbacks.append(lambda ev: done.succeed("answer"))
-    assert env.run(done) is True
-    assert done.value == "answer"
-    assert env.now == 3.0
-
-
-def test_run_until_event_deadlock_detected():
-    env = Environment()
-
-    done = Event(env)
-    Event(env).callbacks.append(lambda ev: done.succeed())  # never fires
-    with pytest.raises(RuntimeError, match="deadlock"):
-        env.run(done)
 
 
 def test_negative_delay_rejected():
@@ -137,8 +113,8 @@ def test_process_waits_on_process():
     env.timeout(7).callbacks.append(lambda ev: inner.succeed(42))
     outer = Event(env)
     inner.callbacks.append(lambda ev: outer.succeed(ev.value + 1))
-    env.run(outer)
-    assert outer.value == 43
+    assert env.run() is True
+    assert outer.processed and outer.value == 43
     assert env.now == 7.0
 
 
@@ -221,48 +197,6 @@ def test_run_batched_max_events_budget():
     assert env.processed_event_count == 10
 
 
-def test_run_batched_until_event():
-    env = Environment()
-    first = env.timeout(1)
-    target = env.timeout(5)
-    env.timeout(9)
-    assert env.run(target) is True
-    assert target.processed and env.now == 5.0
-    assert first.processed
-    assert env.processed_event_count == 2
-
-
-def test_run_batched_deadlock():
-    env = Environment()
-    pending = Event(env)  # never fires
-    env.timeout(1)
-    with pytest.raises(Deadlock, match="deadlock"):
-        env.run(pending)
-
-
-def test_run_until_event_leaves_no_stale_callback():
-    """run(until=event) attaches nothing to the awaited event, so it can
-    be inspected or awaited again on every exit path."""
-    env = Environment()
-    ev = env.timeout(3, value="v")
-    assert env.run(ev) is True
-    assert ev.callbacks == [] and ev.value == "v"
-    # Running to the same (already processed) event again is a no-op.
-    count = env.processed_event_count
-    assert env.run(ev) is True
-    assert env.processed_event_count == count
-
-    # After a deadlock, too.
-    pending = Event(env)
-    with pytest.raises(RuntimeError, match="deadlock"):
-        env.run(pending)
-    assert pending.callbacks == []
-    # ... and the event is still usable afterwards.
-    env.timeout(2).callbacks.append(lambda ev: pending.succeed("late"))
-    assert env.run(pending) is True
-    assert pending.value == "late"
-
-
 def test_profiling_counters():
     env = Environment()
     counters = env.enable_profiling()
@@ -277,19 +211,15 @@ def test_profiling_counters():
     assert counters.callbacks_fired >= 5
 
 
-def _drain_chunks(env, _procs):
+def _drain_chunks(env):
     while not env.run(max_events=4):
         pass
 
 
 @pytest.mark.parametrize(
     "drain",
-    [
-        lambda env, procs: env.run(),
-        lambda env, procs: env.run(procs[1]),
-        _drain_chunks,
-    ],
-    ids=["run-none", "run-event", "run-batched-chunks"],
+    [lambda env: env.run(), _drain_chunks],
+    ids=["run-none", "run-batched-chunks"],
 )
 def test_profiled_run_identical_to_fast_path(drain):
     def run(profiled):
@@ -297,11 +227,9 @@ def test_profiled_run_identical_to_fast_path(drain):
         counters = env.enable_profiling() if profiled else None
         log = []
 
-        procs = [
+        for t in range(3):
             sleeper(env, (1.0 + t / 4,) * 5, lambda t=t: log.append((env.now, t)))
-            for t in range(3)
-        ]
-        drain(env, procs)
+        drain(env)
         if counters is not None:
             assert counters.events_total == env.processed_event_count
         return log, env.processed_event_count, env.now

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, Environment, Event, FirstOf
+from repro.des import Environment, Event, FirstOf
 
 
 def test_event_lifecycle():
@@ -40,55 +40,6 @@ def test_unhandled_failure_surfaces():
     env.call_in(1, boom)
     with pytest.raises(ValueError, match="lost"):
         env.run()
-
-
-def test_allof_waits_for_all():
-    env = Environment()
-    a, b = env.timeout(5, "a"), env.timeout(10, "b")
-    cond = AllOf(env, [a, b])
-    env.run(cond)
-    assert env.now == 10.0
-    assert cond.value is None
-
-
-def test_allof_fires_one_hop_after_its_last_child():
-    env = Environment()
-    order = []
-    a, b = Event(env), Event(env)
-    AllOf(env, [a, b]).callbacks.append(lambda ev: order.append("all"))
-    a.succeed()
-    b.succeed()
-    b.callbacks.append(lambda ev: order.append("last child"))
-    env.timeout(0).callbacks.append(lambda ev: order.append("timeout"))
-    env.run()
-    # Scheduled from the last child's callback, so after the timeout
-    # queued before that child was processed.
-    assert order == ["last child", "timeout", "all"]
-
-
-def test_empty_condition_fires_immediately():
-    env = Environment()
-    cond = AllOf(env, [])
-    assert cond.triggered and not cond.processed
-    env.run()
-    assert cond.processed and cond.value is None
-
-
-def test_condition_with_already_processed_child():
-    env = Environment()
-    a = env.timeout(1)
-    while env.peek() <= 2.0:
-        env.step()
-    later = env.timeout(10)
-    cond = AllOf(env, [a, later])
-    assert not cond.triggered
-    assert AllOf(env, [a]).triggered
-
-
-def test_condition_mixed_environments_rejected():
-    env1, env2 = Environment(), Environment()
-    with pytest.raises(ValueError):
-        AllOf(env1, [Event(env1), Event(env2)])
 
 
 def test_resolve_without_waiters_is_not_queued():
@@ -136,8 +87,10 @@ def test_firstof_fires_with_first_child_value():
     env = Environment()
     a, b = env.timeout(5, "a"), env.timeout(10, "b")
     first = FirstOf(env, (a, b))
-    env.run(first)
-    assert env.now == 5.0
+    fired = []
+    first.callbacks.append(lambda ev: fired.append(env.now))
+    env.run()
+    assert fired == [5.0]
     assert first.value == "a"
 
 
@@ -145,7 +98,8 @@ def test_firstof_detaches_from_losers():
     env = Environment()
     never = Event(env)
     for t in range(1, 4):
-        env.run(FirstOf(env, (never, env.timeout(1, t))))
+        FirstOf(env, (never, env.timeout(1, t)))
+        env.run()
     # Each turn detached its callback from ``never`` when it fired.
     assert never.callbacks == []
 
@@ -172,5 +126,7 @@ def test_firstof_with_processed_child_fires_at_once():
         env.step()
     first = FirstOf(env, (a, env.timeout(10)))
     assert first.triggered
-    env.run(first)
-    assert env.now == 2.0 and first.value == "a"
+    fired = []
+    first.callbacks.append(lambda ev: fired.append(env.now))
+    env.run()
+    assert fired == [2.0] and first.value == "a"

@@ -65,8 +65,10 @@ def test_reference_run_pinned():
     the engine changed what gets simulated.  The event count pins how
     many events the engine *schedules* for this run; it drops when a
     change stops queueing events nobody waits on or folds fixed-latency
-    busy chains into one event (483 since an interrupting request's
-    interrupt overhead and service are one event; 485 before that, once
+    busy chains into one event (474 since the run stopped queueing a
+    done event per processor and a sentinel over them; 483 since an
+    interrupting request's interrupt overhead and service are one
+    event; 485 before that, once
     reply, barrier-completion and inbox-put events stopped being queued;
     623 before).  Event order itself is pinned by
     tests/test_replay_golden.py.
@@ -76,7 +78,7 @@ def test_reference_run_pinned():
     tp = translate(measure(program, 8, name="d"))
     sim = Simulator(tp, presets.distributed_memory())
     res = sim.run()
-    assert sim.env.processed_event_count == 483
+    assert sim.env.processed_event_count == 474
     assert res.execution_time == pytest.approx(1956.6999999999998, abs=1e-9)
     assert res.network.messages == 90
     assert res.network.bytes == 7296
@@ -89,17 +91,12 @@ def test_profiled_run_matches_reference():
     tp = translate(measure(program, 8, name="d"))
     sim = Simulator(tp, presets.distributed_memory(), profile=True)
     res = sim.run()
-    assert sim.env.processed_event_count == 483
+    assert sim.env.processed_event_count == 474
     assert res.execution_time == pytest.approx(1956.6999999999998, abs=1e-9)
     assert res.profile is not None
-    assert res.profile.counters.events_total == 483
+    assert res.profile.counters.events_total == 474
     assert res.profile.counters.heap_peak >= 8
-    assert set(res.profile.timers.phases) == {
-        "spawn",
-        "replay",
-        "drain",
-        "collect",
-    }
+    assert set(res.profile.timers.phases) == {"spawn", "replay", "collect"}
 
 
 def test_machine_bit_stable():

@@ -9,7 +9,7 @@ import pytest
 from repro.core import presets
 from repro.core.pipeline import measure
 from repro.core.translation import TranslatedProgram, translate
-from repro.des import Deadlock, Environment, Event, SimulationStalled
+from repro.des import SimulationStalled
 from repro.machine import Machine
 from repro.pcxx import Collection, make_distribution
 from repro.sim.messages import Message, MsgKind
@@ -42,18 +42,6 @@ def translated(n, **kw):
     return translate(measure(simple_program(n, **kw), n, name="simple"))
 
 
-def test_des_deadlock_on_unreachable_event():
-    """The engine raises Deadlock when the queue drains early."""
-    env = Environment()
-    never = Event(env)
-    woken = []
-    # A chain that runs for a while, then waits on an event nobody fires.
-    env.timeout(1).callbacks.append(lambda ev: never.callbacks.append(woken.append))
-    with pytest.raises(Deadlock, match="deadlock"):
-        env.run(never)
-    assert env.now == 1.0 and woken == []
-
-
 def test_simulator_max_events_runaway_guard():
     tp = translated(4)
     sim = Simulator(tp, presets.distributed_memory(), max_events=50)
@@ -62,8 +50,8 @@ def test_simulator_max_events_runaway_guard():
 
 
 def test_simulator_converts_deadlock_to_stalled():
-    """A trace whose replies can never arrive yields a diagnosis, not a
-    bare Deadlock: stalled runs must name who is blocked."""
+    """A trace whose replies can never arrive yields a diagnosis when
+    the queue drains: stalled runs must name who is blocked."""
     from dataclasses import replace
 
     from repro.faults import FaultPlan
@@ -79,6 +67,9 @@ def test_simulator_converts_deadlock_to_stalled():
     params = replace(presets.distributed_memory(), faults=plan)
     with pytest.raises(SimulationStalled) as exc_info:
         Simulator(tp, params).run()
+    assert "the event queue drained with processors still blocked" in str(
+        exc_info.value
+    )
     assert exc_info.value.blocked
     assert isinstance(exc_info.value.blocked, tuple)
     assert isinstance(exc_info.value.pending_barriers, tuple)
@@ -99,7 +90,9 @@ def test_machine_deadlock_names_stuck_nodes():
         return [barrier_body, skip_body]
 
     m = Machine(2)
-    with pytest.raises(RuntimeError, match="machine deadlocked"):
+    with pytest.raises(
+        RuntimeError, match=r"^machine deadlocked; nodes \[0\] never finished$"
+    ):
         m.run(factory)
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict
 
 from repro.bench.suite import BENCHMARKS
-from repro.des import engine
+from repro.des import Event, engine
 from repro.machine import CM5_SPEC, PARAGON_SPEC, MachineSpec, run_on_machine
 from repro.machine.machine import MachineNode, MachineResult
 from tests.test_replay_golden import SMALL_CONFIGS
@@ -93,7 +93,8 @@ def pin(name: str, n: int, spec: MachineSpec) -> Dict[str, str]:
 
     def recording_heappop(queue):
         entry = heappop(queue)
-        if len(entry) == 5 or entry[3].callbacks:
+        fn, arg = entry[3:]
+        if fn is not Event._process or arg.callbacks:
             pops.append(entry[:2])
         return entry
 

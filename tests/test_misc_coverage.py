@@ -41,9 +41,6 @@ def test_cli_override_bad_group():
         _apply_overrides(presets.ideal(), ["martian.x=1"])
 
 
-# -- DES run(until=failed event) ---------------------------------------------
-
-
 # -- machine port network directly -----------------------------------------------
 
 

@@ -19,13 +19,16 @@ def test_counters_count_and_serialize():
     c = EngineCounters()
     env = Environment()
     ev = env.timeout(1)
-    c.count(ev)
-    c.count(ev)
-    c.count(Event(env))
-    assert c.events_total == 3
-    assert c.events_by_type == {"Timeout": 2, "Event": 1}
+    ev.callbacks.append(lambda _ev: None)
+    c.count(Event._process, ev)
+    c.count(Event._process, ev)
+    c.count(Event._process, Event(env))
+    c.count(lambda _arg: None, "arg")
+    assert c.events_total == 4
+    assert c.events_by_type == {"Timeout": 2, "Event": 1, "Call": 1}
+    assert c.callbacks_fired == 3
     d = c.as_dict()
-    assert d["events_total"] == 3
+    assert d["events_total"] == 4
     json.dumps(d)  # must be serialisable
     assert "Timeout" in c.format()
 

@@ -92,14 +92,19 @@ def test_multithread_invariants(
 
 
 def _recorded_pops(run):
-    """``run()``'s result and the ``(time, priority, seq, event type)``
-    of every queue entry the engine popped while it ran."""
+    """``run()``'s result and the ``(time, priority, seq, call, argument
+    type)`` of every queue entry the engine popped while it ran (for an
+    event's processing the argument is the event)."""
     pops = []
     heappop = engine.heappop
 
     def recording_heappop(queue):
         entry = heappop(queue)
-        pops.append(entry[:3] + (type(entry[3]).__name__,))
+        _t, _priority, _seq, fn, arg = entry
+        pops.append(
+            entry[:3]
+            + (getattr(fn, "__qualname__", type(fn).__name__), type(arg).__name__)
+        )
         return entry
 
     engine.heappop = recording_heappop
@@ -116,9 +121,6 @@ def _stepped(sim: Simulator):
     env = sim.env
     sim._ran = True
     sim._spawn()
-    # Simulator._replay's completion event: queued when the last
-    # processor finishes, so it takes a sequence number too.
-    env.all_of([p.done for p in sim.processors])
     while env.peek() < inf:
         env.step()
     return sim._collect()
@@ -146,7 +148,7 @@ def test_step_replay_pops_the_drain_order(
     faults,
 ):
     """Oracle (c): a replay driven by repeated ``Environment.step()`` pops
-    the same ``(time, priority, seq, event type)`` sequence as
+    the same ``(time, priority, seq, call, argument type)`` sequence as
     ``Simulator.run()`` (``_drain``), to the same result and event count."""
     m = min(m, n)
     tp = translate(measure(random_program(n, barriers, reads, seed), n, name="r"))

@@ -21,12 +21,12 @@ from repro.sim.simulator import Simulator, assign_threads
 #: ``(benchmark, threads, preset, processors, policy)`` ->
 #: ``(processed_event_count, execution_time)``.
 PINS = {
-    ("grid", 16, "distributed_memory", 16, None): (8339, 114072.09014084475),
-    ("matmul", 8, "distributed_memory", 8, None): (26972, 272004.5014084503),
-    ("sparse", 8, "distributed_memory", 8, None): (9387, 55915.93521126761),
-    ("grid", 16, "shared_memory", 16, None): (7103, 40965.52802816893),
-    ("grid", 16, "distributed_memory", 8, None): (6031, 139980.57605633786),
-    ("grid", 16, "distributed_memory", 16, "poll"): (14127, 116950.67464788721),
+    ("grid", 16, "distributed_memory", 16, None): (8322, 114072.09014084475),
+    ("matmul", 8, "distributed_memory", 8, None): (26963, 272004.5014084503),
+    ("sparse", 8, "distributed_memory", 8, None): (9378, 55915.93521126761),
+    ("grid", 16, "shared_memory", 16, None): (7086, 40965.52802816893),
+    ("grid", 16, "distributed_memory", 8, None): (6022, 139980.57605633786),
+    ("grid", 16, "distributed_memory", 16, "poll"): (14110, 116950.67464788721),
 }
 
 

@@ -182,17 +182,17 @@ def test_remote_access_completes_without_a_scheduled_reply_event(monkeypatch):
     from repro.sim.messages import MsgKind
 
     scheduled, resolved = [], []
-    schedule, resolve = Environment._schedule, Event.resolve
+    call_in, resolve = Environment.call_in, Event.resolve
 
-    def spy_schedule(self, event):
-        scheduled.append(event)
-        schedule(self, event)
+    def spy_call_in(self, delay, fn, arg=None):
+        scheduled.append(arg)
+        call_in(self, delay, fn, arg)
 
     def spy_resolve(self, value=None):
         resolved.append(self)
         return resolve(self, value)
 
-    monkeypatch.setattr(Environment, "_schedule", spy_schedule)
+    monkeypatch.setattr(Environment, "call_in", spy_call_in)
     monkeypatch.setattr(Event, "resolve", spy_resolve)
     tp = translate(measure(one_read_program(), 2, name="d"))
     res = simulate(tp, presets.distributed_memory())
