@@ -15,8 +15,8 @@ The pieces:
   Components reach it through the engine's ``Environment.obs`` slot;
   when it is ``None`` (the default) every hook site is a single pointer
   test, so the fast path keeps its throughput.
-* :mod:`repro.obs.samplers` — the on-state-change sampling discipline
-  plus derived series (bucketed busy fractions, utilization).
+* :mod:`repro.obs.samplers` — derived series (bucketed busy fractions,
+  utilization, thinned counter points).
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable,
   deterministic, round-trips through :func:`load_chrome_trace`) and
   counter CSV.
@@ -47,7 +47,6 @@ from repro.obs.recorder import (
     WAIT_CATEGORIES,
 )
 from repro.obs.samplers import (
-    OnChangeSampler,
     busy_fraction_series,
     counter_points,
     utilization_series,
@@ -56,7 +55,6 @@ from repro.obs.samplers import (
 __all__ = [
     "CounterSeries",
     "Instant",
-    "OnChangeSampler",
     "Span",
     "Timeline",
     "TimelineRecorder",

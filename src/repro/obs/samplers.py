@@ -1,4 +1,4 @@
-"""Time-series samplers and derived series over recorded timelines.
+"""Derived series over recorded timelines.
 
 The *write-side* sampling discipline of :mod:`repro.obs` is on state
 change: the simulation models sample a counter exactly when its value
@@ -8,38 +8,17 @@ drops the sample when the value is in fact unchanged.  That keeps the
 series exact — no clock-driven sampling grid, no aliasing — at a cost
 proportional to activity, not to simulated time.
 
-:class:`OnChangeSampler` wraps that discipline for callers that want to
-push values unconditionally.  The rest of this module is the *read
-side*: derived series computed from a finalized
-:class:`~repro.obs.recorder.Timeline` (bucketed busy fractions, decimated
-counter points) used by the ``extrap timeline`` CLI and the docs examples.
+This module is the *read side*: derived series computed from a
+finalized :class:`~repro.obs.recorder.Timeline` (bucketed busy
+fractions, decimated counter points) used by the ``extrap timeline``
+CLI and the docs examples.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.recorder import Timeline, TimelineRecorder, WAIT_CATEGORIES
-
-
-class OnChangeSampler:
-    """Push-style adapter: forwards samples to a recorder counter.
-
-    Useful when the observed value is cheap to read but the call site
-    cannot easily tell whether it changed::
-
-        depth = OnChangeSampler(recorder, "proc3.rxq_depth")
-        depth.sample(env.now, len(inbox.items))   # dedup handled inside
-    """
-
-    __slots__ = ("_recorder", "name")
-
-    def __init__(self, recorder: TimelineRecorder, name: str):
-        self._recorder = recorder
-        self.name = name
-
-    def sample(self, t: float, value: float) -> None:
-        self._recorder.counter(self.name, t, value)
+from repro.obs.recorder import Timeline, WAIT_CATEGORIES
 
 
 def busy_fraction_series(

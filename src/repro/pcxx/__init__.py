@@ -29,7 +29,6 @@ from repro.pcxx.distribution import (
     make_distribution,
 )
 from repro.pcxx.collection import Collection
-from repro.pcxx.invoke import parallel_invoke, parallel_reduce
 from repro.pcxx.runtime import DeadlockError, ThreadCtx, TracingRuntime
 
 __all__ = [
@@ -41,6 +40,4 @@ __all__ = [
     "ThreadCtx",
     "TracingRuntime",
     "make_distribution",
-    "parallel_invoke",
-    "parallel_reduce",
 ]

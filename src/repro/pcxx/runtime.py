@@ -118,7 +118,6 @@ class TracingRuntime:
         self.event_overhead = float(event_overhead)
         self.flush_every = int(flush_every)
         self.flush_overhead = float(flush_overhead)
-        self.flush_count = 0
         if not 0.0 <= compute_noise < 1.0:
             raise ValueError(f"compute_noise must be in [0, 1), got {compute_noise}")
         self.compute_noise = float(compute_noise)
@@ -155,7 +154,6 @@ class TracingRuntime:
             self.clock += self.event_overhead
         if self.flush_every and len(self.events) % self.flush_every == 0:
             self.clock += self.flush_overhead
-            self.flush_count += 1
 
     # -- execution ------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Phase clustering: seeded, weighted k-means over interval signatures.
+"""Phase clustering: seeded k-means over interval signatures.
 
 Stdlib-only and fully deterministic: k-means++ initialisation draws
 from ``random.Random(seed)`` (several restarts per candidate k, lowest
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.sampling.config import SamplingConfig
 from repro.sampling.intervals import IntervalSplit
@@ -36,6 +36,10 @@ _EPS = 1e-12
 #: normalised feature range: signature differences below this are treated
 #: as measurement noise and never justify an extra phase.
 _NOISE_FLOOR = 0.03
+
+#: Lloyd iterations per k-means run, at most (runs stop earlier once
+#: the labels stabilise).
+_MAX_ITER = 64
 
 #: k-means restarts per candidate k (deterministic seeds derived from
 #: the config seed); the lowest-RSS run wins.
@@ -127,33 +131,25 @@ def _dist2(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def kmeans(
-    points: Sequence[Tuple[float, ...]],
-    k: int,
-    seed: int,
-    *,
-    weights: Optional[Sequence[float]] = None,
-    max_iter: int = 64,
+    points: Sequence[Tuple[float, ...]], k: int, seed: int
 ) -> Tuple[List[int], List[Tuple[float, ...]], float]:
-    """Deterministic seeded (weighted) k-means: ``(labels, centroids, rss)``.
+    """Deterministic seeded k-means: ``(labels, centroids, rss)``.
 
     k-means++ initialisation (candidate probability proportional to
-    ``weight * D^2``), Lloyd iterations until labels stabilise (or
-    ``max_iter``), nearest-centroid ties broken by lowest centroid
-    index.  Centroids are weighted means and ``rss`` is the weighted sum
-    of squared distances.  Clusters may come back empty for pathological
-    inputs; the caller drops them.
+    ``D^2``), Lloyd iterations until labels stabilise (or
+    :data:`_MAX_ITER`), nearest-centroid ties broken by lowest centroid
+    index.  Centroids are member means and ``rss`` is the sum of squared
+    distances.  Clusters may come back empty for pathological inputs;
+    the caller drops them.
     """
     n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    w = list(weights) if weights is not None else [1.0] * n
-    if len(w) != n:
-        raise ValueError(f"{len(w)} weights for {n} points")
     rng = random.Random(seed)
 
     # k-means++ seeding.
     centroids: List[Tuple[float, ...]] = [points[rng.randrange(n)]]
-    d2 = [wi * _dist2(p, centroids[0]) for wi, p in zip(w, points)]
+    d2 = [_dist2(p, centroids[0]) for p in points]
     while len(centroids) < k:
         total = sum(d2)
         if total <= _EPS:
@@ -169,19 +165,16 @@ def kmeans(
             r = rng.random() * total
             acc = 0.0
             pick = n - 1
-            for i, wd in enumerate(d2):
-                acc += wd
+            for i, dd in enumerate(d2):
+                acc += dd
                 if acc >= r:
                     pick = i
                     break
             centroids.append(points[pick])
-        d2 = [
-            min(old, wi * _dist2(p, centroids[-1]))
-            for old, wi, p in zip(d2, w, points)
-        ]
+        d2 = [min(old, _dist2(p, centroids[-1])) for old, p in zip(d2, points)]
 
     labels = [0] * n
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         changed = False
         for i, p in enumerate(points):
             best, best_d = 0, _dist2(p, centroids[0])
@@ -192,28 +185,24 @@ def kmeans(
             if labels[i] != best:
                 labels[i] = best
                 changed = True
-        # Recompute centroids as weighted member means; empty clusters
-        # keep their previous centroid (and are dropped by the caller if
-        # they stay empty).
+        # Recompute centroids as member means; empty clusters keep their
+        # previous centroid (and are dropped by the caller if they stay
+        # empty).
         sums = [[0.0] * len(points[0]) for _ in centroids]
-        totals = [0.0] * len(centroids)
+        counts = [0] * len(centroids)
         for i, p in enumerate(points):
-            totals[labels[i]] += w[i]
+            counts[labels[i]] += 1
             row = sums[labels[i]]
             for j, x in enumerate(p):
-                row[j] += w[i] * x
+                row[j] += x
         centroids = [
-            tuple(x / totals[c] for x in sums[c])
-            if totals[c] > 0
-            else centroids[c]
+            tuple(x / counts[c] for x in sums[c]) if counts[c] else centroids[c]
             for c in range(len(centroids))
         ]
         if not changed:
             break
 
-    rss = sum(
-        w[i] * _dist2(p, centroids[labels[i]]) for i, p in enumerate(points)
-    )
+    rss = sum(_dist2(p, centroids[labels[i]]) for i, p in enumerate(points))
     return labels, centroids, rss
 
 

@@ -115,7 +115,6 @@ class _IntervalBuilder:
         self.meta = meta
         self.mode = mode  # "barrier" or "events"
         self.chunk = chunk
-        self.barrier_exits = 0
         self.events_total = 0
         self._buckets: List[_Bucket] = []
         self._prev_time: Dict[int, float] = {}  # thread -> last event time
@@ -165,7 +164,6 @@ class _IntervalBuilder:
             self._open_barriers[th] = ev.barrier_id
         elif ev.kind == EventKind.BARRIER_EXIT:
             self._open_barriers.pop(th, None)
-            self.barrier_exits += 1
             if self.mode == "barrier":
                 self._thread_epoch[th] = epoch + 1
 

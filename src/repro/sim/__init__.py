@@ -17,7 +17,6 @@ Entry point: :class:`repro.sim.simulator.Simulator` or the convenience
 """
 
 from repro.sim.actions import Action, ActionKind, actions_from_thread_trace
-from repro.sim.cluster import ClusterNetwork
 from repro.sim.messages import Message, MsgKind
 from repro.sim.network import Network
 from repro.sim.result import ProcessorStats, SimulationResult
@@ -27,7 +26,6 @@ from repro.sim.topology import Topology, make_topology
 __all__ = [
     "Action",
     "ActionKind",
-    "ClusterNetwork",
     "Message",
     "MsgKind",
     "Network",

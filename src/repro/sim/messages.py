@@ -32,9 +32,8 @@ class Message:
     """One message on the simulated interconnect.
 
     Slotted: the replay builds one per request, reply, write, ack and
-    barrier message, and the network model writes its two timestamps
-    in place, so a message has no ``__dict__`` and takes no attribute
-    beyond the fields below.
+    barrier message, so a message has no ``__dict__`` and takes no
+    attribute beyond the fields below.
 
     Attributes
     ----------
@@ -50,9 +49,6 @@ class Message:
         Barrier episode for BARRIER_* messages.
     reply_nbytes:
         For REQUEST: how large the reply payload will be.
-    inject_time, deliver_time:
-        Filled by the network model (simulation bookkeeping/statistics).
-        A fault-dropped message keeps ``deliver_time = -1.0``.
     attempt:
         Retransmission number under the fault-recovery protocol
         (0 = first transmission; see :mod:`repro.faults`).
@@ -65,8 +61,6 @@ class Message:
     msg_id: int = -1
     barrier_id: int = -1
     reply_nbytes: int = 0
-    inject_time: float = -1.0
-    deliver_time: float = -1.0
     attempt: int = 0
 
     def __repr__(self) -> str:

@@ -110,14 +110,6 @@ class Network:
 
     # -- cost model ------------------------------------------------------------
 
-    def startup_time(self, src: int, dst: int) -> float:
-        """Sender-side start-up cost for a ``src -> dst`` message.
-
-        Uniform here; the clustered network prices intra-cluster routes
-        differently.
-        """
-        return self.params.comm_startup_time
-
     def _route_time(self, src: int, dst: int) -> float:
         """Fixed per-route transit term ``hops(src, dst) * hop_time``."""
         key = src * self.n + dst
@@ -159,7 +151,6 @@ class Network:
         now = self.env._now
         stats = self.stats
         kind = msg.kind._value_  # .value is a Python-level descriptor
-        msg.inject_time = now
         transit = self.wire_time(msg)
 
         dropped = duplicated = False
@@ -168,8 +159,6 @@ class Network:
             if extra > 0.0:
                 transit += extra
                 stats.total_jitter += extra
-
-        msg.deliver_time = -1.0 if dropped else now + transit
 
         stats.messages += 1
         stats.bytes += msg.nbytes

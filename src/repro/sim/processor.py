@@ -804,9 +804,7 @@ class SimProcessor:
 
     def _send(self, k: Callable[[], None], msg: Message, category: str) -> bool:
         """Build and inject a message (sender-side busy costs)."""
-        cost = self.pp.msg_build_time + self.network.startup_time(
-            msg.src, msg.dst
-        )
+        cost = self.pp.msg_build_time + self.np.comm_startup_time
         if cost > 0:
             self._send_k = k
             self._send_msg = msg

@@ -42,7 +42,6 @@ class Simulator:
         *,
         assignment: Optional[Sequence[int]] = None,
         max_events: int = 50_000_000,
-        network_factory=None,
         placement=None,
         profile: bool = False,
         observe: bool = False,
@@ -54,12 +53,8 @@ class Simulator:
         thread; one hosting k > 1 threads runs them non-preemptively
         (the §6 extension, see :mod:`repro.sim.processor`).
 
-        ``network_factory(env, m, network_params) -> Network`` lets
-        callers substitute a different interconnect model (e.g.
-        :class:`repro.sim.cluster.ClusterNetwork`) — the component
-        substitutability §3.3 advertises.  ``placement`` maps logical
-        processors to physical topology positions (the §2 "processor
-        mapping" axis); ignored when a custom factory is given.
+        ``placement`` maps logical processors to physical topology
+        positions (the §2 "processor mapping" axis).
 
         ``profile=True`` turns on engine counters and per-phase timers;
         the result carries a :class:`~repro.perf.SimulationProfile`.
@@ -70,15 +65,13 @@ class Simulator:
         execution (spans, instants, counter series — see
         :mod:`repro.obs`); the result carries it as
         ``SimulationResult.timeline``.  The recorder attaches to
-        ``env.obs`` before the model components are built, so custom
-        network factories inherit observation for free.  Simulation
+        ``env.obs`` before the model components are built.  Simulation
         results are identical with it on or off.
 
         When ``params.faults`` is a non-null
         :class:`~repro.faults.plan.FaultPlan`, a
         :class:`~repro.faults.injector.FaultInjector` attaches to
-        ``env.faults`` the same way (so custom network factories
-        inherit fault injection too); a null or absent plan attaches
+        ``env.faults`` the same way; a null or absent plan attaches
         nothing and stays byte-identical to the ideal machine.
 
         ``wall_clock_budget`` (real seconds, None = unlimited) bounds the
@@ -112,16 +105,9 @@ class Simulator:
                 counters=self.env.enable_profiling(),
                 timers=PhaseTimer(self.env),
             )
-        if network_factory is not None:
-            self.network = network_factory(self.env, m, params.network)
-            if placement is not None:
-                raise ValueError(
-                    "pass placement through your network_factory instead"
-                )
-        else:
-            self.network = Network(
-                self.env, m, params.network, placement=placement
-            )
+        self.network = Network(
+            self.env, m, params.network, placement=placement
+        )
         self.coordinator = BarrierCoordinator(self.env, m, params.barrier)
         msg_ids = itertools.count()
         hosted: List[list] = [[] for _ in range(m)]

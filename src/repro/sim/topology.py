@@ -160,14 +160,6 @@ class FatTree(Topology):
     name = "fattree"
     arity = 4
 
-    def __init__(self, n: int):
-        super().__init__(n)
-        self.height = 0
-        cap = 1
-        while cap < n:
-            cap *= self.arity
-            self.height += 1
-
     def hops(self, src: int, dst: int) -> int:
         self._check(src, dst)
         if src == dst:

@@ -8,9 +8,8 @@ those statistics from a merged or translated trace.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.trace.events import EventKind
 from repro.trace.trace import Trace
@@ -33,8 +32,6 @@ class TraceStats:
     remote_bytes_max: int = 0
     duration: float = 0.0
     compute_time_per_thread: List[float] = field(default_factory=list)
-    remote_reads_per_thread: List[int] = field(default_factory=list)
-    remote_by_collection: Dict[str, int] = field(default_factory=dict)
 
     @property
     def total_compute_time(self) -> float:
@@ -63,9 +60,7 @@ def compute_stats(trace: Trace) -> TraceStats:
     s.duration = events[-1].time - events[0].time
 
     sizes: List[int] = []
-    by_coll: Counter = Counter()
     barriers = set()
-    reads_per_thread = [0] * n
     # Per-thread compute time: the sum of inter-event gaps, less the
     # wait before each barrier exit.  ``compute`` starts at int 0 like
     # ``sum`` does, so a thread with one event reports 0.
@@ -75,7 +70,7 @@ def compute_stats(trace: Trace) -> TraceStats:
     # cheaper than reading fields and enum members by name.
     read, write = EventKind.REMOTE_READ, EventKind.REMOTE_WRITE
     enter, exit_ = EventKind.BARRIER_ENTER, EventKind.BARRIER_EXIT
-    for time, thread, kind, barrier_id, _, nbytes, collection, _ in events:
+    for time, thread, kind, barrier_id, _, nbytes, _, _ in events:
         if not 0 <= thread < n:
             raise ValueError(f"event thread {thread} out of range 0..{n - 1}")
         prev = prev_time[thread]
@@ -85,19 +80,14 @@ def compute_stats(trace: Trace) -> TraceStats:
         if kind == read:
             s.n_remote_reads += 1
             sizes.append(nbytes)
-            by_coll[collection] += 1
-            reads_per_thread[thread] += 1
         elif kind == write:
             s.n_remote_writes += 1
             sizes.append(nbytes)
-            by_coll[collection] += 1
         elif kind == enter:
             barriers.add(barrier_id)
     s.n_barriers = len(barriers)
     s.remote_bytes_total = sum(sizes)
     s.remote_bytes_min = min(sizes) if sizes else 0
     s.remote_bytes_max = max(sizes) if sizes else 0
-    s.remote_by_collection = dict(by_coll)
-    s.remote_reads_per_thread = reads_per_thread
     s.compute_time_per_thread = compute
     return s

@@ -9,7 +9,6 @@ from repro.core import presets
 from repro.core.pipeline import extrapolate, measure
 from repro.obs.recorder import CounterSeries, TimelineRecorder
 from repro.obs.samplers import (
-    OnChangeSampler,
     busy_fraction_series,
     counter_points,
     utilization_series,
@@ -67,16 +66,6 @@ def test_category_totals_per_proc_and_global():
     assert tl.category_totals() == {"compute": 5.0, "service": 1.0}
     assert tl.category_totals(1) == {"compute": 3.0, "service": 1.0}
     assert "timeline" in tl.summary()
-
-
-def test_on_change_sampler_forwards_with_dedup():
-    rec = TimelineRecorder()
-    s = OnChangeSampler(rec, "q")
-    s.sample(0.0, 5)
-    s.sample(1.0, 5)
-    s.sample(2.0, 6)
-    tl = rec.finalize(n_procs=1, end_time=2.0)
-    assert tl.counters["q"].samples == [(0.0, 5), (2.0, 6)]
 
 
 def test_busy_fraction_series_simple():

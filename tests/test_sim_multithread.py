@@ -133,29 +133,6 @@ def test_run_twice_rejected():
         sim.run()
 
 
-def test_cluster_network_in_multithread_model():
-    """Multithreaded processors grouped into shared-memory clusters:
-    the §3.3.1 extension composed with the §3.3.2 cluster model."""
-    from repro.sim.cluster import ClusterNetwork
-
-    t = tp(8)
-
-    def clustered(env, m, net_params):
-        return ClusterNetwork(env, m, net_params, cluster_size=2)
-
-    flat = simulate(
-        t, presets.distributed_memory(), assignment=assign_threads(8, 4)
-    )
-    clus = Simulator(
-        t,
-        presets.distributed_memory(),
-        assignment=assign_threads(8, 4),
-        network_factory=clustered,
-    ).run()
-    # Neighbouring processors now talk through shared memory: never slower.
-    assert clus.execution_time <= flat.execution_time
-
-
 def test_utilization_bounds():
     res = simulate(
         tp(8), presets.distributed_memory(), assignment=assign_threads(8, 4)

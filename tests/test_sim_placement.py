@@ -79,16 +79,3 @@ def test_placement_irrelevant_on_crossbar():
     a = simulate(tp, params).execution_time
     b = simulate(tp, params, placement=list(reversed(range(n)))).execution_time
     assert a == pytest.approx(b)
-
-
-def test_placement_with_factory_rejected():
-    tp = translate(measure(ring_program, 4, name="ring"))
-    from repro.sim.simulator import Simulator
-
-    with pytest.raises(ValueError, match="network_factory"):
-        Simulator(
-            tp,
-            presets.distributed_memory(),
-            network_factory=lambda env, n, p: Network(env, n, p),
-            placement=[3, 2, 1, 0],
-        )

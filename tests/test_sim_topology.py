@@ -61,7 +61,6 @@ def test_fattree():
     assert t.hops(0, 1) == 2  # share a leaf switch: up 1, down 1
     assert t.hops(0, 15) == 4
     assert t.bisection == 8
-    assert t.height == 2
 
 
 def test_out_of_range():

@@ -33,8 +33,6 @@ def test_stats_counts():
     assert st.remote_bytes_total == 194
     assert st.remote_bytes_min == 2
     assert st.remote_bytes_max == 128
-    assert st.remote_by_collection == {"grid": 2, "aux": 1}
-    assert st.remote_reads_per_thread == [2, 0]
     assert "1 barriers" in st.summary()
 
 

@@ -182,9 +182,6 @@ def reference_stats(trace):
     events = trace.events
     remote = [ev for ev in events if ev.kind in (E.REMOTE_READ, E.REMOTE_WRITE)]
     sizes = [ev.nbytes for ev in remote]
-    by_collection = {}
-    for ev in remote:
-        by_collection[ev.collection] = by_collection.get(ev.collection, 0) + 1
     compute = []
     for t in range(n):
         mine = [ev for ev in events if ev.thread == t]
@@ -205,11 +202,6 @@ def reference_stats(trace):
         remote_bytes_max=max(sizes, default=0),
         duration=events[-1].time - events[0].time if events else 0.0,
         compute_time_per_thread=compute if events else [],
-        remote_reads_per_thread=[
-            sum(ev.kind == E.REMOTE_READ and ev.thread == t for ev in events)
-            for t in range(n)
-        ] if events else [],
-        remote_by_collection=by_collection,
     )
 
 
