@@ -29,8 +29,11 @@ and, on the front-end row, every event read from the file; on the
 ``machine`` row, the whole ``MachineResult``; on the ``measure`` row,
 the trace digest and race findings; on the ``predict`` row, stdout
 byte for byte.  Printed per
-workload: the median and interquartile range of the B/A time ratios
-and each version's median time.  ``python benchmarks/replay_ab.py src src
+workload: the median and interquartile range of the B/A time ratios,
+each version's median time, and how many unreachable objects one call
+of each version leaves to the cyclic collector (counted once, with the
+collector off, after the warm-up; the timed calls collect first, so
+their times do not show that garbage).  ``python benchmarks/replay_ab.py src src
 --rounds 2`` checks that the tool itself still runs.
 """
 
@@ -270,6 +273,18 @@ class Version:
         result = self.simulate(tp, params, assignment=assignment)
         return time.thread_time() - t0, result, ()
 
+    def unreachable(self, i: int) -> int:
+        """Objects one call of row ``i`` leaves to the cyclic collector:
+        what ``gc.collect()`` finds after the call, its result dropped,
+        with automatic collection off since the collection that
+        :meth:`time` makes first."""
+        gc.disable()
+        try:
+            self.time(i)
+            return gc.collect()
+        finally:
+            gc.enable()
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -289,6 +304,7 @@ def main(argv=None) -> int:
         for i, workload in enumerate(rows):  # warm-up, and same results
             if row_digest(i, *a.time(i)[1:]) != row_digest(i, *b.time(i)[1:]):
                 sys.exit(f"{label(workload, i)}: the two versions replay differently")
+        leftover = [(a.unreachable(i), b.unreachable(i)) for i in range(len(rows))]
         for r in range(args.rounds):
             for i in range(len(rows)):
                 first, second = (a, b) if r % 2 == 0 else (b, a)
@@ -303,6 +319,7 @@ def main(argv=None) -> int:
             f"{label(workload, i)}: B/A median {statistics.median(ratios[i]):.3f} "
             f"[{q1:.3f}, {q3:.3f}]  A {statistics.median(times[i][0]) * 1e3:.1f} ms"
             f"  B {statistics.median(times[i][1]) * 1e3:.1f} ms  ({args.rounds} rounds)"
+            f"  unreachable per call A {leftover[i][0]} B {leftover[i][1]}"
         )
     return 0
 

@@ -79,6 +79,14 @@ class Store:
         else:
             self._get_waiters.append(fn)
 
+    def drop_waiters(self) -> None:
+        """Forget every getter still waiting, for a run that is over.
+
+        A receiver that serves its store until the end leaves its
+        getter here, and the getter refers back to the receiver, which
+        holds the store: dropping it breaks that reference cycle."""
+        self._get_waiters.clear()
+
     def cancel(self, get_ev: StoreGet) -> None:
         """Withdraw a get request that has not been served yet.
 

@@ -116,11 +116,11 @@ class Machine:
         self.env = Environment()
         self.network = PortNetwork(self.env, n, spec)
         self.barrier = _HwBarrier(self.env, n, spec.barrier_latency)
+        self._msg_ids = itertools.count()
         self.nodes: List[MachineNode] = [
             MachineNode(self, pid) for pid in range(n)
         ]
         self.network.attach([node.deliver for node in self.nodes])
-        self._msg_ids = itertools.count()
         self._ran = False
 
     @property
@@ -131,7 +131,13 @@ class Machine:
     def run(self, program_factory: Callable, *, name: str = "") -> MachineResult:
         """Execute a program factory to completion on the machine: run
         the queue until it is empty, then check that every node's body
-        finished (``RuntimeError`` naming the ones that did not)."""
+        finished (``RuntimeError`` naming the ones that did not).
+
+        A finished run then drops the two links that point back at the
+        nodes, the network's delivery callbacks and the handlers still
+        waiting on the inboxes, so the machine holds no reference cycle
+        and is freed by reference counting (docs/ARCHITECTURE.md,
+        "Lifetime")."""
         if self._ran:
             raise RuntimeError("machine already ran a program; create a new one")
         self._ran = True
@@ -146,6 +152,9 @@ class Machine:
         stuck = [nd.pid for nd in self.nodes if not nd.finished]
         if stuck:
             raise RuntimeError(f"machine deadlocked; nodes {stuck} never finished")
+        self.network.detach()
+        for nd in self.nodes:
+            nd.inbox.drop_waiters()
         return MachineResult(
             meta=TraceMeta(program=name, n_threads=self.n, size_mode="actual"),
             spec=self.spec,
@@ -168,11 +177,16 @@ class MachineNode:
     """
 
     def __init__(self, machine: Machine, pid: int):
-        self.machine = machine
+        # The parts of the machine a node uses, not the machine itself,
+        # which holds the nodes: no reference cycle.
         self.env = machine.env
         self.spec = machine.spec
+        self.network = machine.network
+        self._hw_barrier = machine.barrier
+        self._msg_ids = machine._msg_ids
         self.pid = pid
         self.tid = pid  # ThreadCtx-compatible alias
+        self.n_threads = machine.n
         self.inbox: Store = Store(self.env)
         #: ids of the requests still waiting for a reply
         self.pending: Set[int] = set()
@@ -183,10 +197,6 @@ class MachineNode:
         self._barrier_seq = 0
 
     # -- ThreadCtx-compatible introspection ---------------------------------
-
-    @property
-    def n_threads(self) -> int:
-        return self.machine.n
 
     @property
     def now(self) -> float:
@@ -264,7 +274,7 @@ class MachineNode:
             )
         else:  # pragma: no cover - exhaustive
             raise AssertionError(f"unhandled message kind {msg.kind}")
-        self.machine.network.send(reply, self._await_message)
+        self.network.send(reply, self._await_message)
 
     def deliver(self, msg: WireMessage) -> None:
         self.inbox.put_nowait(msg)
@@ -303,7 +313,7 @@ class MachineNode:
             nbytes=int(reply_nbytes),
             collection=coll.name,
         )
-        mid = next(self.machine._msg_ids)
+        mid = next(self._msg_ids)
         self.pending.add(mid)
         t0 = self.env.now
         request = WireMessage(
@@ -316,7 +326,7 @@ class MachineNode:
             index=index,
             reply_nbytes=int(reply_nbytes),
         )
-        self.machine.network.send(request, self._resume)
+        self.network.send(request, self._resume)
         yield _PARKED
         reply = yield _PARKED  # the handler resumes the body with it
         self.stats.remote_accesses += 1
@@ -340,7 +350,7 @@ class MachineNode:
             nbytes=int(wire_nbytes),
             collection=coll.name,
         )
-        mid = next(self.machine._msg_ids)
+        mid = next(self._msg_ids)
         self.pending.add(mid)
         t0 = self.env.now
         write = WireMessage(
@@ -353,7 +363,7 @@ class MachineNode:
             index=index,
             payload=value,
         )
-        self.machine.network.send(write, self._resume)
+        self.network.send(write, self._resume)
         yield _PARKED
         yield _PARKED  # the handler resumes the body with the ack
         self.stats.remote_accesses += 1
@@ -366,7 +376,7 @@ class MachineNode:
         self._record(EventKind.BARRIER_ENTER, barrier_id=bid)
         if self.spec.barrier_entry_time:
             yield self._sleep(self.spec.barrier_entry_time)
-        self.machine.barrier.arrive(bid, self._resume)
+        self._hw_barrier.arrive(bid, self._resume)
         yield _PARKED
         if self.spec.barrier_exit_time:
             yield self._sleep(self.spec.barrier_exit_time)

@@ -102,6 +102,11 @@ class PortNetwork:
             raise ValueError(f"{len(inboxes)} inboxes for {self.n} nodes")
         self._inboxes = inboxes
 
+    def detach(self) -> None:
+        """Drop the delivery callbacks once the run is over: each holds
+        its node, which holds this network."""
+        self._inboxes = []
+
     def hops(self, src: int, dst: int) -> int:
         """Path length through the configured data-network topology.
 

@@ -92,6 +92,14 @@ class BarrierCoordinator:
         #: pid -> that processor's side of the protocol, made on first use
         self._participants: List[Optional[_Participant]] = [None] * n
 
+    def release(self) -> None:
+        """Drop the participants once the run is over: each holds this
+        coordinator and its own cached steps, which hold it back."""
+        for part in self._participants:
+            if part is not None:
+                part.resume = part.arrival_checked = None
+        self._participants = []
+
     def _obs_release(self, bid: int) -> None:
         """Record a barrier release (observation is on)."""
         now = self.env.now

@@ -108,6 +108,11 @@ class Network:
             raise ValueError(f"{len(inboxes)} inboxes for {self.n} processors")
         self._inboxes = inboxes
 
+    def detach(self) -> None:
+        """Drop the delivery callbacks once the run is over: each holds
+        its processor, which holds this network."""
+        self._inboxes = []
+
     # -- cost model ------------------------------------------------------------
 
     def _route_time(self, src: int, dst: int) -> float:

@@ -46,12 +46,20 @@ A step ``f(k, ...)`` returns ``True`` when it finished without waiting;
 ``k`` is then not called.  It returns ``False`` when it waits; ``k()``
 runs once it is done.  Between waits a step runs straight through, so
 events are queued in the order the code reads.
+
+A step kept in a slot as a bound method, and a continuation carried
+across a wait, refer back to the processor: a reference cycle.  A
+timed wake-up whose only state is the processor is queued instead as
+the plain function with the processor as the call's ``arg``
+(:data:`_BUSY_OVER`, :data:`_CHAIN_OVER`); what stays cyclic,
+:meth:`SimProcessor.release` clears once the run is over, so a finished
+simulation is freed by reference counting (docs/ARCHITECTURE.md,
+"Lifetime").
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import (
     TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Tuple,
 )
@@ -98,7 +106,7 @@ class SimThread:
     """One replayed thread and what it is blocked on."""
 
     __slots__ = ("tid", "actions", "events", "idx", "resume", "target",
-                 "timer", "blocked_reason", "finished")
+                 "timer", "sent", "deadline", "blocked_reason", "finished")
 
     def __init__(self, tid: int, actions: List[Action], begin: Callable[[], None]):
         self.tid = tid
@@ -113,6 +121,10 @@ class SimThread:
         #: retry timer whose expiry also does
         self.target: Optional[Event] = None
         self.timer: Optional[Event] = None
+        #: under a fault plan with timeouts, the last copy of the request
+        #: this thread sent and the timeout its next wait gets
+        self.sent: Optional[Message] = None
+        self.deadline = 0.0
         #: why this thread is parked, when it is (a remote access past
         #: its retry budget, or a barrier its siblings never reach);
         #: surfaced in the watchdog's SimulationStalled diagnosis
@@ -155,9 +167,8 @@ class SimProcessor:
         # an idle wait or barrier episode: start, busy total, release.
         "_wait_t0", "_wait_busy0", "_barrier_release",
         # The steps that run once or more per event, bound once.
-        "_k_busy_over", "_k_chain_over", "_k_built", "_k_reply_then",
-        "_k_slice_over", "_k_interrupt_resume", "_k_own_relay", "_k_own_arrival",
-        "_k_own_check",
+        "_k_built", "_k_reply_then", "_k_slice_over", "_k_interrupt_resume",
+        "_k_own_relay", "_k_own_arrival", "_k_own_check",
         "_k_idle_over", "_k_await_reply", "_k_access_done", "_k_action_done",
     )
 
@@ -226,9 +237,8 @@ class SimProcessor:
         self._fault_plan = self._faults.plan if self._faults is not None else None
 
         # The steps that run once or more per event, bound once: binding
-        # a method at every wait costs ~50 ns.
-        self._k_busy_over = self._busy_over
-        self._k_chain_over = self._chain_over
+        # a method at every wait costs ~50 ns.  Each is a reference
+        # cycle until release() clears it.
         self._k_built = self._built
         self._k_reply_then = self._reply_then
         self._k_slice_over = self._slice_over
@@ -249,6 +259,23 @@ class SimProcessor:
             self._obs.counter(
                 self._rxq_counter, self.env._now, len(self.inbox.items)
             )
+
+    def release(self) -> None:
+        """Clear what refers back to this processor once the run is
+        over: the steps bound once, the continuations its last waits
+        carried, its threads' resume steps and its inbox's waiting
+        getter.  The processor then holds no reference cycle; its
+        ``stats``, ``finished``, ``actions_done`` and threads' ``events``
+        stay readable."""
+        self._k_built = self._k_reply_then = self._k_slice_over = None
+        self._k_interrupt_resume = self._k_own_relay = self._k_own_arrival = None
+        self._k_own_check = self._k_idle_over = self._k_await_reply = None
+        self._k_access_done = self._k_action_done = None
+        self._busy_k = self._send_k = self._disp_k = None
+        self._serve_k = self._serve_done = None
+        for thread in self.threads:
+            thread.resume = None
+        self.inbox.drop_waiters()
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -280,11 +307,11 @@ class SimProcessor:
             self._busy_d = duration
             self._busy_cat = category
             self._busy_t0 = self.env._now
-            self._call_in(duration, self._k_busy_over)
+            self._call_in(duration, _BUSY_OVER, self)
             return False
         return True
 
-    def _busy_over(self, _arg: None) -> None:
+    def _busy_over(self) -> None:
         category, duration = self._busy_cat, self._busy_d
         stats = self.stats
         stats.categories[category] += duration
@@ -322,10 +349,10 @@ class SimProcessor:
         self._busy_d, self._busy_cat = d1, cat1
         self._busy_d2, self._busy_cat2 = d2, cat2
         self._busy_t0 = t0
-        self._call_at(t0 + d1 + d2, self._k_chain_over)
+        self._call_at(t0 + d1 + d2, _CHAIN_OVER, self)
         return False
 
-    def _chain_over(self, _arg: None) -> None:
+    def _chain_over(self) -> None:
         d1, cat1, d2, cat2 = self._busy_d, self._busy_cat, self._busy_d2, self._busy_cat2
         stats = self.stats
         stats.categories[cat1] += d1
@@ -704,7 +731,10 @@ class SimProcessor:
             )
         plan = self._fault_plan
         if plan is not None and plan.request_timeout > 0.0:
-            then = partial(self._await_reply_retry, msg, reply_ev, owner, write)
+            thread = self._thread
+            thread.target, thread.sent = reply_ev, msg
+            thread.deadline = plan.request_timeout
+            then = self._await_reply_retry
         else:
             self._access_reply = reply_ev
             then = self._k_await_reply
@@ -721,9 +751,7 @@ class SimProcessor:
         self._thread.idx += 1
         self._run_actions()
 
-    def _await_reply_retry(
-        self, msg: Message, reply_ev: Event, owner: int, write: bool
-    ) -> None:
+    def _await_reply_retry(self) -> None:
         """Wait for a reply under the timeout/bounded-retry protocol.
 
         Each timeout retransmits the request (same ``msg_id``, so a
@@ -735,72 +763,76 @@ class SimProcessor:
         :class:`~repro.des.engine.SimulationStalled` naming it.  The
         waiting thread gives up the CPU; with k > 1 threads a timer
         that expires while a sibling runs is acted on at the next
-        switch.
+        switch.  The running thread carries the access across its
+        waits: its reply event (``target``), the last copy sent
+        (``sent``, whose ``attempt`` counts the timeouts so far) and
+        the next timeout (``deadline``); the access is the thread's
+        current action.
         """
-        plan = self._fault_plan
-        deadline = plan.request_timeout
-        attempt = 0
+        thread = self._thread
+        self._wait(
+            thread.target, self.env.timeout(thread.deadline), self._retry_woken
+        )
 
-        def arm() -> None:
-            self._wait(reply_ev, self.env.timeout(deadline), woken)
-
-        def woken() -> None:
-            nonlocal attempt, deadline
-            if reply_ev.triggered:
-                self._access_done()
-                return
-            assert self._thread.timer.processed
-            attempt += 1
-            self.stats.timeouts += 1
-            if self._obs is not None:
-                self._obs.instant(
-                    self.pid,
-                    "fault.timeout",
-                    self.env._now,
-                    owner=owner,
-                    msg_id=msg.msg_id,
-                    attempt=attempt,
-                )
-            if attempt > plan.max_retries:
-                self.stats.retry_giveups += 1
-                self._thread.blocked_reason = (
-                    f"remote {'write' if write else 'read'} to proc {msg.dst} "
-                    f"gave up after {attempt} timeouts "
-                    f"(msg {msg.msg_id}, {plan.max_retries} retries)"
-                )
-                if self._obs is not None:
-                    self._obs.instant(
-                        self.pid,
-                        "fault.retry_giveup",
-                        self.env._now,
-                        owner=owner,
-                        msg_id=msg.msg_id,
-                    )
-                self._wait(reply_ev, None, gave_up)
-                return
-            self.stats.retries += 1
-            if self._obs is not None:
-                self._obs.instant(
-                    self.pid,
-                    "fault.retry",
-                    self.env._now,
-                    owner=owner,
-                    msg_id=msg.msg_id,
-                    attempt=attempt,
-                )
-            deadline *= plan.retry_backoff
-            retransmit = Message(
-                msg.kind, msg.src, msg.dst, msg.nbytes, msg.msg_id, -1,
-                msg.reply_nbytes, attempt=attempt,
-            )
-            if self._send(arm, retransmit, "comm_overhead"):
-                arm()
-
-        def gave_up() -> None:
-            self._thread.blocked_reason = None
+    def _retry_woken(self) -> None:
+        thread = self._thread
+        if thread.target._state != PENDING:
             self._access_done()
+            return
+        assert thread.timer.processed
+        plan = self._fault_plan
+        msg = thread.sent
+        owner = thread.actions[thread.idx].owner
+        attempt = msg.attempt + 1
+        self.stats.timeouts += 1
+        if self._obs is not None:
+            self._obs.instant(
+                self.pid,
+                "fault.timeout",
+                self.env._now,
+                owner=owner,
+                msg_id=msg.msg_id,
+                attempt=attempt,
+            )
+        if attempt > plan.max_retries:
+            self.stats.retry_giveups += 1
+            write = msg.kind is _MSG_WRITE
+            thread.blocked_reason = (
+                f"remote {'write' if write else 'read'} to proc {msg.dst} "
+                f"gave up after {attempt} timeouts "
+                f"(msg {msg.msg_id}, {plan.max_retries} retries)"
+            )
+            if self._obs is not None:
+                self._obs.instant(
+                    self.pid,
+                    "fault.retry_giveup",
+                    self.env._now,
+                    owner=owner,
+                    msg_id=msg.msg_id,
+                )
+            self._wait(thread.target, None, self._retry_gave_up)
+            return
+        self.stats.retries += 1
+        if self._obs is not None:
+            self._obs.instant(
+                self.pid,
+                "fault.retry",
+                self.env._now,
+                owner=owner,
+                msg_id=msg.msg_id,
+                attempt=attempt,
+            )
+        thread.deadline *= plan.retry_backoff
+        thread.sent = Message(
+            msg.kind, msg.src, msg.dst, msg.nbytes, msg.msg_id, -1,
+            msg.reply_nbytes, attempt=attempt,
+        )
+        if self._send(self._await_reply_retry, thread.sent, "comm_overhead"):
+            self._await_reply_retry()
 
-        arm()
+    def _retry_gave_up(self) -> None:
+        self._thread.blocked_reason = None
+        self._access_done()
 
     def _send(self, k: Callable[[], None], msg: Message, category: str) -> bool:
         """Build and inject a message (sender-side busy costs)."""
@@ -1023,3 +1055,9 @@ class SimProcessor:
         else:
             self._serve_turn()
 
+
+#: The busy-time wake-ups, queued as plain functions with the processor
+#: as the call's ``arg``: a bound method cached in a slot would be one
+#: more reference cycle, and binding one at every wait costs ~50 ns.
+_BUSY_OVER = SimProcessor._busy_over
+_CHAIN_OVER = SimProcessor._chain_over

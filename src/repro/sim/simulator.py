@@ -143,12 +143,22 @@ class Simulator:
             self._replay()
         with phase("collect"):
             result = self._collect()
+        self._release()
 
         if self.profile is not None:
             self.profile.wall_time_s = time.perf_counter() - wall0
             self.profile.sim_time_us = env.now
             result.profile = self.profile
         return result
+
+    def _release(self) -> None:
+        """Break the finished replay's reference cycles, one step per
+        component (docs/ARCHITECTURE.md, "Lifetime"), so the simulator
+        is freed by reference counting, not by the cyclic collector."""
+        self.network.detach()
+        self.coordinator.release()
+        for p in self.processors:
+            p.release()
 
     def _spawn(self) -> None:
         """Queue each processor's start, in processor order, ahead of
