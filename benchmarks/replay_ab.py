@@ -28,13 +28,14 @@ thread's output events, the processor stats and the network stats,
 and, on the front-end row, every event read from the file; on the
 ``machine`` row, the whole ``MachineResult``; on the ``measure`` row,
 the trace digest and race findings; on the ``predict`` row, stdout
-byte for byte.  Printed per
-workload: the median and interquartile range of the B/A time ratios,
-each version's median time, and how many unreachable objects one call
-of each version leaves to the cyclic collector (counted once, with the
+byte for byte.  Printed per workload: the median and interquartile
+range of the B/A time ratios, in how many rounds B was faster, each
+version's median time, and how many unreachable objects one call of
+each version leaves to the cyclic collector (counted once, with the
 collector off, after the warm-up; the timed calls collect first, so
-their times do not show that garbage).  ``python benchmarks/replay_ab.py src src
---rounds 2`` checks that the tool itself still runs.
+their times do not show that garbage).  ``python
+benchmarks/replay_ab.py src src --rounds 2`` checks that the tool
+itself still runs.
 """
 
 from __future__ import annotations
@@ -315,9 +316,11 @@ def main(argv=None) -> int:
                 times[i][1].append(tb)
     for i, workload in enumerate(rows):
         q1, _, q3 = statistics.quantiles(ratios[i], n=4)
+        wins = sum(tb < ta for ta, tb in zip(*times[i]))
         print(
             f"{label(workload, i)}: B/A median {statistics.median(ratios[i]):.3f} "
-            f"[{q1:.3f}, {q3:.3f}]  A {statistics.median(times[i][0]) * 1e3:.1f} ms"
+            f"[{q1:.3f}, {q3:.3f}]  B faster in {wins}/{args.rounds}"
+            f"  A {statistics.median(times[i][0]) * 1e3:.1f} ms"
             f"  B {statistics.median(times[i][1]) * 1e3:.1f} ms  ({args.rounds} rounds)"
             f"  unreachable per call A {leftover[i][0]} B {leftover[i][1]}"
         )

@@ -183,6 +183,15 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else inf
 
+    def drop_queue(self) -> None:
+        """Forget every queued call, for a run that is over.
+
+        A run that stopped early (a budget ran out, a model error
+        raised) leaves calls that refer back to its model components,
+        which hold this environment: dropping them breaks that
+        reference cycle."""
+        self._queue.clear()
+
     # -- factories ------------------------------------------------------------
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -261,19 +270,16 @@ class Environment:
         count = 0
         try:
             while queue:
-                t = queue[0][0]
-                self._now = t
-                # Drain everything scheduled for exactly t.  Calls may
-                # push new time-t entries; the peek re-checks pick those up
-                # in (priority, seq) order, same as step() would.
-                while queue and queue[0][0] == t:
-                    _t, _priority, _seq, fn, arg = pop(queue)
-                    count += 1
-                    if profile is not None:
-                        profile.count(fn, arg)
-                    fn(arg)
-                    if count == budget:
-                        return False
+                # One pop per entry: heappop returns the least (time,
+                # priority, seq), entries a call pushes included, so this
+                # is the order repeated step() calls make.
+                self._now, _priority, _seq, fn, arg = pop(queue)
+                count += 1
+                if profile is not None:
+                    profile.count(fn, arg)
+                fn(arg)
+                if count == budget:
+                    return False
         finally:
             self._event_count += count
         return True

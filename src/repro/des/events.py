@@ -162,6 +162,13 @@ class FirstOf(Event):
         for ev in children:
             ev.callbacks.append(on_child)
 
+    def drop(self) -> None:
+        """Forget the children and waiters of a race that will never be
+        decided, for a run that is over: while it is pending, it and
+        each child refer to each other."""
+        self.children = ()
+        self.callbacks = []
+
     def _on_child(self, ev: Event) -> None:
         if len(self.children) > 1:
             on_child = self._on_child

@@ -99,6 +99,11 @@ class _HwBarrier:
             del self._waiting[bid]
             self.env.call_in(self.latency, self._release, waiting)
 
+    def release(self) -> None:
+        """Drop the nodes still waiting, once the run is over (each
+        waiter holds its node, which holds this barrier)."""
+        self._waiting.clear()
+
     @staticmethod
     def _release(waiting: List[Step]) -> None:
         for resume in waiting:
@@ -133,11 +138,12 @@ class Machine:
         the queue until it is empty, then check that every node's body
         finished (``RuntimeError`` naming the ones that did not).
 
-        A finished run then drops the two links that point back at the
-        nodes, the network's delivery callbacks and the handlers still
-        waiting on the inboxes, so the machine holds no reference cycle
-        and is freed by reference counting (docs/ARCHITECTURE.md,
-        "Lifetime")."""
+        The run then drops what points back at the nodes: calls still
+        queued, the network's delivery callbacks, nodes waiting at the
+        barrier, and each node's body and the handler still waiting on
+        its inbox.  It does so also when the run raises, so the machine
+        holds no reference cycle and is freed by reference counting
+        (docs/ARCHITECTURE.md, "Lifetime")."""
         if self._ran:
             raise RuntimeError("machine already ran a program; create a new one")
         self._ran = True
@@ -148,13 +154,19 @@ class Machine:
             raise ValueError(f"{len(bodies)} bodies for {self.n} nodes")
         for node, body in zip(self.nodes, bodies):
             node.start(body)
-        self.env.run()
-        stuck = [nd.pid for nd in self.nodes if not nd.finished]
-        if stuck:
-            raise RuntimeError(f"machine deadlocked; nodes {stuck} never finished")
-        self.network.detach()
-        for nd in self.nodes:
-            nd.inbox.drop_waiters()
+        try:
+            self.env.run()
+            stuck = [nd.pid for nd in self.nodes if not nd.finished]
+            if stuck:
+                raise RuntimeError(
+                    f"machine deadlocked; nodes {stuck} never finished"
+                )
+        finally:
+            self.env.drop_queue()
+            self.network.detach()
+            self.barrier.release()
+            for nd in self.nodes:
+                nd.release()
         return MachineResult(
             meta=TraceMeta(program=name, n_threads=self.n, size_mode="actual"),
             spec=self.spec,
@@ -195,6 +207,13 @@ class MachineNode:
         self.finished = False
         self._body: Generator | None = None
         self._barrier_seq = 0
+
+    def release(self) -> None:
+        """Drop the body and the handler waiting on the inbox once the
+        run is over: a body that never finished, and the handler, refer
+        back to this node."""
+        self._body = None
+        self.inbox.drop_waiters()
 
     # -- ThreadCtx-compatible introspection ---------------------------------
 

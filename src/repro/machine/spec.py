@@ -31,9 +31,7 @@ class MachineSpec:
     topology:
         Data-network topology name (any of
         :func:`repro.sim.topology.available_topologies`); the CM-5 uses
-        ``"fattree"``.
-    fat_tree_arity:
-        Arity when the topology is a fat tree (CM-5: 4).
+        ``"fattree"`` (always 4-ary).
     service_time:
         Active-message handler time per serviced request.
     header_nbytes:
@@ -53,7 +51,6 @@ class MachineSpec:
     byte_time: float = 0.118
     hop_time: float = 0.2
     topology: str = "fattree"
-    fat_tree_arity: int = 4
     service_time: float = 2.0
     header_nbytes: int = 8
     request_nbytes: int = 16
@@ -64,8 +61,6 @@ class MachineSpec:
     def __post_init__(self):
         if self.node_mflops <= 0:
             raise ValueError(f"node_mflops must be positive, got {self.node_mflops}")
-        if self.fat_tree_arity < 2:
-            raise ValueError("fat tree arity must be >= 2")
         for field_ in (
             "local_access_time",
             "msg_startup",

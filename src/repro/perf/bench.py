@@ -21,7 +21,8 @@ Six seeded reference workloads exercise the layers of the hot path:
   :func:`repro.sampling.estimate_sampled`), plus the estimate with its
   plan reused and the per-point time of a sampled sweep.
 
-:func:`run_benchmarks` times each (best of N repeats) and
+:func:`run_benchmarks` times each (best of N repeats, with the median
+and interquartile range of the repeats beside it) and
 :func:`write_baseline` persists the result as ``BENCH_engine.json`` so
 future changes have a committed trajectory to regress against (see
 ``tests/test_perf_smoke.py``).  Run it via ``extrap bench``.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import json
 import platform
+import statistics
 import time
 from pathlib import Path
 from typing import Dict
@@ -327,6 +329,11 @@ def run_benchmarks(
 ) -> dict:
     """Time every workload; best-of-``repeats`` wall time per workload.
 
+    Each record also carries ``median_s`` and ``iqr_s``, the median and
+    interquartile range (inclusive quartiles; 0 for one repeat) of the
+    repeats' wall times, so a noisy row shows as one: the best alone
+    hides the spread.
+
     ``scale`` shrinks the per-workload problem size (events scale with
     it for the micro workloads; the simulator workload keeps its shape).
     Returns a JSON-serialisable result dict.
@@ -345,12 +352,17 @@ def run_benchmarks(
     for name, (fn, base_size) in selected.items():
         size = base_size if name in fixed_shape else max(1, int(base_size * scale))
         fn(size)  # warm-up run (imports, allocator)
-        best = float("inf")
+        times = []
         out = 0
         for _ in range(repeats):
             t0 = time.perf_counter()
             out = fn(size)
-            best = min(best, time.perf_counter() - t0)
+            times.append(time.perf_counter() - t0)
+        best = min(times)
+        iqr = 0.0
+        if repeats > 1:
+            q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+            iqr = q3 - q1
         if isinstance(out, dict):
             events = out["events"]
             extras = {k: v for k, v in out.items() if k != "events"}
@@ -360,6 +372,8 @@ def run_benchmarks(
             "size": size,
             "events": events,
             "best_s": best,
+            "median_s": statistics.median(times),
+            "iqr_s": iqr,
             "events_per_s": events / best if best > 0 else None,
             **extras,
         }
@@ -408,7 +422,10 @@ def load_baseline(path: str | Path = DEFAULT_BASELINE) -> dict:
 
 def format_results(results: dict, baseline: dict | None = None) -> str:
     """Human-readable table, optionally with speedup vs. a baseline."""
-    lines = ["engine benchmarks (best of %d):" % results.get("repeats", 1)]
+    lines = [
+        "engine benchmarks (best of %d; median [IQR] of the repeats):"
+        % results.get("repeats", 1)
+    ]
     base_wl = (baseline or {}).get("workloads", {})
     for name, r in results["workloads"].items():
         rate = r["events_per_s"]
@@ -416,6 +433,11 @@ def format_results(results: dict, baseline: dict | None = None) -> str:
             f"  {name:14s} {r['events']:>8d} events  "
             f"{r['best_s'] * 1e3:8.2f} ms  {rate:>12,.0f} events/s"
         )
+        if "median_s" in r:
+            line += (
+                f"  median {r['median_s'] * 1e3:.2f} ms "
+                f"[IQR {r['iqr_s'] * 1e3:.2f} ms]"
+            )
         ref = base_wl.get(name, {}).get("events_per_s")
         if ref:
             line += f"  ({rate / ref:.2f}x baseline)"

@@ -101,6 +101,14 @@ class Network:
         self._faults = env.faults
         #: delivery targets, filled by the simulator once processors exist
         self._inboxes: List[Callable[[Message], None]] = []
+        # Per-run constants, read once per message: bound here.
+        self._header = params.header_nbytes
+        self._byte_time = params.byte_transfer_time
+        self._contention = params.contention
+        self._contention_factor = params.contention_factor
+        self._call_in = env.call_in
+        #: the arrival step, bound once; a reference cycle until detach()
+        self._k_deliver = self._deliver
 
     def attach(self, inboxes: List[Callable[[Message], None]]) -> None:
         """Register one delivery callback per processor."""
@@ -109,9 +117,11 @@ class Network:
         self._inboxes = inboxes
 
     def detach(self) -> None:
-        """Drop the delivery callbacks once the run is over: each holds
-        its processor, which holds this network."""
+        """Drop the delivery callbacks once the run is over (each holds
+        its processor, which holds this network) and the bound arrival
+        step."""
         self._inboxes = []
+        self._k_deliver = None
 
     # -- cost model ------------------------------------------------------------
 
@@ -126,16 +136,14 @@ class Network:
 
     def wire_time(self, msg: Message) -> float:
         """Transit time for ``msg`` injected *now* (excludes startup)."""
-        p = self.params
-        payload = msg.nbytes + p.header_nbytes
-        base = payload * p.byte_transfer_time
+        base = (msg.nbytes + self._header) * self._byte_time
         route = self._routes.get(msg.src * self.n + msg.dst)
         if route is None:
             route = self._route_time(msg.src, msg.dst)
-        if not p.contention:
+        if not self._contention:
             return base + route
         # The analytical contention multiplier (module docstring).
-        mult = 1.0 + p.contention_factor * self._in_flight / self._bisection
+        mult = 1.0 + self._contention_factor * self._in_flight / self._bisection
         self.stats.total_contention_delay += base * (mult - 1.0)
         return base * mult + route
 
@@ -194,7 +202,7 @@ class Network:
             self._obs.counter("net.in_flight", now, self._in_flight)
             self._obs.counter("net.bytes_total", now, stats.bytes)
 
-        self.env.call_in(transit, self._deliver, msg)
+        self._call_in(transit, self._k_deliver, msg)
 
         if duplicated:
             # A second copy arrives after an independently priced
@@ -204,7 +212,7 @@ class Network:
             self._in_flight += 1
             if self._in_flight > stats.max_in_flight:
                 stats.max_in_flight = self._in_flight
-            self.env.call_in(dup_transit, self._deliver, msg)
+            self._call_in(dup_transit, self._k_deliver, msg)
             if self._obs is not None:
                 self._obs.instant(
                     msg.src,

@@ -22,7 +22,12 @@ the same instant.  Only when no thread is ready does the processor wait
 and serve its inbox.  An access to a thread on the same processor costs
 ``request_service_time`` and sends no message.  At a barrier, threads
 park until the last local one arrives; that one runs the barrier
-protocol for the processor.
+protocol for the processor.  A processor hosting one thread skips that
+scheduler when its thread waits on a pending reply with no retry timer
+(outside :meth:`SimProcessor._next`): :meth:`SimProcessor._wait` waits
+on the reply directly, through the same inbox wait ``_next`` would
+reach, and charges the same ``comm_wait`` before it resumes the thread,
+so the queue entries and every result are the same.
 
 After its replay finishes, a processor keeps servicing incoming requests
 forever (the pC++ runtime never stops serving remote accesses), so
@@ -52,9 +57,9 @@ across a wait, refer back to the processor: a reference cycle.  A
 timed wake-up whose only state is the processor is queued instead as
 the plain function with the processor as the call's ``arg``
 (:data:`_BUSY_OVER`, :data:`_CHAIN_OVER`); what stays cyclic,
-:meth:`SimProcessor.release` clears once the run is over, so a finished
-simulation is freed by reference counting (docs/ARCHITECTURE.md,
-"Lifetime").
+:meth:`SimProcessor.release` clears once the run is over, failed runs
+included, so a simulation is freed by reference counting
+(docs/ARCHITECTURE.md, "Lifetime").
 """
 
 from __future__ import annotations
@@ -100,6 +105,7 @@ _EV_BARRIER_ENTER = EventKind.BARRIER_ENTER
 _EV_BARRIER_EXIT = EventKind.BARRIER_EXIT
 _EV_REMOTE_READ = EventKind.REMOTE_READ
 _EV_REMOTE_WRITE = EventKind.REMOTE_WRITE
+_new_tuple = tuple.__new__
 
 
 class SimThread:
@@ -148,9 +154,9 @@ class SimProcessor:
         "env", "pid", "pp", "np", "network", "coordinator", "threads",
         "_assignment", "_msg_ids", "_parked", "inbox", "pending_replies",
         "stats", "_thread", "_tid", "out_events", "_ready", "_blocked",
-        "_in_next", "_cpu_free", "finished", "actions_done", "_call_in",
-        "_call_at", "_stats_add", "_mips_ratio", "_policy", "_obs",
-        "_rxq_counter", "_faults", "_fault_plan",
+        "_in_next", "_cpu_free", "finished", "actions_done", "_solo",
+        "_call_in", "_call_at", "_stats_add", "_mips_ratio", "_policy",
+        "_send_cost", "_obs", "_rxq_counter", "_faults", "_fault_plan",
         # What the steps that wait carry across their wait (see the
         # module docstring), each set before it is read:
         # busy time: continuation, durations and categories, start;
@@ -161,6 +167,8 @@ class SimProcessor:
         "_disp_k", "_disp_msg",
         # interrupt/poll compute: work left, slice start, racing inbox get;
         "_compute_left", "_compute_t0", "_compute_get",
+        # the race of the last raced wait (a compute slice or serve turn);
+        "_race",
         # waits that serve the inbox: continuation, own target or end
         # test, external waits, racing inbox get;
         "_serve_k", "_serve_target", "_serve_done", "_serve_waits", "_serve_get",
@@ -169,7 +177,8 @@ class SimProcessor:
         # The steps that run once or more per event, bound once.
         "_k_built", "_k_reply_then", "_k_slice_over", "_k_interrupt_resume",
         "_k_own_relay", "_k_own_arrival", "_k_own_check",
-        "_k_idle_over", "_k_await_reply", "_k_access_done", "_k_action_done",
+        "_k_idle_over", "_k_direct_over", "_k_await_reply", "_k_access_done",
+        "_k_action_done",
     )
 
     def __init__(
@@ -214,11 +223,15 @@ class SimProcessor:
         #: thread gave up the CPU (blocked or finished) meanwhile
         self._in_next = False
         self._cpu_free = False
+        self._race: Optional[FirstOf] = None
         #: set when every hosted thread reached THREAD_END
         self.finished = False
         #: replay progress: actions completed so far (the watchdog's
         #: per-processor progress token)
         self.actions_done = 0
+        #: whether this processor hosts one thread, whose waits skip the
+        #: scheduler round (:meth:`_wait`)
+        self._solo = len(self.threads) == 1
 
         # Pre-bound hot-path helpers: the replay busies/unblocks once per
         # action, so shave the attribute chains off every step.
@@ -227,6 +240,8 @@ class SimProcessor:
         self._stats_add = self.stats.add
         self._mips_ratio = self.pp.mips_ratio
         self._policy = self.pp.policy
+        #: a message's sender-side busy time (:meth:`_send`)
+        self._send_cost = self.pp.msg_build_time + self.np.comm_startup_time
         #: timeline recorder, or None when observation is off (the only
         #: cost every hook site pays then is one ``is None`` test)
         self._obs = env.obs
@@ -247,6 +262,7 @@ class SimProcessor:
         self._k_own_arrival = self._own_arrival
         self._k_own_check = self._own_check
         self._k_idle_over = self._idle_over
+        self._k_direct_over = self._direct_over
         self._k_await_reply = self._await_reply
         self._k_access_done = self._access_done
         self._k_action_done = self._action_done
@@ -263,16 +279,20 @@ class SimProcessor:
     def release(self) -> None:
         """Clear what refers back to this processor once the run is
         over: the steps bound once, the continuations its last waits
-        carried, its threads' resume steps and its inbox's waiting
-        getter.  The processor then holds no reference cycle; its
-        ``stats``, ``finished``, ``actions_done`` and threads' ``events``
-        stay readable."""
+        carried, a race a failed run left pending, its threads' resume
+        steps and its inbox's waiting getter.  The processor then holds
+        no reference cycle; its ``stats``, ``finished``, ``actions_done``
+        and threads' ``events`` stay readable."""
         self._k_built = self._k_reply_then = self._k_slice_over = None
         self._k_interrupt_resume = self._k_own_relay = self._k_own_arrival = None
-        self._k_own_check = self._k_idle_over = self._k_await_reply = None
-        self._k_access_done = self._k_action_done = None
+        self._k_own_check = self._k_idle_over = self._k_direct_over = None
+        self._k_await_reply = self._k_access_done = self._k_action_done = None
         self._busy_k = self._send_k = self._disp_k = None
         self._serve_k = self._serve_done = None
+        if self._race is not None:
+            # Still pending when a run failed: the race and its children
+            # refer to each other, and it holds the step that ends it.
+            self._race.drop()
         for thread in self.threads:
             thread.resume = None
         self.inbox.drop_waiters()
@@ -288,10 +308,14 @@ class SimProcessor:
         collection: str = "",
         tag: str = "",
     ) -> None:
+        # tuple.__new__ skips the Python-level __new__ a class call runs.
         self.out_events.append(
-            TraceEvent(
-                self.env._now, self._tid, kind, barrier_id, owner, nbytes,
-                collection, tag,
+            _new_tuple(
+                TraceEvent,
+                (
+                    self.env._now, self._tid, kind, barrier_id, owner, nbytes,
+                    collection, tag,
+                ),
             )
         )
 
@@ -435,6 +459,16 @@ class SimProcessor:
             self._idle_over()
 
     def _idle_over(self) -> None:
+        self._charge_comm_wait()
+        self._next()
+
+    def _direct_over(self) -> None:
+        """The one thread's direct wait (:meth:`_wait`) is over."""
+        self._charge_comm_wait()
+        self._thread.resume()
+
+    def _charge_comm_wait(self) -> None:
+        """Charge the idle wait since ``_wait_t0`` as ``comm_wait``."""
         t0 = self._wait_t0
         self.stats.comm_wait += (self.env._now - t0) - (
             self.stats.busy_total - self._wait_busy0
@@ -442,7 +476,6 @@ class SimProcessor:
         if self._obs is not None:
             # Nested busy spans are the requests serviced while idle.
             self._obs.span(self.pid, "comm_wait", t0, self.env._now)
-        self._next()
 
     def _give_up_cpu(self) -> None:
         """The running thread blocked or finished."""
@@ -456,9 +489,22 @@ class SimProcessor:
     ) -> None:
         """The running thread gives up the CPU until one of this
         processor's own events, ``target``, triggers or ``timer``
-        expires; ``resume`` continues it then."""
+        expires; ``resume`` continues it then.
+
+        The one thread of a processor, waiting outside :meth:`_next`
+        with no timer on a pending target, waits on it directly: the
+        same :meth:`_await_own` wait and ``comm_wait`` charge that
+        :meth:`_next` would reach after its scan, without the scan
+        before the wait and after it."""
         thread = self._thread
         thread.target, thread.timer, thread.resume = target, timer, resume
+        if (
+            self._solo and timer is None and target._state == PENDING
+            and not self._in_next
+        ):
+            self._wait_t0, self._wait_busy0 = self.env._now, self.stats.busy_total
+            self._await_own(self._k_direct_over, target)
+            return
         self._blocked.append(thread)
         self._give_up_cpu()
 
@@ -631,7 +677,8 @@ class SimProcessor:
         self._compute_t0 = self.env._now
         finish = self.env.timeout(self._compute_left)
         get_ev = self._compute_get = self.inbox.get()
-        FirstOf(self.env, (finish, get_ev)).callbacks.append(self._k_slice_over)
+        race = self._race = FirstOf(self.env, (finish, get_ev))
+        race.callbacks.append(self._k_slice_over)
 
     def _interrupted_by_queued(self, msg: Message) -> None:
         self.stats.interrupts += 1
@@ -836,7 +883,7 @@ class SimProcessor:
 
     def _send(self, k: Callable[[], None], msg: Message, category: str) -> bool:
         """Build and inject a message (sender-side busy costs)."""
-        cost = self.pp.msg_build_time + self.np.comm_startup_time
+        cost = self._send_cost
         if cost > 0:
             self._send_k = k
             self._send_msg = msg
@@ -1036,9 +1083,8 @@ class SimProcessor:
 
     def _serve_turn(self) -> None:
         get_ev = self._serve_get = self.inbox.get()
-        FirstOf(self.env, self._serve_waits + (get_ev,)).callbacks.append(
-            self._serve_woken
-        )
+        race = self._race = FirstOf(self.env, self._serve_waits + (get_ev,))
+        race.callbacks.append(self._serve_woken)
 
     def _serve_woken(self, _ev: Event) -> None:
         get_ev = self._serve_get

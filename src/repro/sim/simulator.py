@@ -130,20 +130,25 @@ class Simulator:
         self._ran = False
 
     def run(self) -> SimulationResult:
-        """Run the simulation to completion and collect the result."""
+        """Run the simulation to completion and collect the result; the
+        run is released (:meth:`_release`) whether it returns or raises."""
         if self._ran:
             raise RuntimeError("simulator already ran; create a new one")
         self._ran = True
         wall0 = time.perf_counter()
         env = self.env
         phase = self.profile.timers.phase if self.profile is not None else _untimed
-        with phase("spawn"):
-            self._spawn()
-        with phase("replay"):
-            self._replay()
-        with phase("collect"):
-            result = self._collect()
-        self._release()
+        try:
+            with phase("spawn"):
+                self._spawn()
+            with phase("replay"):
+                self._replay()
+            with phase("collect"):
+                result = self._collect()
+        finally:
+            # Also after a failed run: a SimulationStalled diagnosis has
+            # read the processors' state by the time it propagates.
+            self._release()
 
         if self.profile is not None:
             self.profile.wall_time_s = time.perf_counter() - wall0
@@ -155,6 +160,7 @@ class Simulator:
         """Break the finished replay's reference cycles, one step per
         component (docs/ARCHITECTURE.md, "Lifetime"), so the simulator
         is freed by reference counting, not by the cyclic collector."""
+        self.env.drop_queue()
         self.network.detach()
         self.coordinator.release()
         for p in self.processors:

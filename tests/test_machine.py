@@ -135,8 +135,6 @@ def test_spec_validation():
         MachineSpec(node_mflops=0)
     with pytest.raises(ValueError):
         MachineSpec(byte_time=-1)
-    with pytest.raises(ValueError):
-        MachineSpec(fat_tree_arity=1)
 
 
 def test_machine_run_twice_rejected():

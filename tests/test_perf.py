@@ -96,6 +96,18 @@ def test_run_benchmarks_and_baseline_roundtrip(tmp_path):
     assert back["workloads"]["timeout_chain"]["events"] == wl["events"]
     text = format_results(results, back)
     assert "timeout_chain" in text and "1.00x baseline" in text
+    # One repeat: its median is its best, and there is no spread.
+    assert wl["median_s"] == wl["best_s"] and wl["iqr_s"] == 0.0
+    assert "[IQR 0.00 ms]" in text
+
+
+def test_run_benchmarks_records_median_and_iqr_of_repeats():
+    results = run_benchmarks(scale=0.01, repeats=4, workloads=["timeout_chain"])
+    wl = results["workloads"]["timeout_chain"]
+    assert wl["best_s"] <= wl["median_s"]
+    assert wl["iqr_s"] >= 0.0
+    text = format_results(results)
+    assert f"median {wl['median_s'] * 1e3:.2f} ms" in text
 
 
 def test_load_baseline_rejects_bad_schema(tmp_path):
